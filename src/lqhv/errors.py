@@ -32,4 +32,9 @@ class AtomBudgetError(LqhvError):
 
 
 class RepresentationError(LqhvError):
-    """A measure reproduces a joint probability below the nonnegativity floor."""
+    """A measure or verdict fails to represent the family it claims to.
+
+    Raised when a measure reproduces a joint probability below the
+    nonnegativity floor, and when an LHV witness or certificate fails the
+    check made before it is returned.
+    """

@@ -49,6 +49,19 @@ def _require(data: Any, key: str, what: str):
     return data[key]
 
 
+def _as_int(value: Any, where: str) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"{where} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where} must be an integer, got {value!r}") from exc
+
+
+def _require_int(data: Any, key: str, what: str) -> int:
+    return _as_int(_require(data, key, what), f"{what} field {key!r}")
+
+
 def _read_mode(data: dict, what: str) -> str:
     mode = _require(data, "mode", what)
     if mode not in numeric.MODES:
@@ -83,8 +96,8 @@ def family_from_json(data: Any, tol: float | None = None) -> DistributionFamily:
     settings = []
     outcomes = []
     for i, p in enumerate(parties, start=1):
-        settings.append(int(_require(p, "settings", f"party {i}")))
-        outcomes.append(int(_require(p, "outcomes", f"party {i}")))
+        settings.append(_require_int(p, "settings", f"party {i}"))
+        outcomes.append(_require_int(p, "outcomes", f"party {i}"))
     scenario = Scenario(tuple(settings), tuple(outcomes))
     mode = _read_mode(data, "family file")
     raw_tables = _require(data, "tables", "family file")
@@ -111,10 +124,12 @@ def measure_from_json(data: Any, tol: float | None = None) -> SignedMeasure:
     if not isinstance(axes, list) or not axes:
         raise InputError("'axes' must be a nonempty list")
     per_site: dict[int, dict[int, int]] = {}
+    given_order = []
     for i, ax in enumerate(axes):
-        site = int(_require(ax, "site", f"axis {i}"))
-        setting = int(_require(ax, "setting", f"axis {i}"))
-        k = int(_require(ax, "outcomes", f"axis {i}"))
+        site = _require_int(ax, "site", f"axis {i}")
+        setting = _require_int(ax, "setting", f"axis {i}")
+        k = _require_int(ax, "outcomes", f"axis {i}")
+        given_order.append((site, setting))
         per_site.setdefault(site, {})
         if setting in per_site[site]:
             raise InputError(f"duplicate axis for site {site}, setting {setting}")
@@ -136,7 +151,6 @@ def measure_from_json(data: Any, tol: float | None = None) -> SignedMeasure:
     scenario = Scenario(tuple(settings), tuple(outcomes))
     expected_order = [(n, s) for n in scenario.sites
                       for s in range(1, scenario.settings_per_site[n - 1] + 1)]
-    given_order = [(int(ax["site"]), int(ax["setting"])) for ax in axes]
     if given_order != expected_order:
         raise InputError("axes must appear in the fixed order (1,1)..(1,S_1)..(N,S_N)")
     mode = _read_mode(data, "measure file")
@@ -194,6 +208,7 @@ def quantum_from_json(data: Any, tol: float = 1e-9) -> QuantumScenario:
     dims = _require(data, "site_dims", "quantum file")
     if not isinstance(dims, list) or not dims:
         raise InputError("'site_dims' must be a nonempty list")
+    dims = [_as_int(d, f"site_dims entry {n}") for n, d in enumerate(dims, start=1)]
     rho = DensityMatrix(_complex_matrix(_require(data, "rho", "quantum file"), "rho"), tol)
     raw_povms = _require(data, "povms", "quantum file")
     if not isinstance(raw_povms, list) or len(raw_povms) != len(dims):
@@ -210,7 +225,7 @@ def quantum_from_json(data: Any, tol: float = 1e-9) -> QuantumScenario:
                     for i, e in enumerate(effects)]
             site_povms.append(POVM(tuple(mats), tol))
         for p in site_povms:
-            if p.dim != int(dims[n - 1]):
+            if p.dim != dims[n - 1]:
                 raise InputError(f"site {n} POVM dimension {p.dim} does not match "
                                  f"declared d_n = {dims[n - 1]}")
         povms.append(site_povms)

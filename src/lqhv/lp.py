@@ -3,11 +3,29 @@
 A family admits a local hidden variable model exactly when some
 nonnegative joint-space measure reproduces every table as its full-tuple
 marginal. That is a linear feasibility problem in the atoms, solved here
-by a phase-1 simplex with Bland's anti-cycling rule, run in exact
-rational arithmetic or in floating point with tolerance-based pivots.
-Infeasibility comes with a separating certificate: a vector y over the
-constraint rows with y.A <= 0 on every atom column yet y.b > 0 on the
-family, so no nonnegative atom vector can meet the tables.
+by a phase-1 simplex with Bland's anti-cycling rule: the entering column
+is the first whose reduced cost is below -tol, the leaving row the
+smallest ratio, ties going to the smallest basis index. Infeasibility
+comes with a separating certificate: a vector y over the constraint rows
+with y.A <= 0 on every atom column yet y.b > 0 on the family, so no
+nonnegative atom vector can meet the tables.
+
+The simplex runs on one numpy tableau with the reduced costs kept as an
+extra row, and each pivot eliminates only the rows with a nonzero entry
+in the entering column. In rational mode the right-hand side is scaled by
+the lcm of its denominators and the tableau holds Python ints, updated
+by fraction-free integer pivoting (Bareiss, Math. Comp. 22 (1968) 565;
+Edmonds, J. Res. NBS 71B (1967) 241). Every row r stores integers M_r and
+a denominator d_r with row = M_r / d_r. A pivot in column e first brings
+the leaving row to the determinant D of the current basis,
+M_l <- M_l * D // d_l, then takes p = M_l[e] and sets
+M_r <- (p * M_r - M_r[e] * M_l) // d_r and d_r <- p on every row with
+M_r[e] != 0; p is the determinant of the next basis. Pivots are positive
+and every division is exact, so the result is exactly that of a
+`Fraction` tableau, and `Fraction`s are formed only for the returned
+witness, certificate and residual. Float mode divides the pivot
+row by its pivot instead. Every verdict is checked before it is
+returned, exactly in rational mode and within tol in float mode.
 
 Row order is fixed and documented: setting tuples in lexicographic order,
 and within each tuple the outcome combinations in row-major order, i.e.
@@ -17,14 +35,16 @@ points in row-major order over the joint shape.
 
 from __future__ import annotations
 
-import itertools
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import numeric
-from .construct import DEFAULT_ATOM_BUDGET, DeterministicLqHVModel, SignedMeasure
-from .errors import AtomBudgetError, InputError, SignalingError
+from .construct import DEFAULT_ATOM_BUDGET, SignedMeasure
+from .errors import AtomBudgetError, InputError, RepresentationError, SignalingError
 from .numeric import Scalar
 from .scenario import DistributionFamily, Scenario, check_nonsignaling
 
@@ -38,6 +58,22 @@ def stack_tables(family: DistributionFamily) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def marginal_rows(scenario: Scenario) -> np.ndarray:
+    """Constraint row that each atom feeds, one line per setting tuple.
+
+    Entry (t, col) is the row of tuple t's outcome cell onto which the
+    joint point behind `col` projects, so the marginal matrix holds a 1
+    at (rows[t, col], col) for every t and nothing else.
+    """
+    offsets = np.cumsum((0,) + scenario.settings_per_site[:-1])
+    axes = np.array(scenario.setting_tuples()) - 1 + offsets
+    points = np.indices(scenario.joint_shape).reshape(len(scenario.joint_shape), -1)
+    cells = np.ravel_multi_index(tuple(points[axes[:, n]] for n in range(scenario.n_parties)),
+                                 scenario.table_shape)
+    table_size = math.prod(scenario.table_shape)
+    return cells + table_size * np.arange(scenario.n_tuples)[:, None]
+
+
 def marginal_matrix(scenario: Scenario) -> np.ndarray:
     """0/1 matrix mapping atom vectors to stacked full-tuple marginals.
 
@@ -45,17 +81,10 @@ def marginal_matrix(scenario: Scenario) -> np.ndarray:
     the coordinates selected by the row's setting tuple, onto the row's
     outcome combination.
     """
-    table_size = 1
-    for k in scenario.table_shape:
-        table_size *= k
-    n_rows = scenario.n_tuples * table_size
-    matrix = np.zeros((n_rows, scenario.joint_size), dtype=np.int8)
-    for ti, t in enumerate(scenario.setting_tuples()):
-        axes = [scenario.axis_index(n, s) for n, s in enumerate(t, start=1)]
-        for col, point in enumerate(np.ndindex(*scenario.joint_shape)):
-            outcome = tuple(point[a] for a in axes)
-            row = ti * table_size + int(np.ravel_multi_index(outcome, scenario.table_shape))
-            matrix[row, col] = 1
+    rows = marginal_rows(scenario)
+    matrix = np.zeros((scenario.n_tuples * math.prod(scenario.table_shape),
+                       scenario.joint_size), dtype=np.int8)
+    matrix[rows, np.arange(scenario.joint_size)] = 1
     return matrix
 
 
@@ -83,79 +112,125 @@ def certificate_gap(certificate: np.ndarray, family: DistributionFamily) -> Scal
     return (certificate * b).sum()
 
 
-def _phase1_simplex(a_rows: np.ndarray, b: np.ndarray, mode: str, tol: float):
+def _phase1_simplex(a01: np.ndarray, b: np.ndarray, mode: str, tol: float):
     """Minimize the artificial mass of Ax = b, x >= 0, by Bland's rule.
 
-    Returns (objective, x, y) with x the structural basic solution and y
-    the simplex multipliers pulled back through the row sign flips, which
-    make y a separating certificate whenever the objective is positive.
+    `a01` is the 0/1 constraint matrix and `b` the mode-typed right-hand
+    side. Returns (objective, x, y) with x the structural basic solution
+    and y the simplex multipliers pulled back through the row sign flips,
+    which make y a separating certificate whenever the objective is
+    positive.
     """
-    m, n = a_rows.shape
-    pivot_tol = 0 if mode == numeric.RATIONAL else tol
-    zero = numeric.zero(mode)
-    one = numeric.one(mode)
-
-    flip = [one if b[i] >= zero else -one for i in range(m)]
-    width = n + m + 1
-    if mode == numeric.RATIONAL:
-        tableau = np.empty((m, width), dtype=object)
-        tableau[...] = zero
+    m, n = a01.shape
+    exact = mode == numeric.RATIONAL
+    flip = [1 if v >= 0 else -1 for v in b]
+    if exact:
+        scale = math.lcm(*(v.denominator for v in b))
+        rhs = [v.numerator * (scale // v.denominator) for v in b]
+        tableau = np.zeros((m + 1, n + m + 1), dtype=object)
+        pivot_tol = 0
     else:
-        tableau = np.zeros((m, width), dtype=float)
-    for i in range(m):
-        tableau[i, :n] = flip[i] * a_rows[i]
-        tableau[i, n + i] = one
-        tableau[i, -1] = flip[i] * b[i]
-    basis = [n + i for i in range(m)]
-
-    def reduced_cost(col: int) -> Scalar:
-        cost = one if col >= n else zero
-        for r in range(m):
-            if basis[r] >= n:
-                cost = cost - tableau[r, col]
-        return cost
+        scale = 1
+        rhs = list(b)
+        tableau = np.zeros((m + 1, n + m + 1))
+        pivot_tol = tol
+    # rows 0..m-1 hold [flip*A | I | flip*b*scale]; row m holds the reduced
+    # costs of the artificial objective, which start at minus the column sums
+    tableau[:m, :n] = np.array(flip)[:, None] * a01
+    tableau[np.arange(m), n + np.arange(m)] = 1
+    tableau[:m, -1] = [f * v for f, v in zip(flip, rhs)]
+    tableau[m, :n] = -tableau[:m, :n].sum(axis=0)
+    tableau[m, -1] = -tableau[:m, -1].sum()
+    denom = np.ones(m + 1, dtype=tableau.dtype)
+    basis_det = 1
+    basis = np.arange(n, n + m)
+    divide = Fraction if exact else operator.truediv
 
     while True:
-        enter = -1
-        for j in range(n + m):
-            if reduced_cost(j) < -pivot_tol:
-                enter = j
-                break
-        if enter < 0:
+        entering = np.flatnonzero(tableau[m, :-1] < -pivot_tol)
+        if entering.size == 0:
             break
-        leave = -1
-        best = None
-        for r in range(m):
-            coeff = tableau[r, enter]
-            if coeff > pivot_tol:
-                ratio = tableau[r, -1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best, leave = ratio, r
-        if leave < 0:
+        e = entering[0]
+        column = tableau[:m, e]
+        candidates = np.flatnonzero(column > pivot_tol)
+        if candidates.size == 0:
             raise InputError("phase-1 objective unbounded; the constraint matrix is corrupt")
-        pivot = tableau[leave, enter]
-        tableau[leave] = tableau[leave] / pivot
-        for r in range(m):
-            if r != leave and tableau[r, enter] != zero:
-                tableau[r] = tableau[r] - tableau[r, enter] * tableau[leave]
-        basis[leave] = enter
+        leave = min(candidates, key=lambda r: (divide(tableau[r, -1], column[r]), basis[r]))
+        touched = np.flatnonzero(tableau[:, e])
+        others = touched[touched != leave]
+        if exact:
+            pivot_row = tableau[leave] * basis_det // denom[leave]
+            basis_det = pivot_row[e]
+            tableau[others] = ((basis_det * tableau[others]
+                                - np.multiply.outer(tableau[others, e], pivot_row))
+                               // denom[others, None])
+            denom[touched] = basis_det
+        else:
+            pivot_row = tableau[leave] / tableau[leave, e]
+            tableau[others] -= np.multiply.outer(tableau[others, e], pivot_row)
+        tableau[leave] = pivot_row
+        basis[leave] = e
 
-    objective = zero
-    for r in range(m):
-        if basis[r] >= n:
-            objective = objective + tableau[r, -1]
+    zero = numeric.zero(mode)
+    objective = sum((divide(tableau[r, -1], denom[r] * scale) for r in np.flatnonzero(basis >= n)),
+                    zero)
     x = [zero] * n
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = tableau[r, -1]
-    y = [zero] * m
-    for i in range(m):
-        acc = zero
-        for r in range(m):
-            if basis[r] >= n:
-                acc = acc + tableau[r, n + i]
-        y[i] = flip[i] * acc
+    for r in np.flatnonzero(basis < n):
+        x[basis[r]] = divide(tableau[r, -1], denom[r] * scale)
+    y = [f * divide(denom[m] - tableau[m, n + i], denom[m]) for i, f in enumerate(flip)]
     return objective, x, y
+
+
+def _common_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integer numerators of Fractions over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return np.array([v.numerator * (den // v.denominator) for v in values], dtype=object), den
+
+
+def _checked_witness(x: list, b: np.ndarray, rows: np.ndarray, mode: str,
+                     tol: float) -> np.ndarray:
+    """Witness atoms, checked nonnegative and reproducing every table entry.
+
+    Float atoms within tol below zero are clipped to zero first. A failed
+    check raises RepresentationError.
+    """
+    exact = mode == numeric.RATIONAL
+    atoms = np.array(x, dtype=object if exact else float)
+    if atoms.min() < (0 if exact else -tol):
+        raise RepresentationError(f"simplex returned atom {atoms.min()} below the floor")
+    if exact:
+        values, den = _common_numerators(atoms)
+    else:
+        atoms = np.maximum(atoms, 0.0)
+        values, den = atoms, 1
+    reproduced = np.zeros(b.shape, dtype=values.dtype)
+    # values are tiled, not broadcast: numpy 2.4's float ufunc.at reads
+    # garbage from a broadcast operand
+    np.add.at(reproduced, rows.reshape(-1), np.tile(values, len(rows)))
+    missed = reproduced != b * den if exact else np.abs(reproduced - b) > tol
+    if missed.any():
+        raise RepresentationError(
+            f"witness misses the table entry in constraint row {np.flatnonzero(missed)[0]}")
+    return atoms
+
+
+def _check_certificate(y: np.ndarray, residual: Scalar, family: DistributionFamily,
+                       rows: np.ndarray, mode: str, tol: float) -> None:
+    """Require y.A <= 0 on every atom column, y.b > 0 and y.b == residual.
+
+    y.A is gathered per atom from `rows`, on integer numerators in
+    rational mode. A failed check raises RepresentationError.
+    """
+    exact = mode == numeric.RATIONAL
+    floor = 0 if exact else tol
+    values = _common_numerators(y)[0] if exact else y
+    products = values[rows].sum(axis=0)
+    if products.max() > floor:
+        raise RepresentationError(
+            f"certificate is positive on atom column {np.argmax(products > floor)}")
+    gap = certificate_gap(y, family)
+    if not (gap > floor and numeric.is_close(gap, residual, tol, mode)):
+        raise RepresentationError(f"certificate gap y.b = {gap} does not match the residual {residual}")
 
 
 def lhv_feasible(family: DistributionFamily, tol: float | None = None,
@@ -164,52 +239,37 @@ def lhv_feasible(family: DistributionFamily, tol: float | None = None,
 
     The family must pass the consistency check first (a signaling family
     has no simulating measure of any sign, so the question is not posed).
-    Feasible instances return the witness measure wrapped as a model
-    input; infeasible ones return the separating certificate in the
-    documented row order.
+    `budget` caps both the atom count and the simplex tableau's cells,
+    rows x (atoms + rows + 1), and is enforced before anything is built.
+    Feasible instances return the witness measure; infeasible ones return
+    the separating certificate in the documented row order. Both are
+    checked before they are returned, and a failed check raises
+    RepresentationError.
     """
     scenario = family.scenario
     if scenario.joint_size > budget:
         raise AtomBudgetError(
             f"joint space holds {scenario.joint_size} atoms, over the budget {budget}")
+    n_rows = scenario.n_tuples * math.prod(scenario.table_shape)
+    cells = n_rows * (scenario.joint_size + n_rows + 1)
+    if cells > budget:
+        raise AtomBudgetError(f"LP tableau holds {cells} cells, over the budget {budget}")
     tol = family.tol if tol is None else float(tol)
     witness = check_nonsignaling(family, tol)
     if witness is not None:
         raise SignalingError(witness)
 
-    a01 = marginal_matrix(scenario)
-    if family.mode == numeric.RATIONAL:
-        a_rows = numeric.as_array(a01.tolist(), numeric.RATIONAL, shape=a01.shape)
-    else:
-        a_rows = a01.astype(float)
     b = stack_tables(family)
-    objective, x, y = _phase1_simplex(a_rows, b, family.mode, tol)
+    objective, x, y = _phase1_simplex(marginal_matrix(scenario), b, family.mode, tol)
+    rows = marginal_rows(scenario)
 
     feas_floor = numeric.zero(family.mode) if family.mode == numeric.RATIONAL else tol
     if objective <= feas_floor:
-        atoms = np.array(x, dtype=object if family.mode == numeric.RATIONAL else float)
-        if family.mode == numeric.FLOAT:
-            if atoms.min() < -tol:
-                raise InputError(f"simplex returned atom {atoms.min()} below -tol")
-            atoms = np.maximum(atoms, 0.0)
+        atoms = _checked_witness(x, b, rows, family.mode, tol)
         measure = SignedMeasure(scenario, atoms.reshape(scenario.joint_shape),
                                 family.mode, tol=max(tol, 1e-12))
         return LhvVerdict(True, measure, None, objective)
     certificate = np.array(y, dtype=object if family.mode == numeric.RATIONAL else float)
+    _check_certificate(certificate, objective, family, rows, family.mode, tol)
     certificate.setflags(write=False)
     return LhvVerdict(False, None, certificate, objective)
-
-
-def local_assignments(scenario: Scenario):
-    """All deterministic per-(site, setting) outcome assignments."""
-    per_site = []
-    for s, k in zip(scenario.settings_per_site, scenario.outcomes_per_site):
-        per_site.append(list(itertools.product(range(k), repeat=s)))
-    return itertools.product(*per_site)
-
-
-def wrap_witness(verdict: LhvVerdict) -> DeterministicLqHVModel | None:
-    """The feasible witness as a deterministic model, if present."""
-    if verdict.measure is None:
-        return None
-    return DeterministicLqHVModel(verdict.measure)

@@ -7,7 +7,10 @@ formulas in their printed collapsed forms, a brute-force marginalizer
 over explicit joint points, the closed-form atoms of the maximally
 nonlocal box, analytic singlet tables, and a direct evaluation of the
 one-hidden-space joint tables. Construction tests compare the package
-output against these, atom by atom, in exact arithmetic.
+output against these, atom by atom, in exact arithmetic. For the LHV
+linear program there is a loop-built marginal matrix and a dense
+`Fraction` phase-1 tableau that recomputes every reduced cost before each
+pivot.
 """
 
 from __future__ import annotations
@@ -237,3 +240,82 @@ def all_rational_tables(rng, scenario_shape):
             table[cell] = Fraction(w, total)
         tables[t] = table
     return tables
+
+
+def brute_marginal_matrix(settings_per_site, outcomes_per_site):
+    """0/1 constraint matrix of the LHV program, one joint point at a time.
+
+    Rows are setting tuples in lexicographic order with the outcome cells
+    row-major inside each; columns are joint points row-major. Entry
+    (row, col) is 1 when the point's coordinates on the tuple's axes are
+    the row's outcome cell.
+    """
+    offsets, _ = axis_offsets(settings_per_site)
+    joint_shape = [k for s, k in zip(settings_per_site, outcomes_per_site) for _ in range(s)]
+    table_size = 1
+    for k in outcomes_per_site:
+        table_size *= k
+    tuples = list(itertools.product(*(range(1, s + 1) for s in settings_per_site)))
+    points = list(itertools.product(*(range(k) for k in joint_shape)))
+    matrix = [[0] * len(points) for _ in range(len(tuples) * table_size)]
+    for ti, t in enumerate(tuples):
+        for col, point in enumerate(points):
+            cell = 0
+            for n, s in enumerate(t):
+                cell = cell * outcomes_per_site[n] + point[offsets[n] + s - 1]
+            matrix[ti * table_size + cell][col] = 1
+    return matrix
+
+
+def dense_bland_phase1(a_rows, b):
+    """Phase-1 simplex on a dense `Fraction` tableau by Bland's rule.
+
+    Minimizes the artificial mass of Ax = b, x >= 0 on [A | I | b] with
+    rows sign-flipped so that b >= 0. Before each pivot every reduced cost
+    is recomputed from the rows whose basic variable is artificial; the
+    entering column is the first negative one, the leaving row the
+    smallest ratio with ties to the smallest basis index. Returns
+    (objective, x, y): the artificial mass left, the structural basic
+    solution, and the multipliers pulled back through the sign flips.
+    """
+    m, n = len(a_rows), len(a_rows[0])
+    flip = [1 if Fraction(v) >= 0 else -1 for v in b]
+    tableau = [[Fraction(flip[i] * int(a_rows[i][j])) for j in range(n)]
+               + [Fraction(int(i == k)) for k in range(m)]
+               + [flip[i] * Fraction(b[i])] for i in range(m)]
+    basis = [n + i for i in range(m)]
+
+    def reduced_cost(col):
+        cost = Fraction(1 if col >= n else 0)
+        for r in range(m):
+            if basis[r] >= n:
+                cost -= tableau[r][col]
+        return cost
+
+    while True:
+        enter = next((j for j in range(n + m) if reduced_cost(j) < 0), -1)
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for r in range(m):
+            coeff = tableau[r][enter]
+            if coeff > 0:
+                ratio = tableau[r][-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best, leave = ratio, r
+        pivot = tableau[leave][enter]
+        tableau[leave] = [v / pivot for v in tableau[leave]]
+        for r in range(m):
+            factor = tableau[r][enter]
+            if r != leave and factor != 0:
+                tableau[r] = [v - factor * w for v, w in zip(tableau[r], tableau[leave])]
+        basis[leave] = enter
+
+    artificial = [r for r in range(m) if basis[r] >= n]
+    objective = sum((tableau[r][-1] for r in artificial), Fraction(0))
+    x = [Fraction(0)] * n
+    for r in range(m):
+        if basis[r] < n:
+            x[basis[r]] = tableau[r][-1]
+    y = [flip[i] * sum((tableau[r][n + i] for r in artificial), Fraction(0)) for i in range(m)]
+    return objective, x, y

@@ -189,3 +189,23 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 1
+
+
+class TestMalformedCounts:
+    @pytest.mark.parametrize("command,data", [
+        ("check", {"parties": [{"settings": "x", "outcomes": 2}], "mode": "rational", "tables": {}}),
+        ("check", {"parties": [{"settings": 2, "outcomes": None}], "mode": "rational", "tables": {}}),
+        ("check", {"parties": [{"settings": [2], "outcomes": 2}], "mode": "rational", "tables": {}}),
+        ("check", {"parties": [{"settings": float("inf"), "outcomes": 2}], "mode": "float",
+                   "tables": {}}),
+        ("check", {"parties": [{"settings": 2.5, "outcomes": 2}], "mode": "rational", "tables": {}}),
+        ("check", {"parties": [{"settings": True, "outcomes": 2}], "mode": "rational", "tables": {}}),
+        ("lhv", {"parties": [{"settings": 2, "outcomes": "two"}], "mode": "float", "tables": {}}),
+        ("quantum", {"site_dims": ["x"], "rho": [[[1, 0]]], "povms": [[[[[[1, 0]]]]]]}),
+    ])
+    def test_non_integer_counts_exit_one(self, command, data, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        argv = [command, str(path)] + (["-o", str(tmp_path / "out.json")] if command == "quantum" else [])
+        assert main(argv) == 1
+        assert "must be an integer" in capsys.readouterr().err

@@ -99,6 +99,13 @@ class TestMeasureFiles:
         with pytest.raises(InputError, match="order"):
             io.measure_from_json(data)
 
+    @pytest.mark.parametrize("key,value", [("site", "x"), ("setting", None), ("outcomes", [2])])
+    def test_non_integer_axis_field_rejected(self, key, value):
+        data = io.measure_to_json(L.build_deterministic_measure(L.pr_box()).measure)
+        data["axes"][1][key] = value
+        with pytest.raises(InputError, match="must be an integer"):
+            io.measure_from_json(data)
+
     def test_duplicate_axis_rejected(self):
         mu = L.build_deterministic_measure(L.pr_box()).measure
         data = io.measure_to_json(mu)
