@@ -20,6 +20,7 @@ move to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -248,6 +249,7 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lqhv", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -4,12 +4,11 @@ The target object is a normalized bounded real-valued (possibly signed)
 measure on the joint space Lambda_1^{S_1} x ... x Lambda_N^{S_N}, one axis
 per (site, setting) coordinate, whose marginal onto the coordinates
 {(n, s_n)}_n reproduces the joint table of every setting tuple. The
-builder assembles it by inclusion-exclusion over site subsets T: each T
-contributes, for every setting assignment on T, the common T-marginal
-placed at the assigned coordinates times single-site marginals at every
-remaining coordinate, weighted by an integer subset coefficient. The
-coefficient makes all full-tuple marginals collapse correctly; its
-defining identity is exposed for direct integer verification.
+construction, an inclusion-exclusion sum over site subsets weighted by an
+integer subset coefficient (whose defining identity is exposed for direct
+integer verification), is multilinear and site-local: the builder applies
+one linear map per site to the family's stacked tensor, and verification
+gets every full-tuple marginal at once from per-site 0/1 projections.
 
 Also here: the Jordan split of a signed measure into positive and negative
 parts, conversion of a stochastic one-measure-space model into the
@@ -33,7 +32,6 @@ from .scenario import (
     DistributionFamily,
     MarginalFamily,
     Scenario,
-    SettingTuple,
     extract_marginal_family,
 )
 
@@ -170,13 +168,17 @@ def coefficient_identity_sum(settings_per_site: Sequence[int], kept_sites: Itera
     return total
 
 
-def _place(tensor: np.ndarray, axes: Sequence[int], rank: int) -> np.ndarray:
-    # Axes must be ascending and match the tensor's own axis order; the
-    # reshape then just interleaves singleton dimensions for broadcasting.
-    shape = [1] * rank
-    for ax, k in zip(axes, tensor.shape):
-        shape[ax] = k
-    return tensor.reshape(shape)
+def _site_operator(p: np.ndarray, mode: str) -> np.ndarray:
+    """M_n with axes (the site's block points lambda row-major, setting,
+    outcome), from the averaged single-site marginals p_n^s as rows of `p`."""
+    settings, outcomes = p.shape
+    points = np.indices((outcomes,) * settings).reshape(settings, -1)
+    values = p[np.arange(settings)[:, None], points]
+    others = np.repeat(values[None], settings, axis=0)
+    others[np.arange(settings), np.arange(settings)] = 1
+    placed = others.prod(axis=1)[:, :, None] * (points[:, :, None] == np.arange(outcomes))
+    shrink = (settings - 1) / numeric.coerce_scalar(settings, mode)
+    return placed.transpose(1, 0, 2) - shrink * values.prod(axis=0)[:, None, None]
 
 
 def build_deterministic_measure(family: DistributionFamily,
@@ -184,6 +186,14 @@ def build_deterministic_measure(family: DistributionFamily,
                                 *, budget: int = DEFAULT_ATOM_BUDGET,
                                 tol: float | None = None) -> DeterministicLqHVModel:
     """Construct the deterministic LqHV measure of a nonsignaling family.
+
+    With per-site maps M_n^s = A_n^s - ((S_n - 1)/S_n) B_n 1^T, where A_n^s
+    places the outcome at (n, s) and p_n^{s'} at the site's other
+    coordinates and B_n = (x)_{s'} p_n^{s'}, the measure is
+    mu = (M_1 (x) ... (x) M_N) F on the stacked family F. Expanding the
+    product, each site subset T gets prod_{n not in T} -(S_n - 1) =
+    `coefficient(T)` times the average of its compatible tuples' T-marginals,
+    which a passed check makes each of them (exactly in rational mode).
 
     Parameters
     ----------
@@ -215,31 +225,25 @@ def build_deterministic_measure(family: DistributionFamily,
     elif marginals.scenario != scenario or marginals.mode != family.mode:
         raise InputError("marginal family does not match the distribution family")
 
-    rank = len(scenario.joint_shape)
-    all_coords = [(n, s) for n in scenario.sites
-                  for s in range(1, scenario.settings_per_site[n - 1] + 1)]
-    atoms = numeric.zeros(scenario.joint_shape, family.mode)
-    for size in range(scenario.n_parties + 1):
-        for subset in itertools.combinations(scenario.sites, size):
-            c = coefficient(scenario, subset)
-            if c == 0:
-                continue
-            c_scalar = numeric.coerce_scalar(c, family.mode)
-            for settings in scenario.subset_settings(subset):
-                occupied = {(n, s) for n, s in zip(subset, settings)}
-                factors: list[np.ndarray] = []
-                if subset:
-                    axes = [scenario.axis_index(n, s) for n, s in zip(subset, settings)]
-                    factors.append(_place(marginals.get(subset, settings), axes, rank))
-                for n, s in all_coords:
-                    if (n, s) not in occupied:
-                        vec = marginals.get((n,), (s,))
-                        factors.append(_place(vec, [scenario.axis_index(n, s)], rank))
-                term = reduce(np.multiply, factors)
-                atoms = atoms + c_scalar * term
+    atoms = marginals.stacked
+    for site in scenario.sites:
+        operator = _site_operator(marginals.stacked_marginal((site,)), family.mode)
+        # consume the site's setting and outcome axes, append its block
+        atoms = np.tensordot(atoms, operator, axes=([0, scenario.n_parties - site + 1], [1, 2]))
     norm_tol = 1e-12 if family.mode == numeric.FLOAT else 0.0
-    measure = SignedMeasure(scenario, atoms, family.mode, tol=norm_tol)
+    measure = SignedMeasure(scenario, atoms.reshape(scenario.joint_shape), family.mode, tol=norm_tol)
     return DeterministicLqHVModel(measure)
+
+
+def _tuple_marginals(measure: SignedMeasure) -> np.ndarray:
+    """Every full-tuple marginal, laid out like a stacked family, from the
+    per-site 0/1 maps E_n[s, a, lambda] = [lambda_s = a]."""
+    pairs = list(zip(measure.scenario.settings_per_site, measure.scenario.outcomes_per_site))
+    out = measure.atoms.reshape([k**s for s, k in pairs])
+    for s, k in pairs:
+        selector = np.indices((k,) * s).reshape(s, 1, -1) == np.arange(k)[:, None]
+        out = np.tensordot(out, selector.astype(out.dtype), axes=([0], [2]))
+    return out.transpose(list(range(0, out.ndim, 2)) + list(range(1, out.ndim, 2)))
 
 
 @dataclass(frozen=True)
@@ -265,16 +269,9 @@ def verify_marginals(model: DeterministicLqHVModel | SignedMeasure,
         raise InputError("measure and family use different arithmetic modes")
     tol = family.tol if tol is None else float(tol)
     floor = numeric.zero(family.mode) if family.mode == numeric.RATIONAL else -tol
-    max_err = numeric.zero(family.mode)
-    min_repro = None
-    for t in family.scenario.setting_tuples():
-        repro = measure.marginal(t)
-        err = numeric.max_abs_diff(repro, family.tables[t])
-        if err > max_err:
-            max_err = err
-        low = repro.min()
-        if min_repro is None or low < min_repro:
-            min_repro = low
+    reproduced = _tuple_marginals(measure)
+    max_err = numeric.max_abs_diff(reproduced, family.stacked)
+    min_repro = reproduced.min()
     if min_repro < floor:
         raise RepresentationError(
             f"reproduced probability {min_repro} below the nonnegativity floor {floor}")
@@ -290,7 +287,8 @@ def induced_family(measure: SignedMeasure, tol: float | None = None) -> Distribu
     RepresentationError is raised.
     """
     scenario = measure.scenario
-    tables = {t: measure.marginal(t) for t in scenario.setting_tuples()}
+    reproduced = _tuple_marginals(measure).reshape((-1,) + scenario.table_shape)
+    tables = dict(zip(scenario.setting_tuples(), reproduced))
     try:
         return DistributionFamily(scenario, tables, measure.mode, tol=tol)
     except InputError as exc:

@@ -54,8 +54,7 @@ ROW_ORDER = ("rows: setting tuples lexicographic, outcomes row-major within each
 
 def stack_tables(family: DistributionFamily) -> np.ndarray:
     """Right-hand side vector b in the documented row order."""
-    parts = [family.tables[t].reshape(-1) for t in family.scenario.setting_tuples()]
-    return np.concatenate(parts)
+    return family.stacked.reshape(-1)
 
 
 def marginal_rows(scenario: Scenario) -> np.ndarray:

@@ -3,15 +3,17 @@
 A scenario has N sites; site n chooses one of S_n measurement settings and
 observes one of K_n outcomes (encoded 0..K_n-1). A family holds one joint
 probability table per full setting tuple (s_1,...,s_N), with s_n running
-1..S_n. The nonsignaling consistency condition requires the marginals on
-any common-setting site subset to coincide across all compatible tuples;
-`check_nonsignaling` tests it and `extract_marginal_family` collects the
-coinciding sub-tuple marginals it guarantees.
+1..S_n, stacked into one tensor with axes (s_1..s_N, a_1..a_N). The
+nonsignaling consistency condition requires the marginals on any
+common-setting site subset to coincide across all compatible tuples; one
+reduction per subset gives them all, with the other sites' settings
+flattened into a group axis that the check takes max - min over.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -58,10 +60,7 @@ class Scenario:
 
     @property
     def n_tuples(self) -> int:
-        n = 1
-        for s in self.settings_per_site:
-            n *= s
-        return n
+        return math.prod(self.settings_per_site)
 
     @property
     def joint_shape(self) -> tuple[int, ...]:
@@ -110,10 +109,6 @@ class Scenario:
         for size in range(1, top + 1):
             yield from itertools.combinations(self.sites, size)
 
-    def subset_settings(self, sites: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        """All partial setting assignments on the given sites."""
-        return itertools.product(*(range(1, self.settings_per_site[n - 1] + 1) for n in sites))
-
 
 def validate_sites(scenario: Scenario, sites: Iterable[int]) -> tuple[int, ...]:
     out = tuple(int(n) for n in sites)
@@ -132,7 +127,8 @@ class Witness:
 
     Two full tuples share the settings `common_settings` on `site_subset`
     yet their marginals there differ by `max_discrepancy` (the largest
-    discrepancy found anywhere in the family).
+    discrepancy found anywhere in the family). `tuple_a` precedes
+    `tuple_b` in lexicographic order.
     """
 
     site_subset: tuple[int, ...]
@@ -148,7 +144,8 @@ class DistributionFamily:
     Tables are indexed by 1-based setting tuples and hold nonnegative
     tensors over the outcome axes (one axis per site) summing to 1. Tables
     are validated on construction and never renormalized; sums off by more
-    than `tol` (any deviation in rational mode) are rejected.
+    than `tol` (any deviation in rational mode) are rejected. Each table is
+    a view into `stacked`, axes (s_1..s_N, a_1..a_N) with 0-based settings.
     """
 
     def __init__(self, scenario: Scenario, tables: Mapping[SettingTuple, object],
@@ -156,32 +153,32 @@ class DistributionFamily:
         self.scenario = scenario
         self.mode = numeric.check_mode(mode)
         self.tol = numeric.default_tol() if tol is None else float(tol)
-        expected = scenario.setting_tuples()
+        if len(tables) != scenario.n_tuples:
+            problem = "missing tables" if len(tables) < scenario.n_tuples else "unexpected tuples"
+            raise InputError(f"{problem}: {len(tables)} tables given for "
+                             f"{scenario.n_tuples} setting tuples")
         keyed = {scenario.validate_setting_tuple(k): v for k, v in tables.items()}
         if len(keyed) != len(tables):
             raise InputError("duplicate setting tuples in table map")
-        missing = [t for t in expected if t not in keyed]
-        if missing:
-            raise InputError(f"missing tables for tuples {missing[:4]}{'...' if len(missing) > 4 else ''}")
-        if len(keyed) != len(expected):
-            extra = sorted(set(keyed) - set(expected))
-            raise InputError(f"unexpected tuples {extra[:4]}")
-        self.tables: dict[SettingTuple, np.ndarray] = {}
+        order = sorted(keyed)  # n_tuples distinct valid keys: none is missing
+        flat = np.stack([numeric.as_array(keyed[t], self.mode, shape=scenario.table_shape)
+                         for t in order])
+        rows = flat.reshape(len(order), -1)
+        low, sums = rows.min(axis=1), rows.sum(axis=1)
         floor = numeric.zero(self.mode) if self.mode == numeric.RATIONAL else -self.tol
-        for t in expected:
-            arr = numeric.as_array(keyed[t], self.mode, shape=scenario.table_shape)
-            if arr.size and arr.min() < floor:
-                raise InputError(f"negative probability in table {t}: min entry {arr.min()}")
-            if not numeric.is_close(arr.sum(), numeric.one(self.mode), self.tol, self.mode):
-                raise InputError(f"table {t} sums to {arr.sum()}, not 1 (tables are never renormalized)")
-            self.tables[t] = arr
+        bad = (low < floor) | ~numeric.is_close(sums, numeric.one(self.mode), self.tol, self.mode)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if low[i] < floor:
+                raise InputError(f"negative probability in table {order[i]}: min entry {low[i]}")
+            raise InputError(f"table {order[i]} sums to {sums[i]}, not 1 (tables are never renormalized)")
+        flat.setflags(write=False)
+        self.stacked = flat.reshape(scenario.settings_per_site + scenario.table_shape)
+        self.tables: dict[SettingTuple, np.ndarray] = dict(zip(order, flat))
 
     def table(self, setting_tuple: Iterable[int]) -> np.ndarray:
         t = self.scenario.validate_setting_tuple(setting_tuple)
         return self.tables[t]
-
-    def same_structure(self, other: "DistributionFamily") -> bool:
-        return self.scenario == other.scenario and self.mode == other.mode
 
 
 def convert_family(family: DistributionFamily, mode: str,
@@ -195,8 +192,8 @@ def convert_family(family: DistributionFamily, mode: str,
     mode = numeric.check_mode(mode)
     if mode == family.mode and tol is None:
         return family
-    tables = {t: numeric.convert_array(table, family.mode, mode)
-              for t, table in family.tables.items()}
+    converted = numeric.convert_array(family.stacked, family.mode, mode)
+    tables = dict(zip(family.tables, converted.reshape((-1,) + family.scenario.table_shape)))
     return DistributionFamily(family.scenario, tables, mode, tol=tol)
 
 
@@ -209,8 +206,22 @@ def marginalize(family: DistributionFamily, setting_tuple: Iterable[int],
     return table.sum(axis=drop) if drop else table
 
 
-def _restrict(t: SettingTuple, sites: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(t[n - 1] for n in sites)
+def _subset_groups(stacked: np.ndarray, scenario: Scenario, sites: tuple[int, ...]) -> np.ndarray:
+    """Every tuple's marginal on `sites`: entry [c, g] is that of the g-th full
+    tuple with the c-th setting assignment on `sites` (all axes row-major)."""
+    n = scenario.n_parties
+    kept = [m - 1 for m in sites]
+    rest = [m for m in range(n) if m + 1 not in sites]
+    summed = stacked.sum(axis=tuple(n + m for m in rest))
+    grid = summed.transpose(kept + rest + list(range(n, n + len(kept))))
+    return grid.reshape(math.prod(grid.shape[:len(kept)]), math.prod(grid.shape[len(kept):n]), -1)
+
+
+def _full_tuple(scenario: Scenario, sites: tuple[int, ...], index: int) -> SettingTuple:
+    """Full tuple at a row-major index over (settings on `sites`, the others)."""
+    order = list(sites) + [n for n in scenario.sites if n not in sites]
+    values = np.unravel_index(index, [scenario.settings_per_site[n - 1] for n in order])
+    return tuple(int(v) + 1 for _, v in sorted(zip(order, values)))
 
 
 def check_nonsignaling(family: DistributionFamily, tol: float | None = None) -> Witness | None:
@@ -218,79 +229,67 @@ def check_nonsignaling(family: DistributionFamily, tol: float | None = None) -> 
 
     For every nonempty proper site subset and every pair of full setting
     tuples agreeing there, the subset marginals of the two tables must
-    coincide (entrywise within `tol`; exactly in rational mode). All pairs
-    are compared and the witness carries the largest discrepancy found.
+    coincide (entrywise within `tol`; exactly in rational mode), so each
+    group of compatible tuples is judged by its entrywise max - min. The
+    witness carries the largest one at its first occurrence (subsets in
+    `site_subsets` order, then common settings lexicographically); its
+    tuples are the argmax and argmin at the group's first worst outcome
+    cell, in lexicographic order.
     Vacuously true for single-site scenarios or a single setting tuple.
     """
     scenario = family.scenario
     tol = family.tol if tol is None else float(tol)
     threshold = numeric.zero(family.mode) if family.mode == numeric.RATIONAL else tol
-    tuples = scenario.setting_tuples()
     worst: Witness | None = None
     for sites in scenario.site_subsets(proper=True):
-        groups: dict[tuple[int, ...], list[SettingTuple]] = {}
-        for t in tuples:
-            groups.setdefault(_restrict(t, sites), []).append(t)
-        for common, members in groups.items():
-            if len(members) < 2:
-                continue
-            margs = [marginalize(family, t, sites) for t in members]
-            for (ia, ma), (ib, mb) in itertools.combinations(enumerate(margs), 2):
-                d = numeric.max_abs_diff(ma, mb)
-                if d > threshold and (worst is None or d > worst.max_discrepancy):
-                    worst = Witness(sites, common, members[ia], members[ib], d)
+        grid = _subset_groups(family.stacked, scenario, sites)
+        spread = grid.max(axis=1) - grid.min(axis=1)
+        per_common = spread.max(axis=1)
+        c = int(np.argmax(per_common))
+        if per_common[c] > threshold and (worst is None or per_common[c] > worst.max_discrepancy):
+            column = grid[c, :, np.argmax(spread[c])]
+            a, b = (_full_tuple(scenario, sites, c * grid.shape[1] + g)
+                    for g in sorted((np.argmax(column), np.argmin(column))))
+            worst = Witness(sites, tuple(a[n - 1] for n in sites), a, b, per_common[c])
     return worst
 
 
 class MarginalFamily:
     """The common sub-tuple marginals of a nonsignaling family.
 
-    Holds, for every nonempty site subset and every setting assignment on
-    it, the marginal tensor shared by all compatible full tuples. Entries
-    on the full site set are the input tables themselves.
+    Computed on demand from the stacked tensor as the average over all
+    compatible full tuples, which a passed consistency check makes equal to
+    each of them (exactly in rational mode).
     """
 
-    def __init__(self, scenario: Scenario, mode: str,
-                 entries: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray]):
+    def __init__(self, scenario: Scenario, mode: str, stacked: np.ndarray):
         self.scenario = scenario
         self.mode = mode
-        self._entries = entries
+        self.stacked = stacked
+
+    def stacked_marginal(self, sites: tuple[int, ...]) -> np.ndarray:
+        """Averaged marginals on increasing `sites`, a row per setting assignment (row-major)."""
+        grid = _subset_groups(self.stacked, self.scenario, sites)
+        return grid.sum(axis=1) / grid.shape[1]
 
     def get(self, sites: Iterable[int], settings: Iterable[int]) -> np.ndarray:
-        key = (tuple(sites), tuple(settings))
-        if key not in self._entries:
-            raise InputError(f"no marginal stored for sites {key[0]} at settings {key[1]}")
-        return self._entries[key]
-
-    def items(self):
-        return self._entries.items()
+        sites, settings = tuple(sites), tuple(settings)
+        checked = validate_sites(self.scenario, sites)
+        bounds = [self.scenario.settings_per_site[n - 1] for n in checked]
+        if (checked != sites or len(settings) != len(sites)
+                or not all(s in range(1, b + 1) for s, b in zip(settings, bounds))):
+            raise InputError(f"no marginal stored for sites {sites} at settings {settings}")
+        row = np.ravel_multi_index([int(s) - 1 for s in settings], bounds)
+        shape = [self.scenario.outcomes_per_site[n - 1] for n in checked]
+        return self.stacked_marginal(checked)[row].reshape(shape)
 
 
 def extract_marginal_family(family: DistributionFamily, tol: float | None = None) -> MarginalFamily:
-    """Collect the common marginals; raises SignalingError if inconsistent.
-
-    In rational mode the marginal is read off the first compatible tuple
-    (the check guarantees they all agree exactly); in float mode it is the
-    average over all compatible tuples, so no tuple is privileged.
-    """
+    """Collect the common marginals; raises SignalingError if inconsistent."""
     witness = check_nonsignaling(family, tol)
     if witness is not None:
         raise SignalingError(witness)
-    scenario = family.scenario
-    entries: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-    tuples = scenario.setting_tuples()
-    for sites in scenario.site_subsets():
-        groups: dict[tuple[int, ...], list[SettingTuple]] = {}
-        for t in tuples:
-            groups.setdefault(_restrict(t, sites), []).append(t)
-        for common, members in groups.items():
-            if family.mode == numeric.RATIONAL:
-                marg = marginalize(family, members[0], sites)
-            else:
-                marg = sum(marginalize(family, t, sites) for t in members) / len(members)
-                marg.setflags(write=False)
-            entries[(sites, common)] = marg
-    return MarginalFamily(scenario, family.mode, entries)
+    return MarginalFamily(family.scenario, family.mode, family.stacked)
 
 
 @dataclass(frozen=True)
@@ -323,10 +322,11 @@ def compare_scenarios_epr(family_a: DistributionFamily, family_b: DistributionFa
     worst = numeric.zero(family_a.mode)
     worst_key: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for sites in scenario.site_subsets(proper=True):
-        for settings in scenario.subset_settings(sites):
-            d = numeric.max_abs_diff(marg_a.get(sites, settings), marg_b.get(sites, settings))
-            if d > worst:
-                worst, worst_key = d, (sites, settings)
+        diff = abs(marg_a.stacked_marginal(sites) - marg_b.stacked_marginal(sites)).max(axis=1)
+        i = int(np.argmax(diff))
+        if diff[i] > worst:
+            settings = np.unravel_index(i, [scenario.settings_per_site[n - 1] for n in sites])
+            worst, worst_key = diff[i], (sites, tuple(int(s) + 1 for s in settings))
     if worst > threshold:
         return EprReport(False, worst, worst_key[0], worst_key[1])
     return EprReport(True, worst)

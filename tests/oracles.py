@@ -6,7 +6,8 @@ machinery with the package: the literal two- and three-party measure
 formulas in their printed collapsed forms, a brute-force marginalizer
 over explicit joint points, the closed-form atoms of the maximally
 nonlocal box, analytic singlet tables, and a direct evaluation of the
-one-hidden-space joint tables. Construction tests compare the package
+one-hidden-space joint tables, the all-pairs consistency check and the
+N-party subset-sum measure. Construction tests compare the package
 output against these, atom by atom, in exact arithmetic. For the LHV
 linear program there is a loop-built marginal matrix and a dense
 `Fraction` phase-1 tableau that recomputes every reduced cost before each
@@ -319,3 +320,93 @@ def dense_bland_phase1(a_rows, b):
             x[basis[r]] = tableau[r][-1]
     y = [flip[i] * sum((tableau[r][n + i] for r in artificial), Fraction(0)) for i in range(m)]
     return objective, x, y
+
+
+def loop_marginal(table, outcomes_per_site, keep):
+    """Marginal of one table onto the 0-based sites `keep`, cell by cell.
+
+    Returns a dict from the kept outcome combination to its mass.
+    """
+    out = {}
+    for cell in itertools.product(*(range(k) for k in outcomes_per_site)):
+        key = tuple(cell[n] for n in keep)
+        out[key] = out[key] + table[cell] if key in out else table[cell]
+    return out
+
+
+def all_pairs_check(tables, settings_per_site, outcomes_per_site, threshold):
+    """The consistency check comparing every pair of compatible tuples.
+
+    Site subsets run smallest first (lexicographic within a size), common
+    settings lexicographically, and pairs (a, b) with a before b; a pair
+    replaces the worst so far only when its largest entrywise marginal
+    difference is strictly larger. Returns None when no difference
+    exceeds `threshold`, else (site_subset, common_settings, tuple_a,
+    tuple_b, discrepancy) with 1-based labels.
+    """
+    n = len(settings_per_site)
+    tuples = list(itertools.product(*(range(1, s + 1) for s in settings_per_site)))
+    worst = None
+    for size in range(1, n):
+        for subset in itertools.combinations(range(1, n + 1), size):
+            keep = [m - 1 for m in subset]
+            for common in itertools.product(*(range(1, settings_per_site[m] + 1) for m in keep)):
+                members = [t for t in tuples if tuple(t[m] for m in keep) == common]
+                margs = [loop_marginal(tables[t], outcomes_per_site, keep) for t in members]
+                for i, j in itertools.combinations(range(len(members)), 2):
+                    d = max(abs(margs[i][k] - margs[j][k]) for k in margs[i])
+                    if d > threshold and (worst is None or d > worst[4]):
+                        worst = (subset, common, members[i], members[j], d)
+    return worst
+
+
+def subset_sum_measure(tables, settings_per_site, outcomes_per_site, zero):
+    """The N-party measure as a plain sum over subsets, settings and coordinates.
+
+    mu(lambda) = sum over site subsets T (the empty one included) and
+    setting assignments sigma on T of c_T * P_T^sigma(lambda at the
+    coordinates (n, sigma_n), n in T) * prod over every other coordinate
+    (m, s) of p_m^s(lambda at (m, s)), with c_T = prod_{n not in T}
+    (1 - S_n), P_T^sigma the average of the compatible tuples'
+    T-marginals and p_m^s the averaged single-site marginal. `zero` is
+    the additive identity of the entries (Fraction(0) or 0.0).
+    """
+    n = len(settings_per_site)
+    offsets, _ = axis_offsets(settings_per_site)
+    tuples = list(itertools.product(*(range(1, s + 1) for s in settings_per_site)))
+
+    def averaged(keep, common):
+        members = [t for t in tuples if tuple(t[m] for m in keep) == common]
+        total = {}
+        for t in members:
+            for key, value in loop_marginal(tables[t], outcomes_per_site, keep).items():
+                total[key] = total.get(key, zero) + value
+        return {key: value / len(members) for key, value in total.items()}
+
+    singles = {(m, s): averaged([m], (s,))
+               for m in range(n) for s in range(1, settings_per_site[m] + 1)}
+    terms = []
+    for size in range(n + 1):
+        for keep in itertools.combinations(range(n), size):
+            c = 1
+            for m in range(n):
+                if m not in keep:
+                    c *= 1 - settings_per_site[m]
+            for common in itertools.product(*(range(1, settings_per_site[m] + 1) for m in keep)):
+                marg = averaged(list(keep), common) if keep else {(): zero + 1}
+                terms.append((c, keep, common, marg))
+
+    joint_shape = [k for s, k in zip(settings_per_site, outcomes_per_site) for _ in range(s)]
+    out = np.empty(joint_shape, dtype=object)
+    for point in itertools.product(*(range(k) for k in joint_shape)):
+        total = zero
+        for c, keep, common, marg in terms:
+            value = marg[tuple(point[offsets[m] + s - 1] for m, s in zip(keep, common))]
+            occupied = set(zip(keep, common))
+            for m in range(n):
+                for s in range(1, settings_per_site[m] + 1):
+                    if (m, s) not in occupied:
+                        value = value * singles[(m, s)][(point[offsets[m] + s - 1],)]
+            total += c * value
+        out[point] = total
+    return out

@@ -36,6 +36,26 @@ class TestCheck:
         assert "FAIL" in out
         assert "(2,)" in out
 
+    def test_output_format_is_per_call(self, pr_file, capsys):
+        # the parser is built once per process; no option value may carry
+        # over from one call to the next
+        assert main(["check", pr_file, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["consistency"]["passed"] is True
+        assert main(["check", pr_file]) == 0
+        assert capsys.readouterr().out == "consistency: pass\n"
+
+    def test_claimed_tuples_counted_before_listing(self, tmp_path, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("setting tuples were materialized")
+
+        monkeypatch.setattr(L.Scenario, "setting_tuples", refuse)
+        path = tmp_path / "hollow.json"
+        path.write_text(json.dumps({"parties": [{"settings": 100, "outcomes": 2}] * 3,
+                                    "mode": "rational", "tables": {}}))
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "0 tables given for 1000000 setting tuples" in err
+
     def test_truncated_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "trunc.json"
         path.write_text('{"parties": [{"settings": 2')

@@ -17,6 +17,7 @@ from oracles import (
     literal_three_party_measure,
     literal_two_party_measure,
     pr_box_atom,
+    subset_sum_measure,
 )
 
 
@@ -201,6 +202,17 @@ class TestBuild:
                 brute = brute_tuple_marginal(mu.atoms, sc.settings_per_site,
                                              sc.outcomes_per_site, t)
                 assert np.array_equal(brute, fam.tables[t])
+
+    @pytest.mark.parametrize("shape", [((2,) * 4, (2,) * 4), ((1, 2, 3), (2, 2, 2)),
+                                       ((3, 2, 2), (2, 3, 2))], ids=str)
+    def test_subset_sum_oracle(self, shape):
+        fam = L.random_scenario_family(L.Scenario(*shape), seed=5)
+        atoms = L.build_deterministic_measure(fam).measure.atoms
+        assert np.array_equal(atoms, subset_sum_measure(fam.tables, *shape, Fraction(0)))
+        as_float = L.convert_family(fam, L.FLOAT)
+        float_atoms = L.build_deterministic_measure(as_float).measure.atoms
+        expected = subset_sum_measure(as_float.tables, *shape, 0.0).astype(float)
+        assert np.abs(float_atoms - expected).max() <= 1e-12
 
     def test_float_mode_build(self):
         fam = L.convert_family(L.random_nonsignaling_family(11), L.FLOAT)

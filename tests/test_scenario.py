@@ -1,5 +1,7 @@
 """Scenario data model, marginalization and consistency checkers."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +11,47 @@ from hypothesis import strategies as st
 
 import lqhv as L
 from lqhv.errors import InputError, SignalingError
+from oracles import all_pairs_check, loop_marginal
+
+# (settings per site, outcomes per site)
+ORACLE_SHAPES = [((2, 2), (2, 2)), ((3, 3), (2, 2)), ((1, 3), (2, 3)), ((3, 2), (2, 3)),
+                 ((2, 2, 2), (2, 2, 2)), ((2,) * 4, (2,) * 4)]
 
 
 def _family_2x2(tables, mode=L.RATIONAL):
     return L.DistributionFamily(L.Scenario((2, 2), (2, 2)), tables, mode)
+
+
+def dyadic_tables(scenario, rng):
+    """Mixture of eight random local deterministic strategies, weight 1/8 each.
+
+    Entries are dyadic, so float sums of them are exact and both modes
+    give the same numbers.
+    """
+    strategies = [[[rng.randrange(k) for _ in range(s)]
+                   for s, k in zip(scenario.settings_per_site, scenario.outcomes_per_site)]
+                  for _ in range(8)]
+    tables = {}
+    for t in scenario.setting_tuples():
+        table = np.full(scenario.table_shape, Fraction(0), dtype=object)
+        for strategy in strategies:
+            table[tuple(choice[s - 1] for choice, s in zip(strategy, t))] += Fraction(1, 8)
+        tables[t] = table
+    return tables
+
+
+def perturbed(tables, rng):
+    """Copy of the tables with half of some occupied cells' mass moved elsewhere."""
+    out = {t: table.copy() for t, table in tables.items()}
+    for _ in range(rng.randrange(1, 4)):
+        table = out[rng.choice(sorted(out))]
+        cells = list(np.ndindex(*table.shape))
+        source = rng.choice([c for c in cells if table[c] > 0])
+        target = rng.choice([c for c in cells if c != source])
+        moved = table[source] / 2
+        table[source] -= moved
+        table[target] += moved
+    return out
 
 
 def product_family(p_rows, q_rows):
@@ -77,6 +116,22 @@ class TestDistributionFamily:
         tables = {t: bad for t in L.Scenario((2, 2), (2, 2)).setting_tuples()}
         with pytest.raises(InputError, match="negative"):
             _family_2x2(tables)
+
+    def test_table_count_checked_before_tuples(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("setting tuples were materialized")
+
+        monkeypatch.setattr(L.Scenario, "setting_tuples", refuse)
+        sc = L.Scenario((100, 100, 100), (2, 2, 2))
+        with pytest.raises(InputError, match="0 tables given for 1000000 setting tuples"):
+            L.DistributionFamily(sc, {})
+
+    def test_stacked_layout_matches_tables(self):
+        fam = L.random_scenario_family(L.Scenario((3, 2), (2, 3)), seed=3)
+        assert fam.stacked.shape == (3, 2, 2, 3)
+        assert not fam.stacked.flags.writeable
+        for (s1, s2), table in fam.tables.items():
+            assert np.array_equal(fam.stacked[s1 - 1, s2 - 1], table)
 
     def test_float_tolerance_on_sums(self):
         table = np.full((2, 2), 0.25) + 1e-12
@@ -177,6 +232,41 @@ class TestCheckNonsignaling:
         assert L.check_nonsignaling(fam) is None
 
 
+class TestCheckAgainstAllPairsOracle:
+    @pytest.mark.parametrize("mode", [L.RATIONAL, L.FLOAT])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+    def test_witness_matches_oracle(self, shape, mode):
+        scenario = L.Scenario(*shape)
+        rng = random.Random(str(shape))
+        as_mode = (lambda tables: tables) if mode == L.RATIONAL else (
+            lambda tables: {t: table.astype(float) for t, table in tables.items()})
+        threshold = 0 if mode == L.RATIONAL else 1e-9
+        signaling = 0
+        for _ in range(6):
+            tables = dyadic_tables(scenario, rng)
+            assert L.check_nonsignaling(L.DistributionFamily(scenario, as_mode(tables), mode)) is None
+            assert all_pairs_check(as_mode(tables), *shape, threshold) is None
+
+            bent = as_mode(perturbed(tables, rng))
+            witness = L.check_nonsignaling(L.DistributionFamily(scenario, bent, mode))
+            expected = all_pairs_check(bent, *shape, threshold)
+            if expected is None:
+                assert witness is None
+                continue
+            signaling += 1
+            subset, common, _, _, discrepancy = expected
+            assert (witness.site_subset, witness.common_settings) == (subset, common)
+            assert witness.max_discrepancy == discrepancy
+            assert witness.tuple_a < witness.tuple_b
+            keep = [n - 1 for n in subset]
+            for t in (witness.tuple_a, witness.tuple_b):
+                assert tuple(t[m] for m in keep) == common
+            ma = loop_marginal(bent[witness.tuple_a], shape[1], keep)
+            mb = loop_marginal(bent[witness.tuple_b], shape[1], keep)
+            assert max(abs(ma[k] - mb[k]) for k in ma) == discrepancy
+        assert signaling > 0
+
+
 class TestExtractMarginalFamily:
     def test_pr_box_marginals(self):
         marg = L.extract_marginal_family(L.pr_box())
@@ -203,6 +293,15 @@ class TestExtractMarginalFamily:
         marg = L.extract_marginal_family(fam)
         assert list(marg.get((1,), (1,))) == [Fraction(3, 4), Fraction(1, 4)]
         assert np.array_equal(marg.get((1, 2), (1, 1)), table)
+
+    @pytest.mark.parametrize("sites, settings", [
+        ((2, 1), (1, 1)), ((1, 1), (1, 1)), ((), ()), ((3,), (1,)),
+        ((1,), (0,)), ((1,), (3,)), ((1, 2), (1,)), ((1,), (1, 2)),
+    ])
+    def test_get_rejects_bad_keys(self, sites, settings):
+        marg = L.extract_marginal_family(L.pr_box())
+        with pytest.raises(InputError):
+            marg.get(sites, settings)
 
     def test_signaling_raises_with_witness(self):
         with pytest.raises(SignalingError) as err:
@@ -260,6 +359,29 @@ class TestCompareScenariosEpr:
         assert report.max_discrepancy == Fraction(1, 5)
         assert report.site_subset == (1,)
         assert report.settings == (1,)
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES[2:], ids=str)
+    def test_matches_loop_comparison(self, shape):
+        scenario = L.Scenario(*shape)
+        rng = random.Random(str(shape))
+        tables_a, tables_b = dyadic_tables(scenario, rng), dyadic_tables(scenario, rng)
+        report = L.compare_scenarios_epr(L.DistributionFamily(scenario, tables_a),
+                                         L.DistributionFamily(scenario, tables_b))
+        # both families are nonsignaling, so any compatible tuple's marginal will do
+        worst, key = Fraction(0), (None, None)
+        for size in range(1, scenario.n_parties):
+            for sites in itertools.combinations(scenario.sites, size):
+                keep = [n - 1 for n in sites]
+                for common in itertools.product(*(range(1, shape[0][m] + 1) for m in keep)):
+                    t = next(t for t in tables_a if tuple(t[m] for m in keep) == common)
+                    ma = loop_marginal(tables_a[t], shape[1], keep)
+                    mb = loop_marginal(tables_b[t], shape[1], keep)
+                    d = max(abs(ma[k] - mb[k]) for k in ma)
+                    if d > worst:
+                        worst, key = d, (sites, common)
+        assert report.max_discrepancy == worst
+        assert (report.site_subset, report.settings) == key
+        assert report.passed == (worst == 0)
 
     def test_structure_mismatch_rejected(self):
         with pytest.raises(InputError):
