@@ -168,17 +168,21 @@ def coefficient_identity_sum(settings_per_site: Sequence[int], kept_sites: Itera
     return total
 
 
-def _site_operator(p: np.ndarray, mode: str) -> np.ndarray:
-    """M_n with axes (the site's block points lambda row-major, setting,
-    outcome), from the averaged single-site marginals p_n^s as rows of `p`."""
-    settings, outcomes = p.shape
-    points = np.indices((outcomes,) * settings).reshape(settings, -1)
-    values = p[np.arange(settings)[:, None], points]
-    others = np.repeat(values[None], settings, axis=0)
-    others[np.arange(settings), np.arange(settings)] = 1
-    placed = others.prod(axis=1)[:, :, None] * (points[:, :, None] == np.arange(outcomes))
-    shrink = (settings - 1) / numeric.coerce_scalar(settings, mode)
-    return placed.transpose(1, 0, 2) - shrink * values.prod(axis=0)[:, None, None]
+def _apply_site_map(atoms: np.ndarray, axis: int, p: np.ndarray, mode: str) -> np.ndarray:
+    """Apply M_n to a site's setting (axis 0) and outcome (`axis`) axes and
+    append its coordinate axes, last to first, with `prod` holding
+    p_n^s (x) ... (x) p_n^{S_n - 1}: no temporary exceeds the output."""
+    last = p.shape[0] - 1
+    shrink = last / numeric.coerce_scalar(last + 1, mode)
+    lifted = np.moveaxis(atoms, axis, -1)  # (setting, rest..., outcome)
+    total = np.expand_dims(atoms.sum(axis=(0, axis)), -1)
+    out, prod = lifted[last] - shrink * total * p[last], p[last]
+    for s in range(last - 1, -1, -1):
+        block = tuple(range(-prod.ndim, 0))
+        out = np.expand_dims(out, -prod.ndim - 1) * np.expand_dims(p[s], block)
+        out += np.expand_dims(lifted[s], block) * prod
+        prod = np.multiply.outer(p[s], prod)
+    return out
 
 
 def build_deterministic_measure(family: DistributionFamily,
@@ -187,13 +191,12 @@ def build_deterministic_measure(family: DistributionFamily,
                                 tol: float | None = None) -> DeterministicLqHVModel:
     """Construct the deterministic LqHV measure of a nonsignaling family.
 
-    With per-site maps M_n^s = A_n^s - ((S_n - 1)/S_n) B_n 1^T, where A_n^s
-    places the outcome at (n, s) and p_n^{s'} at the site's other
-    coordinates and B_n = (x)_{s'} p_n^{s'}, the measure is
-    mu = (M_1 (x) ... (x) M_N) F on the stacked family F. Expanding the
-    product, each site subset T gets prod_{n not in T} -(S_n - 1) =
-    `coefficient(T)` times the average of its compatible tuples' T-marginals,
-    which a passed check makes each of them (exactly in rational mode).
+    The measure is mu = (M_1 (x) ... (x) M_N) F on the stacked family F, with
+    M_n^s = A_n^s - ((S_n - 1)/S_n) B_n 1^T: A_n^s places the outcome at (n, s)
+    and the averaged single-site marginal p_n^{s'} at each other (n, s'), and
+    B_n = (x)_{s'} p_n^{s'}. Expanding the product, each site subset T gets
+    `coefficient(T)` = prod_{n not in T} -(S_n - 1) times the average of its
+    compatible tuples' T-marginals, equal after a passed check (exactly in rational mode).
 
     Parameters
     ----------
@@ -227,22 +230,19 @@ def build_deterministic_measure(family: DistributionFamily,
 
     atoms = marginals.stacked
     for site in scenario.sites:
-        operator = _site_operator(marginals.stacked_marginal((site,)), family.mode)
-        # consume the site's setting and outcome axes, append its block
-        atoms = np.tensordot(atoms, operator, axes=([0, scenario.n_parties - site + 1], [1, 2]))
+        atoms = _apply_site_map(atoms, scenario.n_parties - site + 1,
+                                marginals.stacked_marginal((site,)), family.mode)
     norm_tol = 1e-12 if family.mode == numeric.FLOAT else 0.0
-    measure = SignedMeasure(scenario, atoms.reshape(scenario.joint_shape), family.mode, tol=norm_tol)
+    measure = SignedMeasure(scenario, atoms, family.mode, tol=norm_tol)
     return DeterministicLqHVModel(measure)
 
 
 def _tuple_marginals(measure: SignedMeasure) -> np.ndarray:
-    """Every full-tuple marginal, laid out like a stacked family, from the
-    per-site 0/1 maps E_n[s, a, lambda] = [lambda_s = a]."""
-    pairs = list(zip(measure.scenario.settings_per_site, measure.scenario.outcomes_per_site))
-    out = measure.atoms.reshape([k**s for s, k in pairs])
-    for s, k in pairs:
-        selector = np.indices((k,) * s).reshape(s, 1, -1) == np.arange(k)[:, None]
-        out = np.tensordot(out, selector.astype(out.dtype), axes=([0], [2]))
+    """Every full-tuple marginal, laid out like a stacked family."""
+    out = measure.atoms
+    for s in measure.scenario.settings_per_site:
+        rows = [out.sum(axis=tuple(t for t in range(s) if t != j)) for j in range(s)]
+        out = np.moveaxis(np.stack(rows), [0, 1], [-2, -1])
     return out.transpose(list(range(0, out.ndim, 2)) + list(range(1, out.ndim, 2)))
 
 

@@ -125,10 +125,9 @@ def validate_sites(scenario: Scenario, sites: Iterable[int]) -> tuple[int, ...]:
 class Witness:
     """Certificate of a failed consistency check.
 
-    Two full tuples share the settings `common_settings` on `site_subset`
-    yet their marginals there differ by `max_discrepancy` (the largest
-    discrepancy found anywhere in the family). `tuple_a` precedes
-    `tuple_b` in lexicographic order.
+    Two full tuples `tuple_a` < `tuple_b` share the settings
+    `common_settings` on `site_subset` yet their marginals there differ by
+    `max_discrepancy` (the largest discrepancy found anywhere in the family).
     """
 
     site_subset: tuple[int, ...]
@@ -269,19 +268,20 @@ class MarginalFamily:
 
     def stacked_marginal(self, sites: tuple[int, ...]) -> np.ndarray:
         """Averaged marginals on increasing `sites`, a row per setting assignment (row-major)."""
+        if validate_sites(self.scenario, sites) != tuple(sites):
+            raise InputError(f"site subset {sites} is not increasing")
         grid = _subset_groups(self.stacked, self.scenario, sites)
         return grid.sum(axis=1) / grid.shape[1]
 
     def get(self, sites: Iterable[int], settings: Iterable[int]) -> np.ndarray:
         sites, settings = tuple(sites), tuple(settings)
-        checked = validate_sites(self.scenario, sites)
-        bounds = [self.scenario.settings_per_site[n - 1] for n in checked]
-        if (checked != sites or len(settings) != len(sites)
-                or not all(s in range(1, b + 1) for s, b in zip(settings, bounds))):
+        marginals = self.stacked_marginal(sites)
+        bounds = [self.scenario.settings_per_site[n - 1] for n in sites]
+        if len(settings) != len(sites) or not all(s in range(1, b + 1)
+                                                  for s, b in zip(settings, bounds)):
             raise InputError(f"no marginal stored for sites {sites} at settings {settings}")
         row = np.ravel_multi_index([int(s) - 1 for s in settings], bounds)
-        shape = [self.scenario.outcomes_per_site[n - 1] for n in checked]
-        return self.stacked_marginal(checked)[row].reshape(shape)
+        return marginals[row].reshape([self.scenario.outcomes_per_site[n - 1] for n in sites])
 
 
 def extract_marginal_family(family: DistributionFamily, tol: float | None = None) -> MarginalFamily:

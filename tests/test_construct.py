@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -213,6 +214,26 @@ class TestBuild:
         float_atoms = L.build_deterministic_measure(as_float).measure.atoms
         expected = subset_sum_measure(as_float.tables, *shape, 0.0).astype(float)
         assert np.abs(float_atoms - expected).max() <= 1e-12
+
+    def test_temporaries_stay_near_joint_size(self):
+        # One site with many settings: a dense per-site operator or 0/1
+        # selector would take S_n or S_n^2 times the joint space.
+        sc = L.Scenario((1, 12), (2, 2))
+        fam = L.convert_family(L.random_scenario_family(sc, seed=7), L.FLOAT)
+        marginals = L.extract_marginal_family(fam)
+        joint_bytes = sc.joint_size * 8
+        tracemalloc.start()
+        try:
+            mu = L.build_deterministic_measure(fam, marginals).measure
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            L.verify_marginals(mu, fam)
+            verify_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 8 * joint_bytes
+        assert verify_peak <= 4 * joint_bytes
 
     def test_float_mode_build(self):
         fam = L.convert_family(L.random_nonsignaling_family(11), L.FLOAT)

@@ -303,6 +303,12 @@ class TestExtractMarginalFamily:
         with pytest.raises(InputError):
             marg.get(sites, settings)
 
+    @pytest.mark.parametrize("sites", [(2, 1), (1, 1), (), (3,)])
+    def test_stacked_marginal_rejects_bad_sites(self, sites):
+        marg = L.extract_marginal_family(L.pr_box())
+        with pytest.raises(InputError):
+            marg.stacked_marginal(sites)
+
     def test_signaling_raises_with_witness(self):
         with pytest.raises(SignalingError) as err:
             L.extract_marginal_family(L.signaling_example())
