@@ -11,8 +11,10 @@ generators round out the inputs the rest of the package is exercised on.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -20,23 +22,17 @@ import numpy as np
 from . import numeric
 from .construct import product_expectation_family
 from .errors import InputError
-from .scenario import DistributionFamily, Scenario
+from .scenario import DistributionFamily, Scenario, interleaved_to_stacked
 
 CHSH_SCENARIO = Scenario((2, 2), (2, 2))
 
 
 def uniform_family(scenario: Scenario, mode: str = numeric.RATIONAL) -> DistributionFamily:
     """White noise: every table uniform over the joint outcomes."""
-    size = 1
-    for k in scenario.outcomes_per_site:
-        size *= k
-    if mode == numeric.RATIONAL:
-        value = Fraction(1, size)
-    else:
-        value = 1.0 / size
-    table = numeric.as_array(np.full(scenario.table_shape, value, dtype=object), mode)
-    tables = {t: table for t in scenario.setting_tuples()}
-    return DistributionFamily(scenario, tables, mode)
+    size = math.prod(scenario.outcomes_per_site)
+    value = Fraction(1, size) if mode == numeric.RATIONAL else 1.0 / size
+    shape = scenario.settings_per_site + scenario.table_shape
+    return DistributionFamily.from_stacked(scenario, np.full(shape, value), mode)
 
 
 def local_deterministic_vertex(scenario: Scenario, assignment: Sequence[Sequence[int]],
@@ -48,7 +44,7 @@ def local_deterministic_vertex(scenario: Scenario, assignment: Sequence[Sequence
     """
     if len(assignment) != scenario.n_parties:
         raise InputError(f"assignment must cover {scenario.n_parties} sites")
-    plan: list[tuple[int, ...]] = []
+    one_hot = []
     for n, site in enumerate(assignment, start=1):
         outcomes = tuple(int(a) for a in site)
         if len(outcomes) != scenario.settings_per_site[n - 1]:
@@ -58,14 +54,9 @@ def local_deterministic_vertex(scenario: Scenario, assignment: Sequence[Sequence
         for a in outcomes:
             if not 0 <= a < k:
                 raise InputError(f"outcome {a} out of range for site {n}")
-        plan.append(outcomes)
-    tables = {}
-    for t in scenario.setting_tuples():
-        table = numeric.zeros(scenario.table_shape, mode)
-        point = tuple(plan[n - 1][s - 1] for n, s in enumerate(t, start=1))
-        table[point] = numeric.one(mode)
-        tables[t] = table
-    return DistributionFamily(scenario, tables, mode)
+        one_hot.append(np.eye(k, dtype=int)[list(outcomes)])
+    stacked = interleaved_to_stacked(reduce(np.multiply.outer, one_hot))
+    return DistributionFamily.from_stacked(scenario, stacked, mode)
 
 
 def pr_type_vertex(alpha: int, beta: int, gamma: int,
@@ -78,16 +69,10 @@ def pr_type_vertex(alpha: int, beta: int, gamma: int,
     if alpha not in (0, 1) or beta not in (0, 1) or gamma not in (0, 1):
         raise InputError("alpha, beta, gamma must be bits")
     half = Fraction(1, 2) if mode == numeric.RATIONAL else 0.5
-    tables = {}
-    for t in CHSH_SCENARIO.setting_tuples():
-        x, y = t[0] - 1, t[1] - 1
-        target = (x * y + alpha * x + beta * y + gamma) % 2
-        table = numeric.zeros((2, 2), mode)
-        for a in range(2):
-            b = (target + a) % 2
-            table[a, b] = half
-        tables[t] = table
-    return DistributionFamily(CHSH_SCENARIO, tables, mode)
+    x, y, a, b = np.indices((2, 2, 2, 2))
+    target = (x * y + alpha * x + beta * y + gamma) % 2
+    stacked = np.where((a + b) % 2 == target, half, numeric.zero(mode))
+    return DistributionFamily.from_stacked(CHSH_SCENARIO, stacked, mode)
 
 
 def pr_box(mode: str = numeric.RATIONAL) -> DistributionFamily:
@@ -108,13 +93,10 @@ def mix_families(families: Sequence[DistributionFamily], weights,
     w = numeric.normalize_weights(weights, mode)
     if len(w) != len(families):
         raise InputError(f"need {len(families)} weights, got {len(w)}")
-    tables = {}
-    for t in scenario.setting_tuples():
-        acc = numeric.zeros(scenario.table_shape, mode)
-        for weight, f in zip(w, families):
-            acc = acc + weight * f.tables[t]
-        tables[t] = acc
-    return DistributionFamily(scenario, tables, mode)
+    acc = numeric.zeros(families[0].stacked.shape, mode)
+    for weight, f in zip(w, families):
+        acc = acc + weight * f.stacked
+    return DistributionFamily.from_stacked(scenario, acc, mode)
 
 
 def isotropic_box(p, mode: str = numeric.RATIONAL) -> DistributionFamily:
@@ -135,14 +117,9 @@ def signaling_example(mode: str = numeric.RATIONAL) -> DistributionFamily:
     """
     scenario = Scenario((2, 1), (2, 2))
     half = Fraction(1, 2) if mode == numeric.RATIONAL else 0.5
-    tables = {}
-    for t in scenario.setting_tuples():
-        b = t[0] - 1
-        table = numeric.zeros((2, 2), mode)
-        table[0, b] = half
-        table[1, b] = half
-        tables[t] = table
-    return DistributionFamily(scenario, tables, mode)
+    s1, _, _, b = np.indices((2, 1, 2, 2))
+    stacked = np.where(b == s1, half, numeric.zero(mode))
+    return DistributionFamily.from_stacked(scenario, stacked, mode)
 
 
 def chsh_local_vertices(mode: str = numeric.RATIONAL) -> list[DistributionFamily]:
@@ -202,13 +179,11 @@ def tensor_family(left: DistributionFamily, right: DistributionFamily) -> Distri
         left.scenario.settings_per_site + right.scenario.settings_per_site,
         left.scenario.outcomes_per_site + right.scenario.outcomes_per_site,
     )
-    n_left = left.scenario.n_parties
-    tables = {}
-    for t in scenario.setting_tuples():
-        a = left.tables[t[:n_left]]
-        b = right.tables[t[n_left:]]
-        tables[t] = np.multiply.outer(a, b)
-    return DistributionFamily(scenario, tables, left.mode)
+    n, m = left.scenario.n_parties, right.scenario.n_parties
+    outer = np.multiply.outer(left.stacked, right.stacked)  # axes (sL, aL, sR, aR)
+    stacked = outer.transpose([*range(n), *range(2 * n, 2 * n + m),
+                               *range(n, 2 * n), *range(2 * n + m, 2 * (n + m))])
+    return DistributionFamily.from_stacked(scenario, stacked, left.mode)
 
 
 def random_scenario_family(scenario: Scenario, seed: int, mode: str = numeric.RATIONAL,

@@ -33,6 +33,7 @@ from .scenario import (
     MarginalFamily,
     Scenario,
     extract_marginal_family,
+    interleaved_to_stacked,
 )
 
 DEFAULT_ATOM_BUDGET = 10_000_000
@@ -243,7 +244,7 @@ def _tuple_marginals(measure: SignedMeasure) -> np.ndarray:
     for s in measure.scenario.settings_per_site:
         rows = [out.sum(axis=tuple(t for t in range(s) if t != j)) for j in range(s)]
         out = np.moveaxis(np.stack(rows), [0, 1], [-2, -1])
-    return out.transpose(list(range(0, out.ndim, 2)) + list(range(1, out.ndim, 2)))
+    return interleaved_to_stacked(out)
 
 
 @dataclass(frozen=True)
@@ -286,11 +287,9 @@ def induced_family(measure: SignedMeasure, tol: float | None = None) -> Distribu
     negative the measure represents no probability family and a
     RepresentationError is raised.
     """
-    scenario = measure.scenario
-    reproduced = _tuple_marginals(measure).reshape((-1,) + scenario.table_shape)
-    tables = dict(zip(scenario.setting_tuples(), reproduced))
     try:
-        return DistributionFamily(scenario, tables, measure.mode, tol=tol)
+        return DistributionFamily.from_stacked(measure.scenario, _tuple_marginals(measure),
+                                               measure.mode, tol=tol)
     except InputError as exc:
         raise RepresentationError(f"measure does not induce a probability family: {exc}") from exc
 

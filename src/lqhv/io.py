@@ -180,13 +180,14 @@ def _complex_entry(value: Any, where: str) -> complex:
         raise InputError(f"{where}: complex entries must be [re, im] pairs")
     try:
         return complex(float(value[0]), float(value[1]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{where}: bad complex entry {value!r}") from exc
 
 
 def _complex_matrix(rows: Any, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise InputError(f"{where}: expected a nonempty matrix")
+    if not isinstance(rows, list) or not rows or not all(
+            isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
+        raise InputError(f"{where}: expected a nonempty matrix of equal-length rows")
     out = [[_complex_entry(v, where) for v in row] for row in rows]
     return np.array(out, dtype=complex)
 

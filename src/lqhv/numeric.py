@@ -56,7 +56,7 @@ def coerce_scalar(value, mode: str) -> Scalar:
     if mode == FLOAT:
         try:
             out = float(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"cannot interpret {value!r} as a float") from exc
         if not math.isfinite(out):
             raise InputError(f"non-finite entry {value!r}")
@@ -85,16 +85,15 @@ def as_array(data, mode: str, shape: tuple[int, ...] | None = None) -> np.ndarra
     if mode == FLOAT:
         try:
             arr = np.asarray(data, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"cannot interpret data as a float array: {exc}") from exc
         if not np.all(np.isfinite(arr)):
             raise InputError("non-finite entry in float array")
         arr = arr.copy()
     else:
         raw = np.asarray(data, dtype=object)
-        arr = np.frompyfunc(lambda v: coerce_scalar(v, RATIONAL), 1, 1)(raw)
-        if arr.shape == ():
-            arr = arr.reshape(1)[:1].reshape(())
+        coerce = np.frompyfunc(lambda v: coerce_scalar(v, RATIONAL), 1, 1)
+        arr = np.asarray(coerce(raw), dtype=object)  # a 0-d input comes back as a bare scalar
     if shape is not None:
         if int(np.prod(shape, dtype=object)) != arr.size:
             raise InputError(f"expected {shape} = {int(np.prod(shape, dtype=object))} entries, got {arr.size}")
@@ -145,14 +144,9 @@ def format_scalar(value: Scalar, mode: str):
 
 
 def format_array(arr: np.ndarray, mode: str) -> list:
+    if mode == FLOAT:
+        return np.asarray(arr, dtype=float).reshape(-1).tolist()
     return [format_scalar(v, mode) for v in arr.reshape(-1)]
-
-
-def convert_array(arr: np.ndarray, mode_from: str, mode_to: str) -> np.ndarray:
-    """Re-type an array between modes (float -> rational reads decimal literals)."""
-    if mode_from == mode_to:
-        return arr
-    return as_array(arr.tolist(), mode_to, shape=arr.shape)
 
 
 def normalize_weights(weights: Iterable, mode: str) -> list[Scalar]:

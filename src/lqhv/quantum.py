@@ -15,14 +15,13 @@ combination) lives here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from . import numeric
 from .errors import InputError
-from .scenario import DistributionFamily, Scenario
+from .scenario import DistributionFamily, Scenario, interleaved_to_stacked
 
 EIGENVALUE_FLOOR = -1e-10
 IMAGINARY_RESIDUE = 1e-12
@@ -143,7 +142,7 @@ class QuantumScenario:
 
 
 def born_family(q: QuantumScenario) -> DistributionFamily:
-    """Joint tables from the trace rule, one per setting tuple.
+    """Joint tables from the trace rule, one site's effect stack at a time.
 
     Entry (k_1,...,k_N) of the table at (s_1,...,s_N) is the trace of the
     state against the tensor product of the chosen outcome effects. Any
@@ -151,19 +150,20 @@ def born_family(q: QuantumScenario) -> DistributionFamily:
     within 1e-12 because the effects close to the identity.
     """
     scenario = q.scenario
-    tables = {}
-    for t in scenario.setting_tuples():
-        povm_list = [q.povms[n - 1][s - 1] for n, s in enumerate(t, start=1)]
-        table = np.empty(scenario.table_shape, dtype=float)
-        for outcome in np.ndindex(*scenario.table_shape):
-            effect = reduce(np.kron, (p.effects[k] for p, k in zip(povm_list, outcome)))
-            value = np.trace(q.rho.matrix @ effect)
-            if abs(value.imag) > IMAGINARY_RESIDUE:
-                raise InputError(
-                    f"probability at {t}{outcome} has imaginary part {value.imag:.3e}")
-            table[outcome] = value.real
-        tables[t] = table
-    return DistributionFamily(scenario, tables, numeric.FLOAT, tol=1e-12)
+    n = scenario.n_parties
+    probs = q.rho.matrix.reshape(q.site_dims * 2)
+    for site, povms in enumerate(q.povms):
+        # Tr(rho E) sums rho[i, j] E[j, i]: contract the site's leading i and j
+        # axes with the column and row axes of its (S_n, K_n, d_n, d_n) effects
+        effects = np.array([p.effects for p in povms])
+        probs = np.tensordot(probs, effects, axes=([0, n - site], [3, 2]))
+    stacked = interleaved_to_stacked(probs)
+    residue = np.abs(stacked.imag) > IMAGINARY_RESIDUE
+    if residue.any():
+        cell = [int(v) for v in np.unravel_index(np.argmax(residue), stacked.shape)]
+        raise InputError(f"probability at {tuple(s + 1 for s in cell[:n])}{tuple(cell[n:])} "
+                         f"has imaginary part {stacked.imag[tuple(cell)]:.3e}")
+    return DistributionFamily.from_stacked(scenario, stacked.real, numeric.FLOAT, tol=1e-12)
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:

@@ -8,6 +8,11 @@ nonsignaling consistency condition requires the marginals on any
 common-setting site subset to coincide across all compatible tuples; one
 reduction per subset gives them all, with the other sites' settings
 flattened into a group axis that the check takes max - min over.
+
+A family is built from a {tuple: table} mapping (the file format) or,
+by producers that compute all tables at once, from the tensor itself with
+`DistributionFamily.from_stacked(scenario, stacked, mode, tol)`; both run
+one validation over the stacked tensor.
 """
 
 from __future__ import annotations
@@ -110,6 +115,12 @@ class Scenario:
             yield from itertools.combinations(self.sites, size)
 
 
+def interleaved_to_stacked(arr: np.ndarray) -> np.ndarray:
+    """View of an array with axes (s_1, a_1, ..., s_N, a_N) in the stacked
+    family layout (s_1..s_N, a_1..a_N)."""
+    return arr.transpose(list(range(0, arr.ndim, 2)) + list(range(1, arr.ndim, 2)))
+
+
 def validate_sites(scenario: Scenario, sites: Iterable[int]) -> tuple[int, ...]:
     out = tuple(int(n) for n in sites)
     if len(out) == 0:
@@ -149,9 +160,7 @@ class DistributionFamily:
 
     def __init__(self, scenario: Scenario, tables: Mapping[SettingTuple, object],
                  mode: str = numeric.RATIONAL, tol: float | None = None):
-        self.scenario = scenario
-        self.mode = numeric.check_mode(mode)
-        self.tol = numeric.default_tol() if tol is None else float(tol)
+        mode = numeric.check_mode(mode)
         if len(tables) != scenario.n_tuples:
             problem = "missing tables" if len(tables) < scenario.n_tuples else "unexpected tuples"
             raise InputError(f"{problem}: {len(tables)} tables given for "
@@ -159,21 +168,42 @@ class DistributionFamily:
         keyed = {scenario.validate_setting_tuple(k): v for k, v in tables.items()}
         if len(keyed) != len(tables):
             raise InputError("duplicate setting tuples in table map")
-        order = sorted(keyed)  # n_tuples distinct valid keys: none is missing
-        flat = np.stack([numeric.as_array(keyed[t], self.mode, shape=scenario.table_shape)
-                         for t in order])
-        rows = flat.reshape(len(order), -1)
+        # n_tuples distinct valid keys: sorted, they are setting_tuples()
+        flat = np.stack([numeric.as_array(keyed[t], mode, shape=scenario.table_shape)
+                         for t in sorted(keyed)])
+        self._adopt(scenario, flat.reshape(scenario.settings_per_site + scenario.table_shape),
+                    mode, tol)
+
+    @classmethod
+    def from_stacked(cls, scenario: Scenario, stacked, mode: str = numeric.RATIONAL,
+                     tol: float | None = None) -> "DistributionFamily":
+        """Family from all tables at once, axes (s_1..s_N, a_1..a_N); the
+        array is copied into the mode's type and validated like a mapping."""
+        mode = numeric.check_mode(mode)
+        family = cls.__new__(cls)
+        family._adopt(scenario, numeric.as_array(
+            stacked, mode, shape=scenario.settings_per_site + scenario.table_shape), mode, tol)
+        return family
+
+    def _adopt(self, scenario: Scenario, stacked: np.ndarray, mode: str,
+               tol: float | None) -> None:
+        self.scenario = scenario
+        self.mode = mode
+        self.tol = numeric.default_tol() if tol is None else float(tol)
+        order = scenario.setting_tuples()
+        rows = stacked.reshape(len(order), -1)
         low, sums = rows.min(axis=1), rows.sum(axis=1)
-        floor = numeric.zero(self.mode) if self.mode == numeric.RATIONAL else -self.tol
-        bad = (low < floor) | ~numeric.is_close(sums, numeric.one(self.mode), self.tol, self.mode)
+        floor = numeric.zero(mode) if mode == numeric.RATIONAL else -self.tol
+        bad = (low < floor) | ~numeric.is_close(sums, numeric.one(mode), self.tol, mode)
         if bad.any():
             i = int(np.argmax(bad))
             if low[i] < floor:
                 raise InputError(f"negative probability in table {order[i]}: min entry {low[i]}")
             raise InputError(f"table {order[i]} sums to {sums[i]}, not 1 (tables are never renormalized)")
-        flat.setflags(write=False)
-        self.stacked = flat.reshape(scenario.settings_per_site + scenario.table_shape)
-        self.tables: dict[SettingTuple, np.ndarray] = dict(zip(order, flat))
+        stacked.setflags(write=False)
+        self.stacked = stacked
+        self.tables: dict[SettingTuple, np.ndarray] = dict(
+            zip(order, stacked.reshape((-1,) + scenario.table_shape)))
 
     def table(self, setting_tuple: Iterable[int]) -> np.ndarray:
         t = self.scenario.validate_setting_tuple(setting_tuple)
@@ -191,9 +221,7 @@ def convert_family(family: DistributionFamily, mode: str,
     mode = numeric.check_mode(mode)
     if mode == family.mode and tol is None:
         return family
-    converted = numeric.convert_array(family.stacked, family.mode, mode)
-    tables = dict(zip(family.tables, converted.reshape((-1,) + family.scenario.table_shape)))
-    return DistributionFamily(family.scenario, tables, mode, tol=tol)
+    return DistributionFamily.from_stacked(family.scenario, family.stacked, mode, tol=tol)
 
 
 def marginalize(family: DistributionFamily, setting_tuple: Iterable[int],

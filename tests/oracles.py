@@ -7,7 +7,8 @@ formulas in their printed collapsed forms, a brute-force marginalizer
 over explicit joint points, the closed-form atoms of the maximally
 nonlocal box, analytic singlet tables, and a direct evaluation of the
 one-hidden-space joint tables, the all-pairs consistency check and the
-N-party subset-sum measure. Construction tests compare the package
+N-party subset-sum measure, the Born rule by one Kronecker product and
+trace per table cell, and the canonical boxes built tuple by tuple. Construction tests compare the package
 output against these, atom by atom, in exact arithmetic. For the LHV
 linear program there is a loop-built marginal matrix and a dense
 `Fraction` phase-1 tableau that recomputes every reduced cost before each
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -409,4 +411,76 @@ def subset_sum_measure(tables, settings_per_site, outcomes_per_site, zero):
                         value = value * singles[(m, s)][(point[offsets[m] + s - 1],)]
             total += c * value
         out[point] = total
+    return out
+
+
+def _tuples(settings_per_site):
+    return itertools.product(*(range(1, s + 1) for s in settings_per_site))
+
+
+def loop_born_family(rho, effects):
+    """Born-rule tables {tuple: table}, one kron and one trace per cell.
+
+    `effects[n][s][k]` is site n's effect matrix for outcome k under
+    setting s (both 0-based); tuples in the result are 1-based.
+    """
+    tables = {}
+    for t in _tuples([len(site) for site in effects]):
+        povms = [effects[n][s - 1] for n, s in enumerate(t)]
+        shape = tuple(len(p) for p in povms)
+        table = np.empty(shape)
+        for outcome in itertools.product(*(range(k) for k in shape)):
+            effect = reduce(np.kron, (p[k] for p, k in zip(povms, outcome)))
+            table[outcome] = np.trace(rho @ effect).real
+        tables[t] = table
+    return tables
+
+
+def loop_local_vertex(settings_per_site, outcomes_per_site, assignment, zero, one):
+    """Point-mass tables: site n reports assignment[n][s - 1] under setting s."""
+    tables = {}
+    for t in _tuples(settings_per_site):
+        table = np.full(outcomes_per_site, zero, dtype=object)
+        table[tuple(assignment[n][s - 1] for n, s in enumerate(t))] = one
+        tables[t] = table
+    return tables
+
+
+def loop_pr_type_vertex(alpha, beta, gamma, zero, half):
+    """XOR box a + b = xy + alpha x + beta y + gamma (mod 2), cell by cell."""
+    tables = {}
+    for x, y in itertools.product(range(2), repeat=2):
+        table = np.full((2, 2), zero, dtype=object)
+        for a in range(2):
+            table[a, (x * y + alpha * x + beta * y + gamma + a) % 2] = half
+        tables[(x + 1, y + 1)] = table
+    return tables
+
+
+def loop_signaling_example(zero, half):
+    """Settings (2, 1): site 1 a fair coin, site 2 outputs s1 - 1."""
+    tables = {}
+    for s1 in (1, 2):
+        table = np.full((2, 2), zero, dtype=object)
+        table[0, s1 - 1] = table[1, s1 - 1] = half
+        tables[(s1, 1)] = table
+    return tables
+
+
+def loop_tensor(left_tables, right_tables):
+    """Outer product of every left table with every right table."""
+    return {a + b: np.multiply.outer(ta, tb)
+            for a, ta in left_tables.items() for b, tb in right_tables.items()}
+
+
+def loop_mix(tables_list, weights, zero):
+    """Weighted sum tuple by tuple; weights scaled to sum 1 first, in order."""
+    total = sum(weights, zero)
+    w = [v / total for v in weights]
+    out = {}
+    for t in tables_list[0]:
+        acc = zero
+        for weight, tables in zip(w, tables_list):
+            acc = acc + weight * tables[t]
+        out[t] = acc
     return out

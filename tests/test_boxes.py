@@ -1,6 +1,7 @@
 """Canonical boxes, mixtures and the randomized family generators."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,16 @@ from hypothesis import strategies as st
 
 import lqhv as L
 from lqhv.errors import InputError
+from oracles import (
+    loop_local_vertex,
+    loop_mix,
+    loop_pr_type_vertex,
+    loop_signaling_example,
+    loop_tensor,
+)
+
+# (mode, zero, one, one half) in each mode's scalar type
+MODE_SCALARS = [(L.RATIONAL, Fraction(0), Fraction(1), Fraction(1, 2)), (L.FLOAT, 0.0, 1.0, 0.5)]
 
 
 class TestPrBox:
@@ -169,3 +180,49 @@ class TestRandomFamilies:
         table = combined.table((1, 2, 1))
         assert table[0, 0, 1] == Fraction(1, 2)
         assert table[0, 0, 0] == 0
+
+
+def assert_same_tables(fam, tables):
+    assert sorted(tables) == fam.scenario.setting_tuples()
+    for t, table in tables.items():
+        assert fam.table(t).dtype == (object if fam.mode == L.RATIONAL else float)
+        assert np.array_equal(fam.table(t), table)
+
+
+@pytest.mark.parametrize("mode,zero,one,half", MODE_SCALARS)
+class TestStackedProducersMatchLoops:
+    """Each generator equals its tuple-by-tuple loop exactly, in both modes."""
+
+    def test_local_vertex(self, mode, zero, one, half):
+        sc = L.Scenario((2, 3, 1), (3, 2, 2))
+        assignment = [(2, 0), (1, 1, 0), (1,)]
+        fam = L.local_deterministic_vertex(sc, assignment, mode)
+        assert_same_tables(fam, loop_local_vertex((2, 3, 1), (3, 2, 2), assignment, zero, one))
+
+    def test_pr_type_vertices(self, mode, zero, one, half):
+        for bits in itertools.product(range(2), repeat=3):
+            assert_same_tables(L.pr_type_vertex(*bits, mode), loop_pr_type_vertex(*bits, zero, half))
+
+    def test_signaling_example(self, mode, zero, one, half):
+        assert_same_tables(L.signaling_example(mode), loop_signaling_example(zero, half))
+
+    def test_tensor_family(self, mode, zero, one, half):
+        right = L.local_deterministic_vertex(L.Scenario((3, 1), (2, 3)), [(1, 0, 1), (2,)], mode)
+        fam = L.tensor_family(L.pr_type_vertex(1, 0, 1, mode), right)
+        oracle = loop_tensor(loop_pr_type_vertex(1, 0, 1, zero, half),
+                             loop_local_vertex((3, 1), (2, 3), [(1, 0, 1), (2,)], zero, one))
+        assert_same_tables(fam, oracle)
+
+    def test_mix_families(self, mode, zero, one, half):
+        rng = random.Random(17)
+        tail = L.Scenario((2,), (3,))
+        parts, oracles = [], []
+        for bits in itertools.product(range(2), repeat=2):
+            assignment = L.boxes.random_local_assignment(tail, rng)
+            parts.append(L.tensor_family(L.pr_type_vertex(*bits, 1, mode),
+                                         L.local_deterministic_vertex(tail, assignment, mode)))
+            oracles.append(loop_tensor(loop_pr_type_vertex(*bits, 1, zero, half),
+                                       loop_local_vertex((2,), (3,), assignment, zero, one)))
+        weights = [3, 1, 4, 7]
+        fam = L.mix_families(parts, weights)
+        assert_same_tables(fam, loop_mix(oracles, [zero + w for w in weights], zero))

@@ -229,3 +229,19 @@ class TestMalformedCounts:
         argv = [command, str(path)] + (["-o", str(tmp_path / "out.json")] if command == "quantum" else [])
         assert main(argv) == 1
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,data", [
+        ("quantum", {"site_dims": [2], "rho": [[[1, 0], [0, 0]], [[0, 0]]],
+                     "povms": [[[[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]]]}),
+        ("quantum", {"site_dims": [2], "rho": [1, 2], "povms": []}),
+        ("check", {"parties": [{"settings": 1, "outcomes": 2}], "mode": "float",
+                   "tables": {"1": [10**400, 0]}}),
+        ("check", {"parties": [{"settings": 1, "outcomes": 2}], "mode": "rational",
+                   "tables": {"1": False}}),
+    ])
+    def test_malformed_entries_exit_one(self, command, data, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        argv = [command, str(path)] + (["-o", str(tmp_path / "out.json")] if command == "quantum" else [])
+        assert main(argv) == 1
+        assert "input error" in capsys.readouterr().err

@@ -1,11 +1,13 @@
 """Born-rule family generation from states and POVMs."""
 
+import re
+
 import numpy as np
 import pytest
 
 import lqhv as L
 from lqhv.errors import InputError
-from oracles import singlet_projective_table
+from oracles import loop_born_family, singlet_projective_table
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -95,6 +97,45 @@ class TestBornFamily:
         fam = L.born_family(L.chsh_optimal_scenario())
         for t in fam.scenario.setting_tuples():
             assert abs(fam.table(t).sum() - 1.0) <= 1e-12
+
+
+    @pytest.mark.parametrize("dims,settings,outcomes", [
+        ((3, 2, 2), (3, 2, 3), (3, 3, 2)),
+        ((2, 3, 2), (1, 3, 2), (2, 3, 3)),
+        ((3,), (3,), (3,)),
+    ])
+    def test_random_states_match_loop_oracle(self, dims, settings, outcomes):
+        rng = np.random.default_rng(sum(dims) + sum(settings))
+
+        def positive(d):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            return a @ a.conj().T
+
+        effects = []
+        for d, s, k in zip(dims, settings, outcomes):
+            site = []
+            for _ in range(s):
+                parts = [positive(d) for _ in range(k)]
+                w, v = np.linalg.eigh(sum(parts))
+                root = v @ np.diag(w ** -0.5) @ v.conj().T
+                site.append([(root @ g @ root + (root @ g @ root).conj().T) / 2 for g in parts])
+            effects.append(site)
+        rho = positive(int(np.prod(dims)))
+        rho = rho / np.trace(rho).real
+        q = L.QuantumScenario(L.DensityMatrix(rho),
+                              [[L.POVM(tuple(e)) for e in site] for site in effects])
+        fam = L.born_family(q)
+        oracle = loop_born_family(rho, effects)
+        assert sorted(oracle) == fam.scenario.setting_tuples()
+        for t, table in oracle.items():
+            assert np.abs(fam.table(t) - table).max() <= 1e-12
+
+    def test_imaginary_residue_names_first_cell(self):
+        # asymmetric by 5e-10, inside the 1e-9 Hermitian tolerance
+        rho = L.DensityMatrix(np.array([[0.5, 5e-10j], [0.0, 0.5]]))
+        q = L.QuantumScenario(rho, [[L.projective_qubit_povm(X)]])
+        with pytest.raises(InputError, match=re.escape("probability at (1,)(0,) has imaginary part")):
+            L.born_family(q)
 
 
 class TestChshOptimal:

@@ -133,6 +133,43 @@ class TestDistributionFamily:
         for (s1, s2), table in fam.tables.items():
             assert np.array_equal(fam.stacked[s1 - 1, s2 - 1], table)
 
+    @pytest.mark.parametrize("mode", [L.RATIONAL, L.FLOAT])
+    def test_from_stacked_fails_like_the_mapping(self, mode):
+        sc = L.Scenario((2, 2), (2, 2))
+        half = Fraction(1, 2)
+        good = np.array([[half, 0], [0, half]], dtype=object)
+        for bad in (np.array([[Fraction(3, 2), 0], [0, Fraction(-1, 2)]], dtype=object),
+                    np.array([[half, 0], [0, Fraction(1, 3)]], dtype=object)):
+            tables = {t: good for t in sc.setting_tuples()}
+            tables[(2, 1)] = bad
+            with pytest.raises(InputError) as from_mapping:
+                L.DistributionFamily(sc, tables, mode)
+            stacked = np.stack([tables[t] for t in sc.setting_tuples()]).reshape(2, 2, 2, 2)
+            with pytest.raises(InputError) as from_stacked:
+                L.DistributionFamily.from_stacked(sc, stacked, mode)
+            assert "table (2, 1)" in str(from_mapping.value)
+            assert str(from_stacked.value) == str(from_mapping.value)
+        # a wrong shape fails in the shared coercion, which names the shape it expected
+        with pytest.raises(InputError, match=r"expected \(2, 2\) = 4 entries, got 3"):
+            L.DistributionFamily(sc, {t: [half, half, 0] for t in sc.setting_tuples()}, mode)
+        with pytest.raises(InputError, match=r"expected \(2, 2, 2, 2\) = 16 entries, got 12"):
+            L.DistributionFamily.from_stacked(sc, np.full((2, 2, 3), half), mode)
+
+    @pytest.mark.parametrize("mode", [L.RATIONAL, L.FLOAT])
+    def test_from_stacked_copies_its_input(self, mode):
+        sc = L.Scenario((2, 2), (2, 2))
+        quarter = Fraction(1, 4) if mode == L.RATIONAL else 0.25
+        source = np.full((2, 2, 2, 2), quarter)
+        fam = L.DistributionFamily.from_stacked(sc, source, mode)
+        source[0, 0, 0, 0] = 7
+        assert fam.table((1, 1))[0, 0] == quarter
+        assert not fam.stacked.flags.writeable
+        assert all(not table.flags.writeable for table in fam.tables.values())
+        mapped = L.DistributionFamily(sc, {t: np.full((2, 2), quarter) for t in sc.setting_tuples()},
+                                      mode)
+        assert np.array_equal(fam.stacked, mapped.stacked)
+        assert fam.stacked.dtype == mapped.stacked.dtype
+
     def test_float_tolerance_on_sums(self):
         table = np.full((2, 2), 0.25) + 1e-12
         tables = {t: table for t in L.Scenario((2, 2), (2, 2)).setting_tuples()}
