@@ -93,10 +93,12 @@ def mix_families(families: Sequence[DistributionFamily], weights,
     w = numeric.normalize_weights(weights, mode)
     if len(w) != len(families):
         raise InputError(f"need {len(families)} weights, got {len(w)}")
-    acc = numeric.zeros(families[0].stacked.shape, mode)
-    for weight, f in zip(w, families):
-        acc = acc + weight * f.stacked
-    return DistributionFamily.from_stacked(scenario, acc, mode)
+    # sum_i w_i F_i / D_i over the weights' and the families' common denominators
+    w, w_den = numeric.common_denominator(np.array(w, dtype=object if mode == numeric.RATIONAL
+                                                    else float))
+    den = math.lcm(*(f.denominator for f in families))
+    acc = sum(weight * (den // f.denominator) * f.numerators for weight, f in zip(w, families))
+    return DistributionFamily.from_numerators(scenario, acc, den * w_den, mode)
 
 
 def isotropic_box(p, mode: str = numeric.RATIONAL) -> DistributionFamily:
@@ -180,10 +182,11 @@ def tensor_family(left: DistributionFamily, right: DistributionFamily) -> Distri
         left.scenario.outcomes_per_site + right.scenario.outcomes_per_site,
     )
     n, m = left.scenario.n_parties, right.scenario.n_parties
-    outer = np.multiply.outer(left.stacked, right.stacked)  # axes (sL, aL, sR, aR)
+    outer = np.multiply.outer(left.numerators, right.numerators)  # axes (sL, aL, sR, aR)
     stacked = outer.transpose([*range(n), *range(2 * n, 2 * n + m),
                                *range(n, 2 * n), *range(2 * n + m, 2 * (n + m))])
-    return DistributionFamily.from_stacked(scenario, stacked, left.mode)
+    return DistributionFamily.from_numerators(scenario, stacked, left.denominator * right.denominator,
+                                              left.mode)
 
 
 def random_scenario_family(scenario: Scenario, seed: int, mode: str = numeric.RATIONAL,

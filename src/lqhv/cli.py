@@ -141,7 +141,7 @@ def cmd_build(args) -> int:
     jordan = jordan_decompose(measure)
     fmt = lambda v: numeric.format_scalar(v, family.mode)
     report["construction"] = {
-        "atom_count": int(measure.atoms.size),
+        "atom_count": int(measure.numerators.size),
         "normalization": fmt(measure.total_mass),
         "min_atom": fmt(measure.min_atom),
         "total_variation": fmt(jordan.total_variation),
@@ -156,7 +156,7 @@ def cmd_build(args) -> int:
     report["output"] = args.out
     lines = [
         "consistency: pass",
-        f"atoms: {measure.atoms.size}",
+        f"atoms: {measure.numerators.size}",
         f"normalization: {fmt(measure.total_mass)}",
         f"min atom: {fmt(measure.min_atom)}",
         f"total variation: {fmt(jordan.total_variation)}",

@@ -8,7 +8,9 @@ construction, an inclusion-exclusion sum over site subsets weighted by an
 integer subset coefficient (whose defining identity is exposed for direct
 integer verification), is multilinear and site-local: the builder applies
 one linear map per site to the family's stacked tensor, and verification
-gets every full-tuple marginal at once from per-site 0/1 projections.
+gets every full-tuple marginal at once from per-site 0/1 projections. In
+rational mode both run on integer numerators over one denominator, so no
+`Fraction` is formed until a result is read.
 
 Also here: the Jordan split of a signed measure into positive and negative
 parts, conversion of a stochastic one-measure-space model into the
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,26 +46,52 @@ class SignedMeasure:
 
     Atoms form a tensor over the axes (1,1)..(1,S_1)..(N,1)..(N,S_N); the
     total mass must be 1 (within `tol` in float mode, exactly in rational
-    mode) and every atom finite.
+    mode) and every atom finite. The tensor is held as `numerators` over
+    `denominator` (Python ints over a positive int in rational mode, the
+    floats over 1 in float mode); `atoms` is its public form, read-only
+    Fractions in rational mode, built on first access.
     """
 
     def __init__(self, scenario: Scenario, atoms, mode: str = numeric.RATIONAL,
                  tol: float | None = None):
+        mode = numeric.check_mode(mode)
+        typed = numeric.as_array(atoms, mode, shape=scenario.joint_shape)
+        self._adopt(scenario, *numeric.common_denominator(typed), mode, tol)
+
+    @classmethod
+    def from_numerators(cls, scenario: Scenario, numerators: np.ndarray, denominator: int,
+                        mode: str = numeric.RATIONAL,
+                        tol: float | None = None) -> "SignedMeasure":
+        """Measure from its atom numerators over one denominator, with the
+        mass checked as for atoms. The array is taken over, not copied."""
+        measure = cls.__new__(cls)
+        measure._adopt(scenario, numerators.reshape(scenario.joint_shape), denominator,
+                       numeric.check_mode(mode), tol)
+        return measure
+
+    def _adopt(self, scenario: Scenario, numerators: np.ndarray, denominator: int, mode: str,
+               tol: float | None) -> None:
         self.scenario = scenario
-        self.mode = numeric.check_mode(mode)
+        self.mode = mode
         self.tol = numeric.default_tol() if tol is None else float(tol)
-        self.atoms = numeric.as_array(atoms, self.mode, shape=scenario.joint_shape)
-        total = self.atoms.sum()
-        if not numeric.is_close(total, numeric.one(self.mode), self.tol, self.mode):
-            raise InputError(f"measure mass is {total}, not 1")
+        numerators.setflags(write=False)
+        self.numerators = numerators
+        self.denominator = denominator
+        total = numerators.sum()
+        if not numeric.is_close(total, denominator, self.tol, mode):
+            raise InputError(f"measure mass is {numeric.ratio(total, denominator, mode)}, not 1")
+
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        return numeric.ratio_array(self.numerators, self.denominator)
 
     @property
     def total_mass(self) -> Scalar:
-        return self.atoms.sum()
+        return numeric.ratio(self.numerators.sum(), self.denominator, self.mode)
 
     @property
     def min_atom(self) -> Scalar:
-        return self.atoms.min()
+        return numeric.ratio(self.numerators.min(), self.denominator, self.mode)
 
     def marginal(self, setting_tuple: Iterable[int]) -> np.ndarray:
         """Sum out all coordinates except {(n, s_n)}_n; axes in site order."""
@@ -75,21 +103,36 @@ class SignedMeasure:
 
 @dataclass(frozen=True)
 class JordanPair:
-    """Positive/negative parts of a signed measure, disjoint supports."""
+    """Positive/negative parts of a signed measure, disjoint supports.
 
-    positive_part: np.ndarray
-    negative_part: np.ndarray
+    The parts are held as numerators over the measure's denominator;
+    `positive_part` and `negative_part` are their public forms, built on
+    first access.
+    """
+
+    positive_numerators: np.ndarray
+    negative_numerators: np.ndarray
+    denominator: int
     total_variation: Scalar
+
+    @cached_property
+    def positive_part(self) -> np.ndarray:
+        return numeric.ratio_array(self.positive_numerators, self.denominator)
+
+    @cached_property
+    def negative_part(self) -> np.ndarray:
+        return numeric.ratio_array(self.negative_numerators, self.denominator)
 
 
 def jordan_decompose(measure: SignedMeasure) -> JordanPair:
     """Atomwise Jordan split; total variation is the combined mass."""
-    zero = numeric.zero(measure.mode)
-    pos = np.maximum(measure.atoms, zero)
-    neg = np.maximum(-measure.atoms, zero)
+    zero = 0 if measure.mode == numeric.RATIONAL else 0.0
+    pos = np.maximum(measure.numerators, zero)
+    neg = np.maximum(-measure.numerators, zero)
     pos.setflags(write=False)
     neg.setflags(write=False)
-    return JordanPair(pos, neg, pos.sum() + neg.sum())
+    total = numeric.ratio(pos.sum() + neg.sum(), measure.denominator, measure.mode)
+    return JordanPair(pos, neg, measure.denominator, total)
 
 
 @dataclass(frozen=True)
@@ -169,15 +212,21 @@ def coefficient_identity_sum(settings_per_site: Sequence[int], kept_sites: Itera
     return total
 
 
-def _apply_site_map(atoms: np.ndarray, axis: int, p: np.ndarray, mode: str) -> np.ndarray:
+def _apply_site_map(atoms: np.ndarray, axis: int, p: np.ndarray, keep, shrink) -> np.ndarray:
     """Apply M_n to a site's setting (axis 0) and outcome (`axis`) axes and
     append its coordinate axes, last to first, with `prod` holding
-    p_n^s (x) ... (x) p_n^{S_n - 1}: no temporary exceeds the output."""
+    `keep` p_n^s (x) ... (x) p_n^{S_n - 1}: no temporary exceeds the output.
+
+    `keep` multiplies the coordinate terms and `shrink` the B_n 1^T term.
+    On integer numerators p over d these are S_n d and S_n - 1, and the
+    result is over the atoms' denominator times S_n d^{S_n}; on floats
+    they are 1 and (S_n - 1)/S_n.
+    """
     last = p.shape[0] - 1
-    shrink = last / numeric.coerce_scalar(last + 1, mode)
     lifted = np.moveaxis(atoms, axis, -1)  # (setting, rest..., outcome)
     total = np.expand_dims(atoms.sum(axis=(0, axis)), -1)
-    out, prod = lifted[last] - shrink * total * p[last], p[last]
+    prod = keep * p[last]
+    out = lifted[last] * keep - shrink * total * p[last]
     for s in range(last - 1, -1, -1):
         block = tuple(range(-prod.ndim, 0))
         out = np.expand_dims(out, -prod.ndim - 1) * np.expand_dims(p[s], block)
@@ -198,6 +247,9 @@ def build_deterministic_measure(family: DistributionFamily,
     B_n = (x)_{s'} p_n^{s'}. Expanding the product, each site subset T gets
     `coefficient(T)` = prod_{n not in T} -(S_n - 1) times the average of its
     compatible tuples' T-marginals, equal after a passed check (exactly in rational mode).
+    In rational mode the maps run on integer numerators: F over D and p_n
+    over d_n give the measure over D prod_n S_n d_n^{S_n}, known before any
+    atom is allocated.
 
     Parameters
     ----------
@@ -229,19 +281,28 @@ def build_deterministic_measure(family: DistributionFamily,
     elif marginals.scenario != scenario or marginals.mode != family.mode:
         raise InputError("marginal family does not match the distribution family")
 
-    atoms = marginals.stacked
+    exact = family.mode == numeric.RATIONAL
+    maps = []
+    denominator = marginals.denominator
     for site in scenario.sites:
-        atoms = _apply_site_map(atoms, scenario.n_parties - site + 1,
-                                marginals.stacked_marginal((site,)), family.mode)
+        p, d = marginals.marginal_numerators((site,))
+        count = p.shape[0]
+        keep, shrink = (count * d, count - 1) if exact else (1, (count - 1) / count)
+        denominator *= keep * d ** (count - 1)
+        maps.append((p, keep, shrink))
+    atoms = marginals.numerators
+    for site, (p, keep, shrink) in enumerate(maps, start=1):
+        atoms = _apply_site_map(atoms, scenario.n_parties - site + 1, p, keep, shrink)
     norm_tol = 1e-12 if family.mode == numeric.FLOAT else 0.0
-    measure = SignedMeasure(scenario, atoms, family.mode, tol=norm_tol)
+    measure = SignedMeasure.from_numerators(scenario, atoms, denominator, family.mode,
+                                            tol=norm_tol)
     return DeterministicLqHVModel(measure)
 
 
-def _tuple_marginals(measure: SignedMeasure) -> np.ndarray:
-    """Every full-tuple marginal, laid out like a stacked family."""
-    out = measure.atoms
-    for s in measure.scenario.settings_per_site:
+def _tuple_marginals(atoms: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Every full-tuple marginal of an atom tensor, laid out like a stacked family."""
+    out = atoms
+    for s in scenario.settings_per_site:
         rows = [out.sum(axis=tuple(t for t in range(s) if t != j)) for j in range(s)]
         out = np.moveaxis(np.stack(rows), [0, 1], [-2, -1])
     return interleaved_to_stacked(out)
@@ -261,7 +322,9 @@ def verify_marginals(model: DeterministicLqHVModel | SignedMeasure,
 
     Returns the largest absolute entrywise error over all tuples and
     raises RepresentationError if any reproduced entry drops below the
-    nonnegativity floor (-tol in float mode, 0 in rational mode).
+    nonnegativity floor (-tol in float mode, 0 in rational mode). In
+    rational mode the marginals R over the measure's denominator Q are
+    compared with the family F over D exactly, as R D against F Q.
     """
     measure = model.measure if isinstance(model, DeterministicLqHVModel) else model
     if measure.scenario != family.scenario:
@@ -269,10 +332,13 @@ def verify_marginals(model: DeterministicLqHVModel | SignedMeasure,
     if measure.mode != family.mode:
         raise InputError("measure and family use different arithmetic modes")
     tol = family.tol if tol is None else float(tol)
-    floor = numeric.zero(family.mode) if family.mode == numeric.RATIONAL else -tol
-    reproduced = _tuple_marginals(measure)
-    max_err = numeric.max_abs_diff(reproduced, family.stacked)
-    min_repro = reproduced.min()
+    mode = family.mode
+    floor = 0 if mode == numeric.RATIONAL else -tol
+    reproduced = _tuple_marginals(measure.numerators, measure.scenario)
+    error = numeric.max_abs(reproduced * family.denominator
+                            - family.numerators * measure.denominator)
+    max_err = numeric.ratio(error, family.denominator * measure.denominator, mode)
+    min_repro = numeric.ratio(reproduced.min(), measure.denominator, mode)
     if min_repro < floor:
         raise RepresentationError(
             f"reproduced probability {min_repro} below the nonnegativity floor {floor}")
@@ -288,8 +354,9 @@ def induced_family(measure: SignedMeasure, tol: float | None = None) -> Distribu
     RepresentationError is raised.
     """
     try:
-        return DistributionFamily.from_stacked(measure.scenario, _tuple_marginals(measure),
-                                               measure.mode, tol=tol)
+        return DistributionFamily.from_numerators(
+            measure.scenario, _tuple_marginals(measure.numerators, measure.scenario),
+            measure.denominator, measure.mode, tol=tol)
     except InputError as exc:
         raise RepresentationError(f"measure does not induce a probability family: {exc}") from exc
 

@@ -84,8 +84,10 @@ def family_to_json(family: DistributionFamily) -> dict:
     parties = [{"settings": s, "outcomes": k}
                for s, k in zip(family.scenario.settings_per_site,
                                family.scenario.outcomes_per_site)]
-    tables = {tuple_key(t): numeric.format_array(table, family.mode)
-              for t, table in family.tables.items()}
+    entries = numeric.format_entries(family.numerators, family.denominator)
+    size = len(entries) // family.scenario.n_tuples
+    tables = {tuple_key(t): entries[i * size:(i + 1) * size]
+              for i, t in enumerate(family.scenario.setting_tuples())}
     return {"parties": parties, "mode": family.mode, "tables": tables}
 
 
@@ -115,7 +117,7 @@ def measure_to_json(measure: SignedMeasure) -> dict:
     return {
         "axes": axes,
         "mode": measure.mode,
-        "atoms": numeric.format_array(measure.atoms, measure.mode),
+        "atoms": numeric.format_entries(measure.numerators, measure.denominator),
     }
 
 

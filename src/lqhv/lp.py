@@ -12,17 +12,19 @@ nonnegative atom vector can meet the tables.
 
 The simplex runs on one numpy tableau with the reduced costs kept as an
 extra row, and each pivot eliminates only the rows with a nonzero entry
-in the entering column. In rational mode the right-hand side is scaled by
-the lcm of its denominators and the tableau holds Python ints, updated
-by fraction-free integer pivoting (Bareiss, Math. Comp. 22 (1968) 565;
-Edmonds, J. Res. NBS 71B (1967) 241). Every row r stores integers M_r and
-a denominator d_r with row = M_r / d_r. A pivot in column e first brings
-the leaving row to the determinant D of the current basis,
+in the entering column. In rational mode the right-hand side is the
+family's integer numerators over its one denominator, and the tableau
+holds Python ints, updated by fraction-free integer pivoting (Bareiss,
+Math. Comp. 22 (1968) 565; Edmonds, J. Res. NBS 71B (1967) 241). Every
+row r stores integers M_r and a denominator d_r with row = M_r / d_r.
+A pivot in column e first brings the leaving row to the determinant D
+of the current basis,
 M_l <- M_l * D // d_l, then takes p = M_l[e] and sets
 M_r <- (p * M_r - M_r[e] * M_l) // d_r and d_r <- p on every row with
 M_r[e] != 0; p is the determinant of the next basis. Pivots are positive
 and every division is exact, so the result is exactly that of a
-`Fraction` tableau, and `Fraction`s are formed only for the returned
+`Fraction` tableau. The ratio test compares M_r[-1] / M_r[e] by cross
+multiplication, and `Fraction`s are formed only for the returned
 witness, certificate and residual. Float mode divides the pivot
 row by its pivot instead. Every verdict is checked before it is
 returned, exactly in rational mode and within tol in float mode.
@@ -111,29 +113,27 @@ def certificate_gap(certificate: np.ndarray, family: DistributionFamily) -> Scal
     return (certificate * b).sum()
 
 
-def _phase1_simplex(a01: np.ndarray, b: np.ndarray, mode: str, tol: float):
+def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol: float):
     """Minimize the artificial mass of Ax = b, x >= 0, by Bland's rule.
 
-    `a01` is the 0/1 constraint matrix and `b` the mode-typed right-hand
-    side. Returns (objective, x, y) with x the structural basic solution
-    and y the simplex multipliers pulled back through the row sign flips,
-    which make y a separating certificate whenever the objective is
-    positive.
+    `a01` is the 0/1 constraint matrix and b = `rhs` / `scale` the
+    right-hand side as numerators over one denominator: Python ints over
+    a positive int in rational mode, floats over 1 in float mode. Scaling
+    b changes no ratio test, so the pivots are those of b itself. Returns
+    (objective, x, y) with x the structural basic solution and y the
+    simplex multipliers pulled back through the row sign flips, which make
+    y a separating certificate whenever the objective is positive.
     """
     m, n = a01.shape
     exact = mode == numeric.RATIONAL
-    flip = [1 if v >= 0 else -1 for v in b]
+    flip = [1 if v >= 0 else -1 for v in rhs]
     if exact:
-        scale = math.lcm(*(v.denominator for v in b))
-        rhs = [v.numerator * (scale // v.denominator) for v in b]
         tableau = np.zeros((m + 1, n + m + 1), dtype=object)
         pivot_tol = 0
     else:
-        scale = 1
-        rhs = list(b)
         tableau = np.zeros((m + 1, n + m + 1))
         pivot_tol = tol
-    # rows 0..m-1 hold [flip*A | I | flip*b*scale]; row m holds the reduced
+    # rows 0..m-1 hold [flip*A | I | flip*rhs]; row m holds the reduced
     # costs of the artificial objective, which start at minus the column sums
     tableau[:m, :n] = np.array(flip)[:, None] * a01
     tableau[np.arange(m), n + np.arange(m)] = 1
@@ -154,7 +154,15 @@ def _phase1_simplex(a01: np.ndarray, b: np.ndarray, mode: str, tol: float):
         candidates = np.flatnonzero(column > pivot_tol)
         if candidates.size == 0:
             raise InputError("phase-1 objective unbounded; the constraint matrix is corrupt")
-        leave = min(candidates, key=lambda r: (divide(tableau[r, -1], column[r]), basis[r]))
+        if exact:
+            # b_r / a_r < b_s / a_s on positive integers, without forming the ratios
+            leave = candidates[0]
+            for r in candidates[1:]:
+                lhs, rhs_r = tableau[r, -1] * column[leave], tableau[leave, -1] * column[r]
+                if lhs < rhs_r or (lhs == rhs_r and basis[r] < basis[leave]):
+                    leave = r
+        else:
+            leave = min(candidates, key=lambda r: (tableau[r, -1] / column[r], basis[r]))
         touched = np.flatnonzero(tableau[:, e])
         others = touched[touched != leave]
         if exact:
@@ -170,25 +178,26 @@ def _phase1_simplex(a01: np.ndarray, b: np.ndarray, mode: str, tol: float):
         tableau[leave] = pivot_row
         basis[leave] = e
 
-    zero = numeric.zero(mode)
-    objective = sum((divide(tableau[r, -1], denom[r] * scale) for r in np.flatnonzero(basis >= n)),
-                    zero)
-    x = [zero] * n
+    if exact:
+        # bring every row to the final basis determinant; the divisions are exact
+        # (Cramer's rule), and the values become numerators over basis_det * scale
+        values = tableau[:m, -1] * basis_det // denom[:m]
+        costs = tableau[m] * basis_det // denom[m]
+    else:
+        values, costs = tableau[:m, -1], tableau[m]
+    den = basis_det * scale
+    objective = divide(sum((values[r] for r in np.flatnonzero(basis >= n)), 0 if exact else 0.0), den)
+    x = [numeric.zero(mode)] * n
     for r in np.flatnonzero(basis < n):
-        x[basis[r]] = divide(tableau[r, -1], denom[r] * scale)
-    y = [f * divide(denom[m] - tableau[m, n + i], denom[m]) for i, f in enumerate(flip)]
+        x[basis[r]] = divide(values[r], den)
+    y = [divide(f * (basis_det - costs[n + i]), basis_det) for i, f in enumerate(flip)]
     return objective, x, y
 
 
-def _common_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Integer numerators of Fractions over their least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return np.array([v.numerator * (den // v.denominator) for v in values], dtype=object), den
-
-
-def _checked_witness(x: list, b: np.ndarray, rows: np.ndarray, mode: str,
-                     tol: float) -> np.ndarray:
-    """Witness atoms, checked nonnegative and reproducing every table entry.
+def _checked_witness(x: list, b: np.ndarray, b_den: int, rows: np.ndarray, mode: str,
+                     tol: float) -> tuple[np.ndarray, int]:
+    """Witness atoms as (numerators, denominator), checked nonnegative and
+    reproducing every table entry of b / `b_den`.
 
     Float atoms within tol below zero are clipped to zero first. A failed
     check raises RepresentationError.
@@ -197,37 +206,33 @@ def _checked_witness(x: list, b: np.ndarray, rows: np.ndarray, mode: str,
     atoms = np.array(x, dtype=object if exact else float)
     if atoms.min() < (0 if exact else -tol):
         raise RepresentationError(f"simplex returned atom {atoms.min()} below the floor")
-    if exact:
-        values, den = _common_numerators(atoms)
-    else:
-        atoms = np.maximum(atoms, 0.0)
-        values, den = atoms, 1
+    values, den = numeric.common_denominator(atoms if exact else np.maximum(atoms, 0.0))
     reproduced = np.zeros(b.shape, dtype=values.dtype)
     # values are tiled, not broadcast: numpy 2.4's float ufunc.at reads
     # garbage from a broadcast operand
     np.add.at(reproduced, rows.reshape(-1), np.tile(values, len(rows)))
-    missed = reproduced != b * den if exact else np.abs(reproduced - b) > tol
+    missed = reproduced * b_den != b * den if exact else np.abs(reproduced - b) > tol
     if missed.any():
         raise RepresentationError(
             f"witness misses the table entry in constraint row {np.flatnonzero(missed)[0]}")
-    return atoms
+    return values, den
 
 
 def _check_certificate(y: np.ndarray, residual: Scalar, family: DistributionFamily,
                        rows: np.ndarray, mode: str, tol: float) -> None:
     """Require y.A <= 0 on every atom column, y.b > 0 and y.b == residual.
 
-    y.A is gathered per atom from `rows`, on integer numerators in
-    rational mode. A failed check raises RepresentationError.
+    y.A and y.b are taken on integer numerators in rational mode. A failed
+    check raises RepresentationError.
     """
-    exact = mode == numeric.RATIONAL
-    floor = 0 if exact else tol
-    values = _common_numerators(y)[0] if exact else y
+    floor = 0 if mode == numeric.RATIONAL else tol
+    values, den = numeric.common_denominator(y)
     products = values[rows].sum(axis=0)
     if products.max() > floor:
         raise RepresentationError(
             f"certificate is positive on atom column {np.argmax(products > floor)}")
-    gap = certificate_gap(y, family)
+    gap = numeric.ratio((values * family.numerators.reshape(-1)).sum(),
+                        den * family.denominator, mode)
     if not (gap > floor and numeric.is_close(gap, residual, tol, mode)):
         raise RepresentationError(f"certificate gap y.b = {gap} does not match the residual {residual}")
 
@@ -258,15 +263,16 @@ def lhv_feasible(family: DistributionFamily, tol: float | None = None,
     if witness is not None:
         raise SignalingError(witness)
 
-    b = stack_tables(family)
-    objective, x, y = _phase1_simplex(marginal_matrix(scenario), b, family.mode, tol)
+    b = family.numerators.reshape(-1)
+    objective, x, y = _phase1_simplex(marginal_matrix(scenario), b, family.denominator,
+                                      family.mode, tol)
     rows = marginal_rows(scenario)
 
     feas_floor = numeric.zero(family.mode) if family.mode == numeric.RATIONAL else tol
     if objective <= feas_floor:
-        atoms = _checked_witness(x, b, rows, family.mode, tol)
-        measure = SignedMeasure(scenario, atoms.reshape(scenario.joint_shape),
-                                family.mode, tol=max(tol, 1e-12))
+        atoms, den = _checked_witness(x, b, family.denominator, rows, family.mode, tol)
+        measure = SignedMeasure.from_numerators(scenario, atoms, den, family.mode,
+                                                tol=max(tol, 1e-12))
         return LhvVerdict(True, measure, None, objective)
     certificate = np.array(y, dtype=object if family.mode == numeric.RATIONAL else float)
     _check_certificate(certificate, objective, family, rows, family.mode, tol)

@@ -1,11 +1,22 @@
 """Arithmetic-mode plumbing: exact rationals vs binary floats.
 
 Every probability table, marginal and measure in this package carries a
-``mode`` tag, either ``"rational"`` (entries are ``fractions.Fraction``,
-stored in object-dtype numpy arrays, all comparisons exact) or ``"float"``
-(float64 arrays, comparisons within a tolerance). Helpers here coerce
-scalars and nested data into the right representation and centralize the
-two comparison semantics.
+``mode`` tag, either ``"rational"`` (exact, all comparisons exact) or
+``"float"`` (float64, comparisons within a tolerance). Internally both
+are held as a numerator array over one denominator:
+
+- rational: an object-dtype array of Python ints over one positive
+  Python int, so sums, products and comparisons run on unbounded
+  integers and never overflow;
+- float: the float64 array itself over the denominator 1.
+
+``fractions.Fraction`` appears only at the boundary: when input is
+parsed, for returned scalars and for the public rational arrays, which
+`ratio_array` builds from the numerators. `common_denominator` splits
+Fractions into numerators, `format_entries` writes numerators as
+reduced "p/q" text. Helpers here also coerce scalars and nested data
+into the right representation and centralize the two comparison
+semantics.
 """
 
 from __future__ import annotations
@@ -53,6 +64,8 @@ def coerce_scalar(value, mode: str) -> Scalar:
     (so 0.45 becomes 9/20, not the exact binary expansion); strings accept
     the "p/q" and decimal forms.
     """
+    if isinstance(value, (bool, np.bool_)):
+        raise InputError(f"{value!r} is not a number")
     if mode == FLOAT:
         try:
             out = float(value)
@@ -83,6 +96,8 @@ def coerce_scalar(value, mode: str) -> Scalar:
 def as_array(data, mode: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """Coerce nested data into a mode-typed numpy array (read-only)."""
     if mode == FLOAT:
+        if _holds_bool(data):
+            raise InputError("true/false is not a number")
         try:
             arr = np.asarray(data, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -100,6 +115,72 @@ def as_array(data, mode: str, shape: tuple[int, ...] | None = None) -> np.ndarra
         arr = arr.reshape(shape)
     arr.setflags(write=False)
     return arr
+
+
+def _holds_bool(data) -> bool:
+    """Whether nested lists or an array hold a boolean anywhere.
+
+    A list of plain numbers, the shape of a parsed table row, is settled
+    by one C-level pass over its element types; anything else recurses.
+    """
+    if isinstance(data, (list, tuple)):
+        return not set(map(type, data)) <= _PLAIN_NUMBERS and any(map(_holds_bool, data))
+    if isinstance(data, np.ndarray):
+        if data.dtype == object:
+            return any(isinstance(v, (bool, np.bool_)) for v in data.flat)
+        return data.dtype == bool
+    return isinstance(data, (bool, np.bool_))
+
+
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def common_denominator(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Numerators over one denominator, the array's shape kept.
+
+    An object array of Fractions (or ints) gives Python-int numerators
+    over the lcm of its denominators; a float array is its own numerators
+    over 1.
+    """
+    if values.dtype != object:
+        return values, 1
+    flat = values.reshape(-1).tolist()
+    den = math.lcm(*(v.denominator for v in flat))
+    nums = np.empty(len(flat), dtype=object)
+    nums[:] = [v.numerator * (den // v.denominator) for v in flat]
+    return nums.reshape(values.shape), den
+
+
+def ratio(numerator, denominator: int, mode: str) -> Scalar:
+    """One numerator over its denominator as the mode's scalar."""
+    return Fraction(numerator, denominator) if mode == RATIONAL else numerator
+
+
+def ratio_array(numerators: np.ndarray, denominator: int) -> np.ndarray:
+    """The public form of a numerator array: a read-only array of reduced
+    Fractions for Python-int numerators; a float array is returned as is."""
+    if numerators.dtype != object:
+        return numerators
+    out = np.empty(numerators.size, dtype=object)
+    out[:] = [Fraction(v, denominator) for v in numerators.reshape(-1).tolist()]
+    out = out.reshape(numerators.shape)
+    out.setflags(write=False)
+    return out
+
+
+def format_entries(numerators: np.ndarray, denominator: int) -> list:
+    """JSON entries of a numerator array, flattened row-major.
+
+    Python-int numerators become reduced "p/q" text, byte for byte what
+    `str(Fraction(p, q))` gives ("p" when q is 1, the sign on p); a float
+    array gives its floats.
+    """
+    if numerators.dtype != object:
+        return numerators.reshape(-1).tolist()
+    flat = numerators.reshape(-1)
+    common = np.gcd(flat, denominator)
+    return [f"{p}/{q}" if q != 1 else str(p)
+            for p, q in zip((flat // common).tolist(), (denominator // common).tolist())]
 
 
 def zeros(shape: tuple[int, ...], mode: str) -> np.ndarray:
@@ -132,10 +213,6 @@ def max_abs(arr: np.ndarray) -> Scalar:
     return abs(arr).max()
 
 
-def max_abs_diff(a: np.ndarray, b: np.ndarray) -> Scalar:
-    return max_abs(a - b)
-
-
 def format_scalar(value: Scalar, mode: str):
     """JSON-ready form of one entry: "p/q" strings in rational mode."""
     if mode == RATIONAL:
@@ -144,9 +221,8 @@ def format_scalar(value: Scalar, mode: str):
 
 
 def format_array(arr: np.ndarray, mode: str) -> list:
-    if mode == FLOAT:
-        return np.asarray(arr, dtype=float).reshape(-1).tolist()
-    return [format_scalar(v, mode) for v in arr.reshape(-1)]
+    typed = np.asarray(arr, dtype=float if mode == FLOAT else object)
+    return format_entries(*common_denominator(typed))
 
 
 def normalize_weights(weights: Iterable, mode: str) -> list[Scalar]:

@@ -11,8 +11,11 @@ flattened into a group axis that the check takes max - min over.
 
 A family is built from a {tuple: table} mapping (the file format) or,
 by producers that compute all tables at once, from the tensor itself with
-`DistributionFamily.from_stacked(scenario, stacked, mode, tol)`; both run
-one validation over the stacked tensor.
+`DistributionFamily.from_stacked(scenario, stacked, mode, tol)` or from
+its numerators with `DistributionFamily.from_numerators`; all run one
+validation over the stacked tensor. The tensor is held as numerators over
+one denominator (see `lqhv.numeric`), and the check and the marginal
+means run on those numerators.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -154,8 +158,14 @@ class DistributionFamily:
     Tables are indexed by 1-based setting tuples and hold nonnegative
     tensors over the outcome axes (one axis per site) summing to 1. Tables
     are validated on construction and never renormalized; sums off by more
-    than `tol` (any deviation in rational mode) are rejected. Each table is
-    a view into `stacked`, axes (s_1..s_N, a_1..a_N) with 0-based settings.
+    than `tol` (any deviation in rational mode) are rejected.
+
+    The family is held as `numerators` over `denominator`, axes
+    (s_1..s_N, a_1..a_N) with 0-based settings: Python ints over one
+    positive int in rational mode, the float64 tensor over 1 in float mode.
+    `stacked` is the public form of that tensor (read-only Fractions in
+    rational mode, built on first access) and each of `tables` is a view
+    into it.
     """
 
     def __init__(self, scenario: Scenario, tables: Mapping[SettingTuple, object],
@@ -171,8 +181,9 @@ class DistributionFamily:
         # n_tuples distinct valid keys: sorted, they are setting_tuples()
         flat = np.stack([numeric.as_array(keyed[t], mode, shape=scenario.table_shape)
                          for t in sorted(keyed)])
-        self._adopt(scenario, flat.reshape(scenario.settings_per_site + scenario.table_shape),
-                    mode, tol)
+        numerators, denominator = numeric.common_denominator(flat)
+        self._adopt(scenario, numerators.reshape(scenario.settings_per_site + scenario.table_shape),
+                    denominator, mode, tol)
 
     @classmethod
     def from_stacked(cls, scenario: Scenario, stacked, mode: str = numeric.RATIONAL,
@@ -180,30 +191,52 @@ class DistributionFamily:
         """Family from all tables at once, axes (s_1..s_N, a_1..a_N); the
         array is copied into the mode's type and validated like a mapping."""
         mode = numeric.check_mode(mode)
+        typed = numeric.as_array(stacked, mode,
+                                 shape=scenario.settings_per_site + scenario.table_shape)
+        return cls.from_numerators(scenario, *numeric.common_denominator(typed), mode, tol)
+
+    @classmethod
+    def from_numerators(cls, scenario: Scenario, numerators: np.ndarray, denominator: int,
+                        mode: str = numeric.RATIONAL,
+                        tol: float | None = None) -> "DistributionFamily":
+        """Family from its stacked numerators over one denominator (Python
+        ints over a positive int in rational mode, floats over 1 in float
+        mode), validated like a mapping. The array is taken over, not copied."""
+        mode = numeric.check_mode(mode)
         family = cls.__new__(cls)
-        family._adopt(scenario, numeric.as_array(
-            stacked, mode, shape=scenario.settings_per_site + scenario.table_shape), mode, tol)
+        family._adopt(scenario, numerators.reshape(scenario.settings_per_site + scenario.table_shape),
+                      denominator, mode, tol)
         return family
 
-    def _adopt(self, scenario: Scenario, stacked: np.ndarray, mode: str,
+    def _adopt(self, scenario: Scenario, numerators: np.ndarray, denominator: int, mode: str,
                tol: float | None) -> None:
         self.scenario = scenario
         self.mode = mode
         self.tol = numeric.default_tol() if tol is None else float(tol)
         order = scenario.setting_tuples()
-        rows = stacked.reshape(len(order), -1)
+        rows = numerators.reshape(len(order), -1)
         low, sums = rows.min(axis=1), rows.sum(axis=1)
-        floor = numeric.zero(mode) if mode == numeric.RATIONAL else -self.tol
-        bad = (low < floor) | ~numeric.is_close(sums, numeric.one(mode), self.tol, mode)
+        floor = 0 if mode == numeric.RATIONAL else -self.tol
+        bad = (low < floor) | ~numeric.is_close(sums, denominator, self.tol, mode)
         if bad.any():
             i = int(np.argmax(bad))
             if low[i] < floor:
-                raise InputError(f"negative probability in table {order[i]}: min entry {low[i]}")
-            raise InputError(f"table {order[i]} sums to {sums[i]}, not 1 (tables are never renormalized)")
-        stacked.setflags(write=False)
-        self.stacked = stacked
-        self.tables: dict[SettingTuple, np.ndarray] = dict(
-            zip(order, stacked.reshape((-1,) + scenario.table_shape)))
+                raise InputError(f"negative probability in table {order[i]}: "
+                                 f"min entry {numeric.ratio(low[i], denominator, mode)}")
+            raise InputError(f"table {order[i]} sums to {numeric.ratio(sums[i], denominator, mode)}, "
+                             "not 1 (tables are never renormalized)")
+        numerators.setflags(write=False)
+        self.numerators = numerators
+        self.denominator = denominator
+
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        return numeric.ratio_array(self.numerators, self.denominator)
+
+    @cached_property
+    def tables(self) -> dict[SettingTuple, np.ndarray]:
+        return dict(zip(self.scenario.setting_tuples(),
+                        self.stacked.reshape((-1,) + self.scenario.table_shape)))
 
     def table(self, setting_tuple: Iterable[int]) -> np.ndarray:
         t = self.scenario.validate_setting_tuple(setting_tuple)
@@ -261,23 +294,27 @@ def check_nonsignaling(family: DistributionFamily, tol: float | None = None) -> 
     witness carries the largest one at its first occurrence (subsets in
     `site_subsets` order, then common settings lexicographically); its
     tuples are the argmax and argmin at the group's first worst outcome
-    cell, in lexicographic order.
+    cell, in lexicographic order. Rational families are judged on their
+    integer numerators, so the threshold there is 0.
     Vacuously true for single-site scenarios or a single setting tuple.
     """
     scenario = family.scenario
     tol = family.tol if tol is None else float(tol)
-    threshold = numeric.zero(family.mode) if family.mode == numeric.RATIONAL else tol
+    threshold = 0 if family.mode == numeric.RATIONAL else tol
     worst: Witness | None = None
+    worst_spread = threshold
     for sites in scenario.site_subsets(proper=True):
-        grid = _subset_groups(family.stacked, scenario, sites)
+        grid = _subset_groups(family.numerators, scenario, sites)
         spread = grid.max(axis=1) - grid.min(axis=1)
         per_common = spread.max(axis=1)
         c = int(np.argmax(per_common))
-        if per_common[c] > threshold and (worst is None or per_common[c] > worst.max_discrepancy):
+        if per_common[c] > worst_spread:
             column = grid[c, :, np.argmax(spread[c])]
             a, b = (_full_tuple(scenario, sites, c * grid.shape[1] + g)
                     for g in sorted((np.argmax(column), np.argmin(column))))
-            worst = Witness(sites, tuple(a[n - 1] for n in sites), a, b, per_common[c])
+            worst_spread = per_common[c]
+            worst = Witness(sites, tuple(a[n - 1] for n in sites), a, b,
+                            numeric.ratio(worst_spread, family.denominator, family.mode))
     return worst
 
 
@@ -286,20 +323,61 @@ class MarginalFamily:
 
     Computed on demand from the stacked tensor as the average over all
     compatible full tuples, which a passed consistency check makes equal to
-    each of them (exactly in rational mode).
+    each of them (exactly in rational mode). The tensor is held as
+    numerators over one denominator, like `DistributionFamily`.
     """
 
     def __init__(self, scenario: Scenario, mode: str, stacked: np.ndarray):
+        typed = np.asarray(stacked, dtype=object if mode == numeric.RATIONAL else float)
+        self._hold(scenario, mode, *numeric.common_denominator(typed))
+
+    @classmethod
+    def from_numerators(cls, scenario: Scenario, mode: str, numerators: np.ndarray,
+                        denominator: int) -> "MarginalFamily":
+        """Marginals of a stacked tensor already held as numerators."""
+        marginals = cls.__new__(cls)
+        marginals._hold(scenario, mode, numerators, denominator)
+        return marginals
+
+    def _hold(self, scenario: Scenario, mode: str, numerators: np.ndarray,
+              denominator: int) -> None:
         self.scenario = scenario
         self.mode = mode
-        self.stacked = stacked
+        self.numerators = numerators
+        self.denominator = denominator
+        self._public: dict[tuple[int, ...], np.ndarray] = {}
 
-    def stacked_marginal(self, sites: tuple[int, ...]) -> np.ndarray:
-        """Averaged marginals on increasing `sites`, a row per setting assignment (row-major)."""
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        return numeric.ratio_array(self.numerators, self.denominator)
+
+    def marginal_numerators(self, sites: tuple[int, ...]) -> tuple[np.ndarray, int]:
+        """Averaged marginals on increasing `sites` as (numerators,
+        denominator), a row per setting assignment (row-major).
+
+        The group sum of G compatible tuples is divided by G only when
+        every entry is a multiple of G (always so after a passed check);
+        otherwise the denominator carries G, so no mean is ever floored.
+        """
         if validate_sites(self.scenario, sites) != tuple(sites):
             raise InputError(f"site subset {sites} is not increasing")
-        grid = _subset_groups(self.stacked, self.scenario, sites)
-        return grid.sum(axis=1) / grid.shape[1]
+        grid = _subset_groups(self.numerators, self.scenario, sites)
+        total, count = grid.sum(axis=1), grid.shape[1]
+        if self.mode == numeric.FLOAT:
+            return total / count, 1
+        if not (total % count).any():
+            return total // count, self.denominator
+        return total, self.denominator * count
+
+    def stacked_marginal(self, sites: tuple[int, ...]) -> np.ndarray:
+        """Averaged marginals on increasing `sites`, a row per setting
+        assignment (row-major); read-only, cached per subset."""
+        sites = tuple(sites)
+        if sites not in self._public:
+            out = numeric.ratio_array(*self.marginal_numerators(sites))
+            out.setflags(write=False)
+            self._public[sites] = out
+        return self._public[sites]
 
     def get(self, sites: Iterable[int], settings: Iterable[int]) -> np.ndarray:
         sites, settings = tuple(sites), tuple(settings)
@@ -317,7 +395,8 @@ def extract_marginal_family(family: DistributionFamily, tol: float | None = None
     witness = check_nonsignaling(family, tol)
     if witness is not None:
         raise SignalingError(witness)
-    return MarginalFamily(family.scenario, family.mode, family.stacked)
+    return MarginalFamily.from_numerators(family.scenario, family.mode, family.numerators,
+                                          family.denominator)
 
 
 @dataclass(frozen=True)
@@ -346,15 +425,18 @@ def compare_scenarios_epr(family_a: DistributionFamily, family_b: DistributionFa
     marg_a = extract_marginal_family(family_a, tol)
     marg_b = extract_marginal_family(family_b, tol)
     scenario = family_a.scenario
-    threshold = numeric.zero(family_a.mode) if family_a.mode == numeric.RATIONAL else tol
-    worst = numeric.zero(family_a.mode)
+    mode = family_a.mode
+    threshold = numeric.zero(mode) if mode == numeric.RATIONAL else tol
+    worst = numeric.zero(mode)
     worst_key: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for sites in scenario.site_subsets(proper=True):
-        diff = abs(marg_a.stacked_marginal(sites) - marg_b.stacked_marginal(sites)).max(axis=1)
+        (a, den_a), (b, den_b) = marg_a.marginal_numerators(sites), marg_b.marginal_numerators(sites)
+        diff = abs(a * den_b - b * den_a).max(axis=1)
         i = int(np.argmax(diff))
-        if diff[i] > worst:
+        value = numeric.ratio(diff[i], den_a * den_b, mode)
+        if value > worst:
             settings = np.unravel_index(i, [scenario.settings_per_site[n - 1] for n in sites])
-            worst, worst_key = diff[i], (sites, tuple(int(s) + 1 for s in settings))
+            worst, worst_key = value, (sites, tuple(int(s) + 1 for s in settings))
     if worst > threshold:
         return EprReport(False, worst, worst_key[0], worst_key[1])
     return EprReport(True, worst)

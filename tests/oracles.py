@@ -9,7 +9,10 @@ nonlocal box, analytic singlet tables, and a direct evaluation of the
 one-hidden-space joint tables, the all-pairs consistency check and the
 N-party subset-sum measure, the Born rule by one Kronecker product and
 trace per table cell, and the canonical boxes built tuple by tuple. Construction tests compare the package
-output against these, atom by atom, in exact arithmetic. For the LHV
+output against these, atom by atom, in exact arithmetic. `fraction_build`
+is the per-site tensor build and full-tuple marginal verification run
+directly on `Fraction` arrays, as the package did before it moved to
+integer numerators over one denominator. For the LHV
 linear program there is a loop-built marginal matrix and a dense
 `Fraction` phase-1 tableau that recomputes every reduced cost before each
 pivot.
@@ -484,3 +487,50 @@ def loop_mix(tables_list, weights, zero):
             acc = acc + weight * tables[t]
         out[t] = acc
     return out
+
+
+def _site_marginal(stacked, site):
+    """Averaged marginal of 0-based `site`, one row per setting, on Fractions."""
+    n = stacked.ndim // 2
+    summed = stacked.sum(axis=tuple(n + m for m in range(n) if m != site))
+    grouped = np.moveaxis(summed, site, 0).reshape(summed.shape[site], -1, summed.shape[-1])
+    return grouped.sum(axis=1) / grouped.shape[1]
+
+
+def _fraction_site_map(atoms, axis, p):
+    """One site's map M_n on a Fraction tensor, with the shrink (S_n - 1)/S_n."""
+    last = p.shape[0] - 1
+    shrink = Fraction(last, last + 1)
+    lifted = np.moveaxis(atoms, axis, -1)
+    total = np.expand_dims(atoms.sum(axis=(0, axis)), -1)
+    out, prod = lifted[last] - shrink * total * p[last], p[last]
+    for s in range(last - 1, -1, -1):
+        block = tuple(range(-prod.ndim, 0))
+        out = np.expand_dims(out, -prod.ndim - 1) * np.expand_dims(p[s], block)
+        out += np.expand_dims(lifted[s], block) * prod
+        prod = np.multiply.outer(p[s], prod)
+    return out
+
+
+def fraction_tuple_marginals(atoms, settings_per_site):
+    """Every full-tuple marginal of a Fraction atom tensor, stacked-family layout."""
+    out = atoms
+    for s in settings_per_site:
+        rows = [out.sum(axis=tuple(t for t in range(s) if t != j)) for j in range(s)]
+        out = np.moveaxis(np.stack(rows), [0, 1], [-2, -1])
+    return out.transpose(list(range(0, out.ndim, 2)) + list(range(1, out.ndim, 2)))
+
+
+def fraction_build(stacked, settings_per_site):
+    """Signed measure of a nonsignaling stacked Fraction family, and its
+    full-tuple marginals, computed on `Fraction` arrays throughout.
+
+    `stacked` has axes (s_1..s_N, a_1..a_N). Returns (atoms, reproduced)
+    with atoms over the joint axes (1,1)..(N,S_N) and reproduced laid out
+    like `stacked`.
+    """
+    n = len(settings_per_site)
+    atoms = stacked
+    for site in range(n):
+        atoms = _fraction_site_map(atoms, n - site, _site_marginal(stacked, site))
+    return atoms, fraction_tuple_marginals(atoms, settings_per_site)

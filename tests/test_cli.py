@@ -238,6 +238,10 @@ class TestMalformedCounts:
                    "tables": {"1": [10**400, 0]}}),
         ("check", {"parties": [{"settings": 1, "outcomes": 2}], "mode": "rational",
                    "tables": {"1": False}}),
+        ("check", {"parties": [{"settings": 1, "outcomes": 2}], "mode": "rational",
+                   "tables": {"1": [True, False]}}),
+        ("check", {"parties": [{"settings": 1, "outcomes": 2}], "mode": "float",
+                   "tables": {"1": [True, False]}}),
     ])
     def test_malformed_entries_exit_one(self, command, data, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -179,7 +179,8 @@ class TestSimplex:
         a = L.marginal_matrix(fam.scenario)
         b = L.stack_tables(fam)
         expected = dense_bland_phase1(a.tolist(), list(b))
-        assert lp._phase1_simplex(a, b, L.RATIONAL, 0.0) == expected
+        rhs = fam.numerators.reshape(-1)
+        assert lp._phase1_simplex(a, rhs, fam.denominator, L.RATIONAL, 0.0) == expected
         objective, x, y = expected
         verdict = L.lhv_feasible(fam)
         assert verdict.residual == objective
@@ -199,7 +200,8 @@ class TestSimplex:
                                      L.random_scenario_family(S222, 1)])
     def test_rational_outputs_are_fractions(self, fam):
         objective, x, y = lp._phase1_simplex(L.marginal_matrix(fam.scenario),
-                                             L.stack_tables(fam), L.RATIONAL, 0.0)
+                                             fam.numerators.reshape(-1), fam.denominator,
+                                             L.RATIONAL, 0.0)
         assert all(type(v) is Fraction for v in [objective, *x, *y])
         verdict = L.lhv_feasible(fam)
         values = verdict.measure.atoms.reshape(-1) if verdict.feasible else verdict.certificate
@@ -224,7 +226,7 @@ class TestVerdictCheck:
 
         def install(edit):
             monkeypatch.setattr(lp, "_phase1_simplex",
-                                lambda a, b, mode, tol: edit(*solve(a, b, mode, tol)))
+                                lambda *args: edit(*solve(*args)))
         return install
 
     @pytest.mark.parametrize("mode", [L.RATIONAL, L.FLOAT])
