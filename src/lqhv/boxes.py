@@ -30,9 +30,8 @@ CHSH_SCENARIO = Scenario((2, 2), (2, 2))
 def uniform_family(scenario: Scenario, mode: str = numeric.RATIONAL) -> DistributionFamily:
     """White noise: every table uniform over the joint outcomes."""
     size = math.prod(scenario.outcomes_per_site)
-    value = Fraction(1, size) if mode == numeric.RATIONAL else 1.0 / size
     shape = scenario.settings_per_site + scenario.table_shape
-    return DistributionFamily.from_stacked(scenario, np.full(shape, value), mode)
+    return DistributionFamily.from_stacked(scenario, np.full(shape, Fraction(1, size)), mode)
 
 
 def local_deterministic_vertex(scenario: Scenario, assignment: Sequence[Sequence[int]],
@@ -68,10 +67,9 @@ def pr_type_vertex(alpha: int, beta: int, gamma: int,
     """
     if alpha not in (0, 1) or beta not in (0, 1) or gamma not in (0, 1):
         raise InputError("alpha, beta, gamma must be bits")
-    half = Fraction(1, 2) if mode == numeric.RATIONAL else 0.5
     x, y, a, b = np.indices((2, 2, 2, 2))
     target = (x * y + alpha * x + beta * y + gamma) % 2
-    stacked = np.where((a + b) % 2 == target, half, numeric.zero(mode))
+    stacked = np.where((a + b) % 2 == target, Fraction(1, 2), 0)
     return DistributionFamily.from_stacked(CHSH_SCENARIO, stacked, mode)
 
 
@@ -94,8 +92,7 @@ def mix_families(families: Sequence[DistributionFamily], weights,
     if len(w) != len(families):
         raise InputError(f"need {len(families)} weights, got {len(w)}")
     # sum_i w_i F_i / D_i over the weights' and the families' common denominators
-    w, w_den = numeric.common_denominator(np.array(w, dtype=object if mode == numeric.RATIONAL
-                                                    else float))
+    w, w_den = numeric.common_denominator(numeric.as_array(w, mode))
     den = math.lcm(*(f.denominator for f in families))
     acc = sum(weight * (den // f.denominator) * f.numerators for weight, f in zip(w, families))
     return DistributionFamily.from_numerators(scenario, acc, den * w_den, mode)
@@ -104,10 +101,10 @@ def mix_families(families: Sequence[DistributionFamily], weights,
 def isotropic_box(p, mode: str = numeric.RATIONAL) -> DistributionFamily:
     """p times the maximally nonlocal box plus (1-p) white noise."""
     weight = numeric.coerce_scalar(p, mode)
-    if weight < numeric.zero(mode) or weight > numeric.one(mode):
+    if not 0 <= weight <= 1:
         raise InputError(f"mixing weight must lie in [0, 1], got {p}")
     return mix_families([pr_box(mode), uniform_family(CHSH_SCENARIO, mode)],
-                        [weight, numeric.one(mode) - weight], mode)
+                        [weight, 1 - weight], mode)
 
 
 def signaling_example(mode: str = numeric.RATIONAL) -> DistributionFamily:
@@ -118,9 +115,8 @@ def signaling_example(mode: str = numeric.RATIONAL) -> DistributionFamily:
     The consistency check fails with discrepancy 1 at site subset {2}.
     """
     scenario = Scenario((2, 1), (2, 2))
-    half = Fraction(1, 2) if mode == numeric.RATIONAL else 0.5
     s1, _, _, b = np.indices((2, 1, 2, 2))
-    stacked = np.where(b == s1, half, numeric.zero(mode))
+    stacked = np.where(b == s1, Fraction(1, 2), 0)
     return DistributionFamily.from_stacked(scenario, stacked, mode)
 
 
@@ -223,10 +219,6 @@ def chsh_value(family: DistributionFamily) -> object:
     """E(1,1) + E(1,2) + E(2,1) - E(2,2) with the +-1 outcome encoding."""
     if family.scenario != CHSH_SCENARIO:
         raise InputError("CHSH combination needs the two-site, two-setting binary scenario")
-    if family.mode == numeric.RATIONAL:
-        signs = [Fraction(1), Fraction(-1)]
-    else:
-        signs = [1.0, -1.0]
-    obs = [signs, signs]
+    obs = [[1, -1], [1, -1]]
     e = {t: product_expectation_family(family, t, obs) for t in CHSH_SCENARIO.setting_tuples()}
     return e[(1, 1)] + e[(1, 2)] + e[(2, 1)] - e[(2, 2)]

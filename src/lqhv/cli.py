@@ -257,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, out_required=None):
         p.add_argument("--tol", type=float, default=None,
-                       help="comparison tolerance (float mode; default 1e-9 or LQHV_TOL)")
+                       help="comparison tolerance of float families, finite and "
+                            "nonnegative (default LQHV_TOL, else 1e-9); rational "
+                            "families always compare exactly")
         p.add_argument("--json", action="store_true",
                        help="machine-readable report on stdout")
         if out_required is not None:

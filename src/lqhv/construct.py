@@ -45,11 +45,11 @@ class SignedMeasure:
     """Normalized real-valued measure on the joint coordinate space.
 
     Atoms form a tensor over the axes (1,1)..(1,S_1)..(N,1)..(N,S_N); the
-    total mass must be 1 (within `tol` in float mode, exactly in rational
-    mode) and every atom finite. The tensor is held as `numerators` over
-    `denominator` (Python ints over a positive int in rational mode, the
-    floats over 1 in float mode); `atoms` is its public form, read-only
-    Fractions in rational mode, built on first access.
+    total mass must be 1 within `tol` (exactly in rational mode) and every
+    atom finite. The tensor is held as `numerators` over `denominator`
+    (Python ints over a positive int in rational mode, the floats over 1
+    in float mode); `atoms` is its public form, read-only Fractions in
+    rational mode, built on first access.
     """
 
     def __init__(self, scenario: Scenario, atoms, mode: str = numeric.RATIONAL,
@@ -73,12 +73,12 @@ class SignedMeasure:
                tol: float | None) -> None:
         self.scenario = scenario
         self.mode = mode
-        self.tol = numeric.default_tol() if tol is None else float(tol)
+        self.tol = numeric.tolerance(mode, tol)
         numerators.setflags(write=False)
         self.numerators = numerators
         self.denominator = denominator
         total = numerators.sum()
-        if not numeric.is_close(total, denominator, self.tol, mode):
+        if not numeric.is_close(total, denominator, self.tol):
             raise InputError(f"measure mass is {numeric.ratio(total, denominator, mode)}, not 1")
 
     @cached_property
@@ -126,9 +126,8 @@ class JordanPair:
 
 def jordan_decompose(measure: SignedMeasure) -> JordanPair:
     """Atomwise Jordan split; total variation is the combined mass."""
-    zero = 0 if measure.mode == numeric.RATIONAL else 0.0
-    pos = np.maximum(measure.numerators, zero)
-    neg = np.maximum(-measure.numerators, zero)
+    pos = np.maximum(measure.numerators, 0)
+    neg = np.maximum(-measure.numerators, 0)
     pos.setflags(write=False)
     neg.setflags(write=False)
     total = numeric.ratio(pos.sum() + neg.sum(), measure.denominator, measure.mode)
@@ -293,9 +292,7 @@ def build_deterministic_measure(family: DistributionFamily,
     atoms = marginals.numerators
     for site, (p, keep, shrink) in enumerate(maps, start=1):
         atoms = _apply_site_map(atoms, scenario.n_parties - site + 1, p, keep, shrink)
-    norm_tol = 1e-12 if family.mode == numeric.FLOAT else 0.0
-    measure = SignedMeasure.from_numerators(scenario, atoms, denominator, family.mode,
-                                            tol=norm_tol)
+    measure = SignedMeasure.from_numerators(scenario, atoms, denominator, family.mode, tol=1e-12)
     return DeterministicLqHVModel(measure)
 
 
@@ -322,18 +319,17 @@ def verify_marginals(model: DeterministicLqHVModel | SignedMeasure,
 
     Returns the largest absolute entrywise error over all tuples and
     raises RepresentationError if any reproduced entry drops below the
-    nonnegativity floor (-tol in float mode, 0 in rational mode). In
-    rational mode the marginals R over the measure's denominator Q are
-    compared with the family F over D exactly, as R D against F Q.
+    nonnegativity floor -tol (0 in rational mode). In rational mode the
+    marginals R over the measure's denominator Q are compared with the
+    family F over D exactly, as R D against F Q.
     """
     measure = model.measure if isinstance(model, DeterministicLqHVModel) else model
     if measure.scenario != family.scenario:
         raise InputError("measure and family describe different scenario shapes")
     if measure.mode != family.mode:
         raise InputError("measure and family use different arithmetic modes")
-    tol = family.tol if tol is None else float(tol)
     mode = family.mode
-    floor = 0 if mode == numeric.RATIONAL else -tol
+    floor = -(family.tol if tol is None else numeric.tolerance(mode, tol))
     reproduced = _tuple_marginals(measure.numerators, measure.scenario)
     error = numeric.max_abs(reproduced * family.denominator
                             - family.numerators * measure.denominator)
@@ -373,13 +369,12 @@ class StochasticLqHVModel:
     def __init__(self, nu, conditionals: Sequence[Sequence[object]],
                  mode: str = numeric.RATIONAL, tol: float | None = None):
         self.mode = numeric.check_mode(mode)
-        self.tol = numeric.default_tol() if tol is None else float(tol)
+        self.tol = numeric.tolerance(self.mode, tol)
         self.nu = numeric.as_array(nu, self.mode)
         if self.nu.ndim != 1 or self.nu.size == 0:
             raise InputError("nu must be a nonempty vector")
-        if not numeric.is_close(self.nu.sum(), numeric.one(self.mode), self.tol, self.mode):
+        if not numeric.is_close(self.nu.sum(), 1, self.tol):
             raise InputError(f"nu sums to {self.nu.sum()}, not 1")
-        floor = numeric.zero(self.mode) if self.mode == numeric.RATIONAL else -self.tol
         rows: list[list[np.ndarray]] = []
         for n, site_conds in enumerate(conditionals, start=1):
             site_rows: list[np.ndarray] = []
@@ -388,10 +383,10 @@ class StochasticLqHVModel:
                 if arr.ndim != 2 or arr.shape[0] != self.omega_size:
                     raise InputError(
                         f"conditional for site {n}, setting {s} must be (|Omega|, K) shaped")
-                if arr.min() < floor:
+                if arr.min() < -self.tol:
                     raise InputError(f"negative conditional probability at site {n}, setting {s}")
                 for row in arr:
-                    if not numeric.is_close(row.sum(), numeric.one(self.mode), self.tol, self.mode):
+                    if not numeric.is_close(row.sum(), 1, self.tol):
                         raise InputError(
                             f"conditional row sums to {row.sum()} at site {n}, setting {s}")
                 site_rows.append(arr)
@@ -432,7 +427,9 @@ def determinize(model: StochasticLqHVModel, scenario: Scenario,
     The hidden space is traded for the joint coordinate space: each atom
     collects, over the hidden points, nu times the product of conditional
     probabilities of every (site, setting) coordinate. Joint tables of the
-    result match the stochastic model's tables tuple by tuple.
+    result match the stochastic model's tables tuple by tuple. Joint
+    spaces over `DEFAULT_ATOM_BUDGET` atoms are refused before any is
+    allocated.
     """
     inferred = model.inferred_scenario()
     if inferred != scenario:
@@ -440,19 +437,24 @@ def determinize(model: StochasticLqHVModel, scenario: Scenario,
             f"conditionals cover {inferred.settings_per_site} settings / "
             f"{inferred.outcomes_per_site} outcomes, scenario wants "
             f"{scenario.settings_per_site} / {scenario.outcomes_per_site}")
+    if scenario.joint_size > DEFAULT_ATOM_BUDGET:
+        raise AtomBudgetError(f"joint space holds {scenario.joint_size} atoms, "
+                              f"over the budget {DEFAULT_ATOM_BUDGET}")
     atoms = numeric.zeros(scenario.joint_shape, model.mode)
     coords = [(n, s) for n in scenario.sites
               for s in range(1, scenario.settings_per_site[n - 1] + 1)]
     for omega in range(model.omega_size):
         rows = [model.conditionals[n - 1][s - 1][omega] for n, s in coords]
         atoms = atoms + model.nu[omega] * reduce(np.multiply.outer, rows)
-    norm_tol = 1e-12 if model.mode == numeric.FLOAT else 0.0
-    measure = SignedMeasure(scenario, atoms, model.mode, tol=norm_tol)
+    measure = SignedMeasure(scenario, atoms, model.mode, tol=1e-12)
     return DeterministicLqHVModel(measure)
 
 
 def _coerce_observables(observables: Sequence[Sequence], scenario: Scenario,
                         mode: str) -> list[np.ndarray]:
+    if not isinstance(observables, (list, tuple)):
+        raise InputError(f"observables must be a list of per-site value lists, "
+                         f"got {observables!r}")
     if len(observables) != scenario.n_parties:
         raise InputError(f"expected {scenario.n_parties} observable vectors")
     out = []

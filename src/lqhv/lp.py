@@ -45,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import numeric
-from .construct import DEFAULT_ATOM_BUDGET, SignedMeasure
+from .construct import DEFAULT_ATOM_BUDGET, SignedMeasure, _tuple_marginals
 from .errors import AtomBudgetError, InputError, RepresentationError, SignalingError
 from .numeric import Scalar
 from .scenario import DistributionFamily, Scenario, check_nonsignaling
@@ -127,12 +127,7 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
     m, n = a01.shape
     exact = mode == numeric.RATIONAL
     flip = [1 if v >= 0 else -1 for v in rhs]
-    if exact:
-        tableau = np.zeros((m + 1, n + m + 1), dtype=object)
-        pivot_tol = 0
-    else:
-        tableau = np.zeros((m + 1, n + m + 1))
-        pivot_tol = tol
+    tableau = np.zeros((m + 1, n + m + 1), dtype=object if exact else float)
     # rows 0..m-1 hold [flip*A | I | flip*rhs]; row m holds the reduced
     # costs of the artificial objective, which start at minus the column sums
     tableau[:m, :n] = np.array(flip)[:, None] * a01
@@ -146,12 +141,12 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
     divide = Fraction if exact else operator.truediv
 
     while True:
-        entering = np.flatnonzero(tableau[m, :-1] < -pivot_tol)
+        entering = np.flatnonzero(tableau[m, :-1] < -tol)
         if entering.size == 0:
             break
         e = entering[0]
         column = tableau[:m, e]
-        candidates = np.flatnonzero(column > pivot_tol)
+        candidates = np.flatnonzero(column > tol)
         if candidates.size == 0:
             raise InputError("phase-1 objective unbounded; the constraint matrix is corrupt")
         if exact:
@@ -186,7 +181,7 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
     else:
         values, costs = tableau[:m, -1], tableau[m]
     den = basis_det * scale
-    objective = divide(sum((values[r] for r in np.flatnonzero(basis >= n)), 0 if exact else 0.0), den)
+    objective = divide(sum(values[r] for r in np.flatnonzero(basis >= n)), den)
     x = [numeric.zero(mode)] * n
     for r in np.flatnonzero(basis < n):
         x[basis[r]] = divide(values[r], den)
@@ -194,24 +189,19 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
     return objective, x, y
 
 
-def _checked_witness(x: list, b: np.ndarray, b_den: int, rows: np.ndarray, mode: str,
-                     tol: float) -> tuple[np.ndarray, int]:
+def _checked_witness(x: list, family: DistributionFamily, tol: float) -> tuple[np.ndarray, int]:
     """Witness atoms as (numerators, denominator), checked nonnegative and
-    reproducing every table entry of b / `b_den`.
+    reproducing every table of the family.
 
     Float atoms within tol below zero are clipped to zero first. A failed
     check raises RepresentationError.
     """
-    exact = mode == numeric.RATIONAL
-    atoms = np.array(x, dtype=object if exact else float)
-    if atoms.min() < (0 if exact else -tol):
+    atoms = np.array(x, dtype=object if family.mode == numeric.RATIONAL else float)
+    if atoms.min() < -tol:
         raise RepresentationError(f"simplex returned atom {atoms.min()} below the floor")
-    values, den = numeric.common_denominator(atoms if exact else np.maximum(atoms, 0.0))
-    reproduced = np.zeros(b.shape, dtype=values.dtype)
-    # values are tiled, not broadcast: numpy 2.4's float ufunc.at reads
-    # garbage from a broadcast operand
-    np.add.at(reproduced, rows.reshape(-1), np.tile(values, len(rows)))
-    missed = reproduced * b_den != b * den if exact else np.abs(reproduced - b) > tol
+    values, den = numeric.common_denominator(np.maximum(atoms, 0))
+    reproduced = _tuple_marginals(values.reshape(family.scenario.joint_shape), family.scenario)
+    missed = abs(reproduced * family.denominator - family.numerators * den) > tol
     if missed.any():
         raise RepresentationError(
             f"witness misses the table entry in constraint row {np.flatnonzero(missed)[0]}")
@@ -219,21 +209,21 @@ def _checked_witness(x: list, b: np.ndarray, b_den: int, rows: np.ndarray, mode:
 
 
 def _check_certificate(y: np.ndarray, residual: Scalar, family: DistributionFamily,
-                       rows: np.ndarray, mode: str, tol: float) -> None:
-    """Require y.A <= 0 on every atom column, y.b > 0 and y.b == residual.
+                       rows: np.ndarray, tol: float) -> None:
+    """Require y.A <= 0 on every atom column, y.b > 0 and y.b == residual,
+    each within tol.
 
     y.A and y.b are taken on integer numerators in rational mode. A failed
     check raises RepresentationError.
     """
-    floor = 0 if mode == numeric.RATIONAL else tol
     values, den = numeric.common_denominator(y)
     products = values[rows].sum(axis=0)
-    if products.max() > floor:
+    if products.max() > tol:
         raise RepresentationError(
-            f"certificate is positive on atom column {np.argmax(products > floor)}")
+            f"certificate is positive on atom column {np.argmax(products > tol)}")
     gap = numeric.ratio((values * family.numerators.reshape(-1)).sum(),
-                        den * family.denominator, mode)
-    if not (gap > floor and numeric.is_close(gap, residual, tol, mode)):
+                        den * family.denominator, family.mode)
+    if not (gap > tol and numeric.is_close(gap, residual, tol)):
         raise RepresentationError(f"certificate gap y.b = {gap} does not match the residual {residual}")
 
 
@@ -258,23 +248,19 @@ def lhv_feasible(family: DistributionFamily, tol: float | None = None,
     cells = n_rows * (scenario.joint_size + n_rows + 1)
     if cells > budget:
         raise AtomBudgetError(f"LP tableau holds {cells} cells, over the budget {budget}")
-    tol = family.tol if tol is None else float(tol)
+    tol = family.tol if tol is None else numeric.tolerance(family.mode, tol)
     witness = check_nonsignaling(family, tol)
     if witness is not None:
         raise SignalingError(witness)
 
-    b = family.numerators.reshape(-1)
-    objective, x, y = _phase1_simplex(marginal_matrix(scenario), b, family.denominator,
-                                      family.mode, tol)
-    rows = marginal_rows(scenario)
-
-    feas_floor = numeric.zero(family.mode) if family.mode == numeric.RATIONAL else tol
-    if objective <= feas_floor:
-        atoms, den = _checked_witness(x, b, family.denominator, rows, family.mode, tol)
+    objective, x, y = _phase1_simplex(marginal_matrix(scenario), family.numerators.reshape(-1),
+                                      family.denominator, family.mode, tol)
+    if objective <= tol:
+        atoms, den = _checked_witness(x, family, tol)
         measure = SignedMeasure.from_numerators(scenario, atoms, den, family.mode,
                                                 tol=max(tol, 1e-12))
         return LhvVerdict(True, measure, None, objective)
     certificate = np.array(y, dtype=object if family.mode == numeric.RATIONAL else float)
-    _check_certificate(certificate, objective, family, rows, family.mode, tol)
+    _check_certificate(certificate, objective, family, marginal_rows(scenario), tol)
     certificate.setflags(write=False)
     return LhvVerdict(False, None, certificate, objective)

@@ -15,8 +15,12 @@ parsed, for returned scalars and for the public rational arrays, which
 `ratio_array` builds from the numerators. `common_denominator` splits
 Fractions into numerators, `format_entries` writes numerators as
 reduced "p/q" text. Helpers here also coerce scalars and nested data
-into the right representation and centralize the two comparison
-semantics.
+into the right representation.
+
+There is one comparison rule for both modes: two values agree when they
+differ by at most the tolerance, and a value clears a floor when it is
+not below minus the tolerance. `tolerance` resolves that tolerance, and
+in rational mode it is 0, so the same rule is exact equality there.
 """
 
 from __future__ import annotations
@@ -40,15 +44,23 @@ MODES = (RATIONAL, FLOAT)
 DEFAULT_TOL = 1e-9
 
 
-def default_tol() -> float:
-    """Default comparison tolerance; the LQHV_TOL env var overrides it."""
-    raw = os.environ.get("LQHV_TOL")
-    if raw is None:
-        return DEFAULT_TOL
+def tolerance(mode: str, tol: float | None = None) -> float:
+    """Comparison tolerance of a mode: `tol`, else the LQHV_TOL env var,
+    else 1e-9, and always 0 in rational mode, where comparisons are exact.
+
+    The value must be a finite nonnegative number in either mode.
+    """
+    source = "tolerance"
+    if tol is None:
+        tol = os.environ.get("LQHV_TOL", DEFAULT_TOL)
+        source = "LQHV_TOL"
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise InputError(f"LQHV_TOL is not a number: {raw!r}") from exc
+        value = float(tol)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{source} is not a number: {tol!r}") from exc
+    if not (math.isfinite(value) and value >= 0):
+        raise InputError(f"{source} must be finite and nonnegative, got {tol!r}")
+    return 0 if mode == RATIONAL else value
 
 
 def check_mode(mode: str) -> str:
@@ -195,14 +207,8 @@ def zero(mode: str) -> Scalar:
     return 0.0 if mode == FLOAT else Fraction(0)
 
 
-def one(mode: str) -> Scalar:
-    return 1.0 if mode == FLOAT else Fraction(1)
-
-
-def is_close(a: Scalar, b: Scalar, tol: float, mode: str) -> bool:
-    """Mode-aware scalar comparison: exact in rational, |a-b| <= tol in float."""
-    if mode == RATIONAL:
-        return a == b
+def is_close(a: Scalar, b: Scalar, tol: float) -> bool:
+    """|a - b| <= tol; exact equality at the rational tolerance 0."""
     return abs(a - b) <= tol
 
 

@@ -212,15 +212,14 @@ class DistributionFamily:
                tol: float | None) -> None:
         self.scenario = scenario
         self.mode = mode
-        self.tol = numeric.default_tol() if tol is None else float(tol)
+        self.tol = numeric.tolerance(mode, tol)
         order = scenario.setting_tuples()
         rows = numerators.reshape(len(order), -1)
         low, sums = rows.min(axis=1), rows.sum(axis=1)
-        floor = 0 if mode == numeric.RATIONAL else -self.tol
-        bad = (low < floor) | ~numeric.is_close(sums, denominator, self.tol, mode)
+        bad = (low < -self.tol) | ~numeric.is_close(sums, denominator, self.tol)
         if bad.any():
             i = int(np.argmax(bad))
-            if low[i] < floor:
+            if low[i] < -self.tol:
                 raise InputError(f"negative probability in table {order[i]}: "
                                  f"min entry {numeric.ratio(low[i], denominator, mode)}")
             raise InputError(f"table {order[i]} sums to {numeric.ratio(sums[i], denominator, mode)}, "
@@ -295,14 +294,12 @@ def check_nonsignaling(family: DistributionFamily, tol: float | None = None) -> 
     `site_subsets` order, then common settings lexicographically); its
     tuples are the argmax and argmin at the group's first worst outcome
     cell, in lexicographic order. Rational families are judged on their
-    integer numerators, so the threshold there is 0.
+    integer numerators against their tolerance 0.
     Vacuously true for single-site scenarios or a single setting tuple.
     """
     scenario = family.scenario
-    tol = family.tol if tol is None else float(tol)
-    threshold = 0 if family.mode == numeric.RATIONAL else tol
     worst: Witness | None = None
-    worst_spread = threshold
+    worst_spread = family.tol if tol is None else numeric.tolerance(family.mode, tol)
     for sites in scenario.site_subsets(proper=True):
         grid = _subset_groups(family.numerators, scenario, sites)
         spread = grid.max(axis=1) - grid.min(axis=1)
@@ -421,12 +418,11 @@ def compare_scenarios_epr(family_a: DistributionFamily, family_b: DistributionFa
         raise InputError("families describe different scenario shapes")
     if family_a.mode != family_b.mode:
         raise InputError("families use different arithmetic modes")
-    tol = family_a.tol if tol is None else float(tol)
-    marg_a = extract_marginal_family(family_a, tol)
-    marg_b = extract_marginal_family(family_b, tol)
     scenario = family_a.scenario
     mode = family_a.mode
-    threshold = numeric.zero(mode) if mode == numeric.RATIONAL else tol
+    tol = family_a.tol if tol is None else numeric.tolerance(mode, tol)
+    marg_a = extract_marginal_family(family_a, tol)
+    marg_b = extract_marginal_family(family_b, tol)
     worst = numeric.zero(mode)
     worst_key: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for sites in scenario.site_subsets(proper=True):
@@ -437,6 +433,6 @@ def compare_scenarios_epr(family_a: DistributionFamily, family_b: DistributionFa
         if value > worst:
             settings = np.unravel_index(i, [scenario.settings_per_site[n - 1] for n in sites])
             worst, worst_key = value, (sites, tuple(int(s) + 1 for s in settings))
-    if worst > threshold:
+    if worst > tol:
         return EprReport(False, worst, worst_key[0], worst_key[1])
     return EprReport(True, worst)

@@ -11,6 +11,10 @@ from lqhv import io
 from lqhv.cli import main
 
 
+PR_BOX_JSON = io.family_to_json(L.pr_box())
+SIGNALING_FLOAT_JSON = io.family_to_json(L.signaling_example(L.FLOAT))
+
+
 @pytest.fixture()
 def pr_file(tmp_path):
     path = tmp_path / "pr.json"
@@ -242,10 +246,30 @@ class TestMalformedCounts:
                    "tables": {"1": [True, False]}}),
         ("check", {"parties": [{"settings": 1, "outcomes": 2}], "mode": "float",
                    "tables": {"1": [True, False]}}),
+        # a bad tolerance is malformed input: it must neither pass a
+        # signaling family nor be reported as a bad table
+        *(pytest.param(f"{command} --tol {tol}", SIGNALING_FLOAT_JSON,
+                       id=f"{command}-tol{tol}")
+          for command in ("check", "build", "lhv") for tol in ("inf", "-1", "nan")),
+        pytest.param("LQHV_TOL=inf check", SIGNALING_FLOAT_JSON, id="check-LQHV_TOL=inf"),
+        pytest.param("expect --tuple 1,1 --observables 5", PR_BOX_JSON, id="expect-observables5"),
+        pytest.param("expect --tuple 1,1 --observables null", PR_BOX_JSON,
+                     id="expect-observablesnull"),
     ])
-    def test_malformed_entries_exit_one(self, command, data, tmp_path, capsys):
+    def test_malformed_entries_exit_one(self, command, data, tmp_path, capsys, monkeypatch):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        argv = [command, str(path)] + (["-o", str(tmp_path / "out.json")] if command == "quantum" else [])
+        words = command.split()
+        for word in words:
+            if "=" in word:
+                monkeypatch.setenv(*word.split("=", 1))
+        argv = [w for w in words if "=" not in w] + [str(path)]
+        out = tmp_path / "out.json"
+        if argv[0] in ("quantum", "build"):
+            argv += ["-o", str(out)]
         assert main(argv) == 1
-        assert "input error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "input error" in err
+        if "tol" in command.lower():
+            assert "tol" in err.lower()
+        assert not out.exists()

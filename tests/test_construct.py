@@ -241,6 +241,7 @@ class TestBuild:
         assert abs(mu.total_mass - 1.0) <= 1e-12
         report = L.verify_marginals(L.DeterministicLqHVModel(mu), fam, 1e-9)
         assert report.max_error <= 1e-9
+        assert L.verify_marginals(mu, fam, fam.tol) == L.verify_marginals(mu, fam)
 
 
 class TestVerifyMarginals:
@@ -264,6 +265,7 @@ class TestVerifyMarginals:
         fam = L.DistributionFamily(pr.scenario, shifted, L.RATIONAL)
         report = L.verify_marginals(model, fam)
         assert report.max_error >= eps
+        assert all(L.verify_marginals(model, fam, tol) == report for tol in (0, 0.5))
 
     def test_negative_reproduction_raises(self):
         sc = L.Scenario((1,), (2,))
@@ -271,8 +273,10 @@ class TestVerifyMarginals:
         mu = L.SignedMeasure(sc, atoms)
         fam = L.DistributionFamily(
             sc, {(1,): np.array([Fraction(1, 2), Fraction(1, 2)], dtype=object)})
-        with pytest.raises(RepresentationError):
-            L.verify_marginals(mu, fam)
+        # -1/2 is not below -0.5, so the floor must be 0 for any passed tol
+        for tol in (None, 0, 0.5):
+            with pytest.raises(RepresentationError):
+                L.verify_marginals(mu, fam, tol)
 
     def test_shape_mismatch_rejected(self):
         model = L.build_deterministic_measure(L.pr_box())
@@ -409,6 +413,21 @@ class TestDeterminize:
                 oracle = brute_stochastic_table(model.nu, model.conditionals, t)
                 assert np.array_equal(oracle, model.joint_table(t))
                 assert np.array_equal(oracle, det.measure.marginal(t))
+
+    def test_oversized_joint_space_refused_before_allocation(self):
+        # 2^24 * 2 atoms, over the default budget; one hidden point
+        half = [[Fraction(1, 2), Fraction(1, 2)]]
+        model = L.StochasticLqHVModel([Fraction(1)], [[half] * 24, [half]])
+        sc = L.Scenario((24, 1), (2, 2))
+        assert sc.joint_size > L.DEFAULT_ATOM_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(AtomBudgetError, match="over the budget"):
+                L.determinize(model, sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_scenario_mismatch_rejected(self):
         model = L.StochasticLqHVModel([Fraction(1)], [[[[Fraction(1, 2), Fraction(1, 2)]]]])

@@ -182,12 +182,14 @@ class TestSimplex:
         rhs = fam.numerators.reshape(-1)
         assert lp._phase1_simplex(a, rhs, fam.denominator, L.RATIONAL, 0.0) == expected
         objective, x, y = expected
-        verdict = L.lhv_feasible(fam)
-        assert verdict.residual == objective
-        if verdict.feasible:
-            assert list(verdict.measure.atoms.reshape(-1)) == x
-        else:
-            assert list(verdict.certificate) == y
+        # a rational family's tolerance is 0 whatever is passed
+        for tol in (None, 0, 0.5):
+            verdict = L.lhv_feasible(fam, tol)
+            assert verdict.residual == objective
+            if verdict.feasible:
+                assert list(verdict.measure.atoms.reshape(-1)) == x
+            else:
+                assert list(verdict.certificate) == y
 
     def test_oracle_families_cover_both_verdicts(self):
         verdicts = {name: L.lhv_feasible(make()).feasible for name, make in ORACLE_FAMILIES.items()
@@ -212,9 +214,12 @@ class TestSimplex:
         sc = L.Scenario((2,) * 4, (2,) * 4)
         fam = L.uniform_family(sc) if local else L.random_scenario_family(sc, 0)
         exact = L.lhv_feasible(fam)
-        approx = L.lhv_feasible(L.convert_family(fam, L.FLOAT))
+        as_float = L.convert_family(fam, L.FLOAT)
+        approx = L.lhv_feasible(as_float)
         assert exact.feasible == approx.feasible == local
         assert float(exact.residual) == pytest.approx(approx.residual, abs=1e-9)
+        own = L.lhv_feasible(as_float, as_float.tol)
+        assert (own.feasible, own.residual) == (approx.feasible, approx.residual)
 
 
 class TestVerdictCheck:

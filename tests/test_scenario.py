@@ -110,6 +110,12 @@ class TestDistributionFamily:
         tables = {t: bad for t in L.Scenario((2, 2), (2, 2)).setting_tuples()}
         with pytest.raises(InputError, match="never renormalized"):
             _family_2x2(tables)
+        # a rational family's tolerance is 0 whatever is passed
+        for tol in (0, 0.5):
+            with pytest.raises(InputError, match="never renormalized"):
+                L.DistributionFamily(L.CHSH_SCENARIO, tables, L.RATIONAL, tol=tol)
+            assert L.DistributionFamily.from_stacked(L.CHSH_SCENARIO, L.pr_box().stacked,
+                                                     tol=tol).tol == 0
 
     def test_rejects_negative_entries(self):
         bad = np.array([[Fraction(3, 2), 0], [0, Fraction(-1, 2)]], dtype=object)
@@ -285,7 +291,11 @@ class TestCheckAgainstAllPairsOracle:
             assert all_pairs_check(as_mode(tables), *shape, threshold) is None
 
             bent = as_mode(perturbed(tables, rng))
-            witness = L.check_nonsignaling(L.DistributionFamily(scenario, bent, mode))
+            family = L.DistributionFamily(scenario, bent, mode)
+            witness = L.check_nonsignaling(family)
+            # any tolerance on a rational family, the family's own on a float one
+            for tol in ((0, 0.5) if mode == L.RATIONAL else (family.tol,)):
+                assert L.check_nonsignaling(family, tol) == witness
             expected = all_pairs_check(bent, *shape, threshold)
             if expected is None:
                 assert witness is None
@@ -350,6 +360,18 @@ class TestExtractMarginalFamily:
         with pytest.raises(SignalingError) as err:
             L.extract_marginal_family(L.signaling_example())
         assert err.value.witness.site_subset == (2,)
+        # site 1's marginal moves by 2 eps with site 2's setting; a rational
+        # family compares exactly whatever tolerance is passed
+        eps = Fraction(1, 10**11)
+        quarter = Fraction(1, 4)
+        tables = {t: np.array([[quarter + (eps if t[1] == 2 else -eps), quarter],
+                               [quarter - (eps if t[1] == 2 else -eps), quarter]], dtype=object)
+                  for t in L.CHSH_SCENARIO.setting_tuples()}
+        fam = L.DistributionFamily(L.CHSH_SCENARIO, tables, L.RATIONAL)
+        for tol in (None, 0, 0.5):
+            with pytest.raises(SignalingError) as err:
+                L.extract_marginal_family(fam, tol)
+            assert err.value.witness.max_discrepancy == 2 * eps
 
     def test_float_mode_averages(self):
         eps = 1e-11
@@ -361,6 +383,8 @@ class TestExtractMarginalFamily:
         marg = L.extract_marginal_family(fam, tol=1e-9)
         # site-1 marginal at s1=1 averages the two compatible tuples
         assert marg.get((1,), (1,))[0] == pytest.approx(0.5, abs=1e-15)
+        own = L.extract_marginal_family(fam, tol=fam.tol)
+        assert np.array_equal(own.stacked, L.extract_marginal_family(fam).stacked)
 
 
 class TestConvertFamily:
@@ -398,6 +422,9 @@ class TestCompareScenariosEpr:
         p_shift = [[Fraction(7, 10), Fraction(3, 10)], [Fraction(1, 2), Fraction(1, 2)]]
         q = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]
         report = L.compare_scenarios_epr(product_family(p_a, q), product_family(p_shift, q))
+        for tol in (0, 0.5):
+            assert L.compare_scenarios_epr(product_family(p_a, q), product_family(p_shift, q),
+                                           tol) == report
         assert not report.passed
         assert report.max_discrepancy == Fraction(1, 5)
         assert report.site_subset == (1,)
