@@ -38,7 +38,6 @@ from .construct import (
 )
 from .errors import AtomBudgetError, InputError, LqhvError, RepresentationError, SignalingError
 from .io import (
-    dump_json,
     load_family,
     load_quantum,
     parse_tuple_key,
@@ -46,6 +45,7 @@ from .io import (
     save_measure,
     save_verdict,
     verdict_to_json,
+    write_json,
 )
 from .lp import lhv_feasible
 from .quantum import born_family
@@ -86,8 +86,7 @@ def _witness_json(witness: Witness, mode: str) -> dict:
 
 def _emit(report: dict, lines: list[str], args) -> None:
     if getattr(args, "json", False):
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        write_json(report, sys.stdout)
     else:
         for line in lines:
             print(line)
@@ -255,11 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p, out_required=None):
-        p.add_argument("--tol", type=float, default=None,
-                       help="comparison tolerance of float families, finite and "
-                            "nonnegative (default LQHV_TOL, else 1e-9); rational "
-                            "families always compare exactly")
+    def common(p, out_required=None, tol=True):
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="comparison tolerance of float families, finite and "
+                                "nonnegative (default LQHV_TOL, else 1e-9); rational "
+                                "families always compare exactly")
         p.add_argument("--json", action="store_true",
                        help="machine-readable report on stdout")
         if out_required is not None:
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum", help="derive the Born-rule family of a quantum file")
     p.add_argument("scenario")
-    common(p, out_required=True)
+    common(p, out_required=True, tol=False)
     p.set_defaults(func=cmd_quantum)
 
     p = sub.add_parser("lhv", help="decide positive-measure feasibility")
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None,
                    help="24 comma-separated vertex weights (16 local, then 8 XOR boxes)")
     p.add_argument("--mode", choices=list(numeric.MODES), default=None)
-    common(p, out_required=True)
+    common(p, out_required=True, tol=False)
     p.set_defaults(func=cmd_random)
 
     return parser

@@ -24,10 +24,20 @@ Quantum scenario files:
      "povms": [[[effect, ...] per setting] per site]}
 with every complex entry a two-element [re, im] array and every effect a
 d_n x d_n nested matrix.
+
+Every file and every `--json` report goes through one writer,
+`write_json`. Its output is byte for byte what
+`json.dump(data, fh, indent=2, sort_keys=True)` followed by a line break
+writes, for any JSON value of dicts with str keys, lists, tuples and
+scalars. It walks dicts and lists as that encoder does, but a list of
+plain scalars (str, int, float, bool, None) goes through the C encoder
+in pieces of `_CHUNK` entries, so the text of a large list is never held
+whole and never formatted entry by entry in Python.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any
 
@@ -245,11 +255,66 @@ def load_json(path: str) -> Any:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+# Entries per C-encoded piece of a scalar list: large enough that the
+# per-call cost vanishes, small enough that a piece's text stays small.
+_CHUNK = 4096
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _list_encoder(indent: str):
+    """C-encoder of a scalar list whose items sit on lines at `indent`;
+    one is cached per nesting depth."""
+    return json.JSONEncoder(separators=("," + indent, ": ")).encode
+
+
+def _write(value: Any, fh, newline: str) -> None:
+    """Write one value the way json's indent=2, sort_keys=True encoder
+    does, `newline` being the line break plus the value's indentation."""
+    if isinstance(value, dict):
+        if not value:
+            fh.write("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
+            fh.write(sep + inner + json.dumps(key) + ": ")
+            _write(value[key], fh, inner)
+            sep = ","
+        fh.write(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            fh.write("[]")
+            return
+        inner, sep = newline + "  ", "["
+        if set(map(type, value)) <= _SCALARS:
+            encode = _list_encoder(inner)
+            for start in range(0, len(value), _CHUNK):
+                fh.write(sep + inner)
+                fh.write(encode(value[start:start + _CHUNK])[1:-1])
+                sep = ","
+        else:
+            for item in value:
+                fh.write(sep + inner)
+                _write(item, fh, inner)
+                sep = ","
+        fh.write(newline + "]")
+    else:
+        fh.write(json.dumps(value))
+
+
+def write_json(data: Any, fh) -> None:
+    """Write `data` and a line break to the text stream `fh`, byte for byte
+    as `json.dump(data, fh, indent=2, sort_keys=True)` and "\\n" would."""
+    _write(data, fh, "\n")
+    fh.write("\n")
+
+
 def dump_json(data: Any, path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write_json(data, fh)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 

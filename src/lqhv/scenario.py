@@ -5,9 +5,12 @@ observes one of K_n outcomes (encoded 0..K_n-1). A family holds one joint
 probability table per full setting tuple (s_1,...,s_N), with s_n running
 1..S_n, stacked into one tensor with axes (s_1..s_N, a_1..a_N). The
 nonsignaling consistency condition requires the marginals on any
-common-setting site subset to coincide across all compatible tuples; one
-reduction per subset gives them all, with the other sites' settings
-flattened into a group axis that the check takes max - min over.
+common-setting site subset to coincide across all compatible tuples. The
+check walks the subset lattice depth first: each subset's outcome-summed
+tensor is its parent's, which has one site more, with that site's
+outcome axis summed, and the check takes max - min over the other sites'
+setting axes. Marginal extraction reduces the tensor once per subset,
+with the other sites' settings flattened into a group axis.
 
 A family is built from a {tuple: table} mapping (the file format) or,
 by producers that compute all tables at once, from the tensor itself with
@@ -20,6 +23,7 @@ means run on those numerators.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -283,6 +287,34 @@ def _full_tuple(scenario: Scenario, sites: tuple[int, ...], index: int) -> Setti
     return tuple(int(v) + 1 for _, v in sorted(zip(order, values)))
 
 
+def _lattice_spreads(tensor: np.ndarray, n: int, kept: tuple[int, ...] | None = None,
+                     last: int = 0) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """(sites, spread) for every nonempty proper site subset, depth first.
+
+    `tensor` holds the numerators summed over the outcomes of every site
+    not in `kept` (axes s_1..s_N, then the kept sites' outcomes). A child
+    drops one kept site larger than `last`, the last site dropped on this
+    path, so each subset is reached once, and its tensor is this one with
+    that site's outcome axis summed. Only the chain from the family to the
+    current subset is held. `spread` is flat, row-major over (setting
+    assignment on `sites`, outcome cell), and holds the max - min over the
+    other sites' settings.
+    """
+    kept = tuple(range(1, n + 1)) if kept is None else kept
+    if len(kept) == 1:
+        return
+    for pos, site in enumerate(kept):
+        if site <= last:
+            continue
+        # adding the axis' slices beats numpy's reduction over a short axis
+        lead = (slice(None),) * (n + pos)
+        child = functools.reduce(np.add, [tensor[lead + (k,)] for k in range(tensor.shape[n + pos])])
+        sites = kept[:pos] + kept[pos + 1:]
+        other = tuple(m - 1 for m in range(1, n + 1) if m not in sites)
+        yield sites, (child.max(axis=other) - child.min(axis=other)).reshape(-1)
+        yield from _lattice_spreads(child, n, sites, site)
+
+
 def check_nonsignaling(family: DistributionFamily, tol: float | None = None) -> Witness | None:
     """Test the consistency condition; None means pass.
 
@@ -290,29 +322,36 @@ def check_nonsignaling(family: DistributionFamily, tol: float | None = None) -> 
     tuples agreeing there, the subset marginals of the two tables must
     coincide (entrywise within `tol`; exactly in rational mode), so each
     group of compatible tuples is judged by its entrywise max - min. The
-    witness carries the largest one at its first occurrence (subsets in
-    `site_subsets` order, then common settings lexicographically); its
-    tuples are the argmax and argmin at the group's first worst outcome
-    cell, in lexicographic order. Rational families are judged on their
-    integer numerators against their tolerance 0.
+    subsets' outcome sums come from one depth-first walk over the subset
+    lattice, each from its parent with one site more, not from the full
+    tensor. The witness carries the largest spread at its first occurrence
+    (subsets in `site_subsets` order, then common settings
+    lexicographically); its tuples are the argmax and argmin at the
+    group's first worst outcome cell, in lexicographic order. Rational
+    families are judged on their integer numerators against their
+    tolerance 0. Float sums run in lattice order, so where several subsets
+    tie within rounding the witness may name a different one of them than
+    a per-subset reduction would; its discrepancy is equally maximal.
     Vacuously true for single-site scenarios or a single setting tuple.
     """
     scenario = family.scenario
-    worst: Witness | None = None
-    worst_spread = family.tol if tol is None else numeric.tolerance(family.mode, tol)
-    for sites in scenario.site_subsets(proper=True):
-        grid = _subset_groups(family.numerators, scenario, sites)
-        spread = grid.max(axis=1) - grid.min(axis=1)
-        per_common = spread.max(axis=1)
-        c = int(np.argmax(per_common))
-        if per_common[c] > worst_spread:
-            column = grid[c, :, np.argmax(spread[c])]
-            a, b = (_full_tuple(scenario, sites, c * grid.shape[1] + g)
-                    for g in sorted((np.argmax(column), np.argmin(column))))
-            worst_spread = per_common[c]
-            worst = Witness(sites, tuple(a[n - 1] for n in sites), a, b,
-                            numeric.ratio(worst_spread, family.denominator, family.mode))
-    return worst
+    threshold = family.tol if tol is None else numeric.tolerance(family.mode, tol)
+    peaks = {}
+    for sites, spread in _lattice_spreads(family.numerators, scenario.n_parties):
+        i = int(np.argmax(spread))
+        peaks[sites] = (spread[i], i)
+    worst = max((value for value, _ in peaks.values()), default=threshold)
+    if not worst > threshold:
+        return None
+    sites = next(t for t in scenario.site_subsets(proper=True) if peaks[t][0] == worst)
+    c, cell = np.unravel_index(peaks[sites][1], (
+        math.prod(scenario.settings_per_site[m - 1] for m in sites),
+        math.prod(scenario.outcomes_per_site[m - 1] for m in sites)))
+    column = _subset_groups(family.numerators, scenario, sites)[c, :, cell]
+    a, b = (_full_tuple(scenario, sites, c * column.size + g)
+            for g in sorted((np.argmax(column), np.argmin(column))))
+    return Witness(sites, tuple(a[n - 1] for n in sites), a, b,
+                   numeric.ratio(worst, family.denominator, family.mode))
 
 
 class MarginalFamily:

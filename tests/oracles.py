@@ -6,8 +6,9 @@ machinery with the package: the literal two- and three-party measure
 formulas in their printed collapsed forms, a brute-force marginalizer
 over explicit joint points, the closed-form atoms of the maximally
 nonlocal box, analytic singlet tables, and a direct evaluation of the
-one-hidden-space joint tables, the all-pairs consistency check and the
-N-party subset-sum measure, the Born rule by one Kronecker product and
+one-hidden-space joint tables, the all-pairs consistency check, the
+per-subset reduction check on a family's numerators, the N-party
+subset-sum measure, the Born rule by one Kronecker product and
 trace per table cell, and the canonical boxes built tuple by tuple. Construction tests compare the package
 output against these, atom by atom, in exact arithmetic. `fraction_build`
 is the per-site tensor build and full-tuple marginal verification run
@@ -362,6 +363,49 @@ def all_pairs_check(tables, settings_per_site, outcomes_per_site, threshold):
                     d = max(abs(margs[i][k] - margs[j][k]) for k in margs[i])
                     if d > threshold and (worst is None or d > worst[4]):
                         worst = (subset, common, members[i], members[j], d)
+    return worst
+
+
+def subset_reduction_check(family):
+    """The consistency check by one full reduction of the stacked tensor
+    per proper site subset, as the package ran it before its lattice walk.
+
+    Subsets run in `site_subsets` order; each one's marginals are grouped
+    by the setting assignment on the subset, and a group's spread is its
+    entrywise max - min. The first strictly largest spread above the
+    family's tolerance wins; its tuples are the argmax
+    and argmin at the group's first worst outcome cell, in lexicographic
+    order. Returns None or (site_subset, common_settings, tuple_a,
+    tuple_b, discrepancy) with 1-based labels.
+    """
+    scenario = family.scenario
+    settings = scenario.settings_per_site
+    n = len(settings)
+    numerators = family.numerators
+    worst, best = None, family.tol
+    for size in range(1, n):
+        for subset in itertools.combinations(range(1, n + 1), size):
+            kept = [m - 1 for m in subset]
+            rest = [m for m in range(n) if m not in kept]
+            summed = numerators.sum(axis=tuple(n + m for m in rest))
+            grid = summed.transpose(kept + rest + list(range(n, n + len(kept))))
+            common_shape = [settings[m] for m in kept]
+            grid = grid.reshape(int(np.prod(common_shape)), int(np.prod([settings[m] for m in rest])), -1)
+            spread = grid.max(axis=1) - grid.min(axis=1)
+            per_common = spread.max(axis=1)
+            c = int(np.argmax(per_common))
+            if per_common[c] > best:
+                column = grid[c, :, np.argmax(spread[c])]
+                members = []
+                for g in sorted((int(np.argmax(column)), int(np.argmin(column)))):
+                    values = np.unravel_index(c * grid.shape[1] + g,
+                                              common_shape + [settings[m] for m in rest])
+                    members.append(tuple(int(v) + 1 for _, v in sorted(zip(kept + rest, values))))
+                best = per_common[c]
+                common = tuple(int(v) + 1 for v in np.unravel_index(c, common_shape))
+                discrepancy = (Fraction(best, family.denominator) if numerators.dtype == object
+                               else best)
+                worst = (subset, common, members[0], members[1], discrepancy)
     return worst
 
 

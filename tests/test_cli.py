@@ -13,6 +13,7 @@ from lqhv.cli import main
 
 PR_BOX_JSON = io.family_to_json(L.pr_box())
 SIGNALING_FLOAT_JSON = io.family_to_json(L.signaling_example(L.FLOAT))
+CHSH_QUANTUM_JSON = io.quantum_to_json(L.chsh_optimal_scenario())
 
 
 @pytest.fixture()
@@ -255,6 +256,9 @@ class TestMalformedCounts:
         pytest.param("expect --tuple 1,1 --observables 5", PR_BOX_JSON, id="expect-observables5"),
         pytest.param("expect --tuple 1,1 --observables null", PR_BOX_JSON,
                      id="expect-observablesnull"),
+        # quantum and random take no tolerance: the flag itself is refused
+        pytest.param("quantum --tol inf", CHSH_QUANTUM_JSON, id="quantum-tolinf"),
+        pytest.param("random --seed 1 --tol nan", PR_BOX_JSON, id="random-tolnan"),
     ])
     def test_malformed_entries_exit_one(self, command, data, tmp_path, capsys, monkeypatch):
         path = tmp_path / "bad.json"
@@ -263,13 +267,21 @@ class TestMalformedCounts:
         for word in words:
             if "=" in word:
                 monkeypatch.setenv(*word.split("=", 1))
-        argv = [w for w in words if "=" not in w] + [str(path)]
+        argv = [w for w in words if "=" not in w]
+        if argv[0] != "random":
+            argv.append(str(path))
         out = tmp_path / "out.json"
-        if argv[0] in ("quantum", "build"):
+        if argv[0] in ("quantum", "build", "random"):
             argv += ["-o", str(out)]
-        assert main(argv) == 1
+        refused = argv[0] in ("quantum", "random") and "--tol" in argv
+        if refused:  # a usage error, raised by the parser like an unknown command
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+        else:
+            assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "input error" in err
+        assert ("unrecognized arguments: --tol" if refused else "input error") in err
         if "tol" in command.lower():
             assert "tol" in err.lower()
         assert not out.exists()

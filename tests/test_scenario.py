@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import lqhv as L
 from lqhv.errors import InputError, SignalingError
-from oracles import all_pairs_check, loop_marginal
+from oracles import all_pairs_check, loop_marginal, subset_reduction_check
 
 # (settings per site, outcomes per site)
 ORACLE_SHAPES = [((2, 2), (2, 2)), ((3, 3), (2, 2)), ((1, 3), (2, 3)), ((3, 2), (2, 3)),
@@ -312,6 +313,75 @@ class TestCheckAgainstAllPairsOracle:
             mb = loop_marginal(bent[witness.tuple_b], shape[1], keep)
             assert max(abs(ma[k] - mb[k]) for k in ma) == discrepancy
         assert signaling > 0
+
+
+def _fields(witness):
+    return None if witness is None else (witness.site_subset, witness.common_settings,
+                                         witness.tuple_a, witness.tuple_b, witness.max_discrepancy)
+
+
+def float_signaling(family, rng):
+    """Float copy of a family in which one table moves mass between two
+    cells that differ in one site's outcome; sums stay 1."""
+    stacked = np.array(family.stacked, dtype=float)
+    scenario = family.scenario
+    table = stacked[tuple(rng.randrange(s) for s in scenario.settings_per_site)]
+    site = rng.choice([m for m, k in enumerate(scenario.outcomes_per_site) if k > 1])
+    src = np.unravel_index(int(np.argmax(table)), table.shape)
+    dst = list(src)
+    dst[site] = (src[site] + 1) % table.shape[site]
+    delta = table[src] * rng.uniform(0.2, 0.8)
+    table[src] -= delta
+    table[tuple(dst)] += delta
+    return L.DistributionFamily.from_stacked(scenario, stacked, L.FLOAT)
+
+
+# up to four sites, each with 1-3 settings and 1-3 outcomes
+SMALL_SHAPES = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4)
+
+
+class TestLatticeCheckAgainstSubsetReduction:
+    @settings(max_examples=100, deadline=None)
+    @given(SMALL_SHAPES, st.integers(0, 2**32 - 1))
+    def test_rational_witness_matches_in_every_field(self, shape, seed):
+        scenario = L.Scenario(*zip(*shape))
+        rng = random.Random(seed)
+        tables = dyadic_tables(scenario, rng)
+        if len(list(np.ndindex(*scenario.table_shape))) > 1:
+            tables = perturbed(tables, rng)
+        family = L.DistributionFamily(scenario, tables, L.RATIONAL)
+        assert _fields(L.check_nonsignaling(family)) == subset_reduction_check(family)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_float_verdict_and_discrepancy_match(self, n):
+        scenario = L.Scenario((2,) * n, (2,) * n)
+        rng = random.Random(n)
+        for i in range(4):
+            family = L.random_scenario_family(scenario, 100 * n + i, L.FLOAT)
+            assert L.check_nonsignaling(family) is None
+            assert subset_reduction_check(family) is None
+            bent = float_signaling(family, rng)
+            witness, expected = L.check_nonsignaling(bent), subset_reduction_check(bent)
+            assert witness is not None and expected is not None
+            assert abs(witness.max_discrepancy - expected[4]) <= 1e-12
+            keep = [m - 1 for m in witness.site_subset]
+            ma, mb = (loop_marginal(bent.tables[t], scenario.outcomes_per_site, keep)
+                      for t in (witness.tuple_a, witness.tuple_b))
+            assert abs(max(abs(ma[k] - mb[k]) for k in ma) - witness.max_discrepancy) <= 1e-12
+
+    def test_peak_memory_stays_near_the_family(self):
+        scenario = L.Scenario((2,) * 8, (2,) * 8)
+        family = L.random_scenario_family(scenario, 8, L.FLOAT)
+        bent = float_signaling(family, random.Random(8))
+        for fam, passes in ((family, True), (bent, False)):
+            tracemalloc.start()
+            try:
+                witness = L.check_nonsignaling(fam)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (witness is None) == passes
+            assert peak <= 3 * fam.numerators.nbytes
 
 
 class TestExtractMarginalFamily:
