@@ -92,7 +92,7 @@ def mix_families(families: Sequence[DistributionFamily], weights,
     if len(w) != len(families):
         raise InputError(f"need {len(families)} weights, got {len(w)}")
     # sum_i w_i F_i / D_i over the weights' and the families' common denominators
-    w, w_den = numeric.common_denominator(numeric.as_array(w, mode))
+    w, w_den = numeric.numerators(w, mode)
     den = math.lcm(*(f.denominator for f in families))
     acc = sum(weight * (den // f.denominator) * f.numerators for weight, f in zip(w, families))
     return DistributionFamily.from_numerators(scenario, acc, den * w_den, mode)

@@ -55,8 +55,7 @@ class SignedMeasure:
     def __init__(self, scenario: Scenario, atoms, mode: str = numeric.RATIONAL,
                  tol: float | None = None):
         mode = numeric.check_mode(mode)
-        typed = numeric.as_array(atoms, mode, shape=scenario.joint_shape)
-        self._adopt(scenario, *numeric.common_denominator(typed), mode, tol)
+        self._adopt(scenario, *numeric.numerators(atoms, mode, shape=scenario.joint_shape), mode, tol)
 
     @classmethod
     def from_numerators(cls, scenario: Scenario, numerators: np.ndarray, denominator: int,

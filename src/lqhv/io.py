@@ -5,7 +5,20 @@ Family files:
      "mode": "rational" | "float",
      "tables": {"s1,s2,...,sN": [row-major entries], ...}}
 Setting keys are 1-based and comma-joined; rational entries are "p/q"
-strings (plain integers also parse), float entries JSON numbers.
+strings, float entries JSON numbers.
+
+Accepted entries, in tables and in measure atoms alike: in rational mode,
+"p" or "p/q" text in ASCII digits with an optional leading minus (read
+directly), and any other text `fractions.Fraction` reads (a sign or
+spaces around the number, underscores between digits, decimals and
+exponents such as "0.5" or "1e-3"), JSON integers, and JSON floats,
+read as their shortest decimal ("0.45" is 9/20). Decimal text is refused
+when its exponent's magnitude plus its mantissa's digits exceed Python's
+integer digit limit (`sys.get_int_max_str_digits()`, 4300 by default),
+the limit `int` already puts on a literal, so "1e4299" reads and
+"1e4300" does not. In float mode, JSON numbers and text `float` reads.
+Both modes refuse true/false, null, zero denominators and non-finite
+values. Files are read as UTF-8; any other bytes are malformed input.
 
 Measure files:
     {"axes": [{"site": n, "setting": s, "outcomes": K_n}, ...],
@@ -85,7 +98,7 @@ def tuple_key(setting_tuple) -> str:
 
 def parse_tuple_key(key: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in key.split(","))
+        return tuple(map(int, key.split(",")))
     except ValueError as exc:
         raise InputError(f"malformed setting-tuple key {key!r}") from exc
 
@@ -167,8 +180,7 @@ def measure_from_json(data: Any, tol: float | None = None) -> SignedMeasure:
         raise InputError("axes must appear in the fixed order (1,1)..(1,S_1)..(N,S_N)")
     mode = _read_mode(data, "measure file")
     atoms = _require(data, "atoms", "measure file")
-    arr = numeric.as_array(atoms, mode, shape=scenario.joint_shape)
-    return SignedMeasure(scenario, arr, mode, tol=tol)
+    return SignedMeasure(scenario, atoms, mode, tol=tol)
 
 
 def verdict_to_json(verdict: LhvVerdict) -> dict:
@@ -253,6 +265,8 @@ def load_json(path: str) -> Any:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
 
 
 # Entries per C-encoded piece of a scalar list: large enough that the

@@ -10,12 +10,16 @@ are held as a numerator array over one denominator:
   integers and never overflow;
 - float: the float64 array itself over the denominator 1.
 
-``fractions.Fraction`` appears only at the boundary: when input is
-parsed, for returned scalars and for the public rational arrays, which
-`ratio_array` builds from the numerators. `common_denominator` splits
+`numerators` is the one input coercion: it reads nested table or atom
+data in one pass into numerators over one denominator. Strict "p" or
+"p/q" text, the form every rational file this package writes holds, is
+read with two `int` calls; ``fractions.Fraction`` is built only for an
+entry outside that form (through `coerce_scalar`, which also reads a
+single number), for returned scalars and for the public rational
+arrays, which `ratio_array` builds from the numerators. `as_array` is
+that public form of `numerators`. `common_denominator` splits computed
 Fractions into numerators, `format_entries` writes numerators as
-reduced "p/q" text. Helpers here also coerce scalars and nested data
-into the right representation.
+reduced "p/q" text.
 
 There is one comparison rule for both modes: two values agree when they
 differ by at most the tolerance, and a value clears a floor when it is
@@ -27,6 +31,8 @@ from __future__ import annotations
 
 import math
 import os
+import re
+import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Union
@@ -91,6 +97,7 @@ def coerce_scalar(value, mode: str) -> Scalar:
     if isinstance(value, (int, np.integer)):
         return Fraction(int(value))
     if isinstance(value, str):
+        _refuse_long_exponent(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -105,28 +112,109 @@ def coerce_scalar(value, mode: str) -> Scalar:
     raise InputError(f"cannot interpret {value!r} as a rational")
 
 
-def as_array(data, mode: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """Coerce nested data into a mode-typed numpy array (read-only)."""
+# Decimal text with an exponent, for which Fraction computes 10**|exponent|
+_EXPONENT_TEXT = re.compile(r"\s*[-+]?([\d_.]*)[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def _refuse_long_exponent(text: str) -> None:
+    """Refuse decimal text whose exponent magnitude plus mantissa digits
+    exceed the interpreter's integer string limit (4300 by default), the
+    limit `int` already sets on a literal's digits, before Fraction spends
+    time and memory on a power of ten of that size."""
+    match = _EXPONENT_TEXT.fullmatch(text)
+    if match is None:
+        return
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    mantissa = match[1]
+    digits = len(mantissa) - mantissa.count("_") - mantissa.count(".")
+    try:
+        size = abs(int(match[2])) + digits
+    except ValueError:  # the exponent alone has more digits than the limit
+        size = math.inf
+    if size > limit:
+        raise InputError(f"cannot parse rational entry {text!r}: "
+                         f"its exponent and digits exceed {limit}")
+
+
+def numerators(data, mode: str, shape: tuple[int, ...] | None = None) -> tuple[np.ndarray, int]:
+    """Coerce nested table or atom data into numerators over one denominator.
+
+    This is the one input coercion. Rational mode gives an object array
+    of Python ints over the lcm of the entries' reduced denominators,
+    exactly what `coerce_scalar` on each entry and `common_denominator`
+    give. A string in the strict form "p" or "p/q" (ASCII digits, an
+    optional leading minus, q nonzero) is read with two `int` calls and
+    reduced by `math.gcd`; every other entry goes through `coerce_scalar`, so it is accepted or
+    refused as there. Float mode gives a float64 copy over 1, typed and
+    checked for booleans and non-finite values in one pass each.
+
+    Entries are read in row-major order, so the first bad one is the one
+    reported; `shape`, when given, is checked after they are read.
+    """
     if mode == FLOAT:
         if _holds_bool(data):
             raise InputError("true/false is not a number")
         try:
-            arr = np.asarray(data, dtype=float)
+            values = np.array(data, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"cannot interpret data as a float array: {exc}") from exc
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(values).all():
             raise InputError("non-finite entry in float array")
-        arr = arr.copy()
+        denominator = 1
     else:
-        raw = np.asarray(data, dtype=object)
-        coerce = np.frompyfunc(lambda v: coerce_scalar(v, RATIONAL), 1, 1)
-        arr = np.asarray(coerce(raw), dtype=object)  # a 0-d input comes back as a bare scalar
+        entries, data_shape = flat_entries(data)
+        tops, bottoms = zip(*map(_rational_pair, entries)) if entries else ((), ())
+        denominator = math.lcm(*bottoms)
+        values = np.empty(len(tops), dtype=object)
+        values[:] = [p * (denominator // q) for p, q in zip(tops, bottoms)]
+        values = values.reshape(data_shape)
     if shape is not None:
-        if int(np.prod(shape, dtype=object)) != arr.size:
-            raise InputError(f"expected {shape} = {int(np.prod(shape, dtype=object))} entries, got {arr.size}")
-        arr = arr.reshape(shape)
-    arr.setflags(write=False)
-    return arr
+        size = math.prod(shape)
+        if values.size != size:
+            raise InputError(f"expected {shape} = {size} entries, got {values.size}")
+        values = values.reshape(shape)
+    return values, denominator
+
+
+# "p" or "p/q" with ASCII digits, an optional minus on p and q nonzero
+_STRICT_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
+def _rational_pair(value) -> tuple[int, int]:
+    """Reduced numerator and positive denominator of one rational entry."""
+    if type(value) is str:
+        match = _STRICT_RATIONAL.fullmatch(value)
+        if match is not None:
+            try:
+                p, q = int(match[1]), int(match[2] or 1)
+            except ValueError:  # more digits than int() reads; coerce_scalar refuses it
+                pass
+            else:
+                common = math.gcd(p, q)
+                return p // common, q // common
+    exact = coerce_scalar(value, RATIONAL)
+    return exact.numerator, exact.denominator
+
+
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def flat_entries(data) -> tuple[list, tuple[int, ...]]:
+    """The entries of nested data in row-major order, and its shape, as
+    `np.asarray(data, dtype=object)` holds them; a flat list of JSON
+    scalars, the form of a parsed table, is taken as it is."""
+    if type(data) is list and set(map(type, data)) <= _JSON_SCALARS:
+        return data, (len(data),)
+    arr = np.asarray(data, dtype=object)
+    return arr.reshape(-1).tolist(), arr.shape
+
+
+def as_array(data, mode: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """Coerce nested data into a read-only mode-typed array: reduced
+    Fractions in rational mode, float64 in float mode."""
+    out = ratio_array(*numerators(data, mode, shape))
+    out.setflags(write=False)
+    return out
 
 
 def _holds_bool(data) -> bool:

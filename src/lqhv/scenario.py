@@ -179,13 +179,20 @@ class DistributionFamily:
             problem = "missing tables" if len(tables) < scenario.n_tuples else "unexpected tuples"
             raise InputError(f"{problem}: {len(tables)} tables given for "
                              f"{scenario.n_tuples} setting tuples")
-        keyed = {scenario.validate_setting_tuple(k): v for k, v in tables.items()}
-        if len(keyed) != len(tables):
-            raise InputError("duplicate setting tuples in table map")
-        # n_tuples distinct valid keys: sorted, they are setting_tuples()
-        flat = np.stack([numeric.as_array(keyed[t], mode, shape=scenario.table_shape)
-                         for t in sorted(keyed)])
-        numerators, denominator = numeric.common_denominator(flat)
+        order = scenario.setting_tuples()
+        if tables.keys() != set(order):
+            keyed = {scenario.validate_setting_tuple(k): v for k, v in tables.items()}
+            if len(keyed) != len(tables):
+                raise InputError("duplicate setting tuples in table map")
+            tables = keyed  # n_tuples distinct valid keys: exactly the tuples of `order`
+        # All entries are read at once, in tuple order, before any table's
+        # size is checked, so a bad entry is reported ahead of a bad size.
+        parts = [numeric.flat_entries(tables[t])[0] for t in order]
+        numerators, denominator = numeric.numerators(list(itertools.chain.from_iterable(parts)), mode)
+        size = math.prod(scenario.table_shape)
+        for part in parts:
+            if len(part) != size:
+                raise InputError(f"expected {scenario.table_shape} = {size} entries, got {len(part)}")
         self._adopt(scenario, numerators.reshape(scenario.settings_per_site + scenario.table_shape),
                     denominator, mode, tol)
 
@@ -195,9 +202,9 @@ class DistributionFamily:
         """Family from all tables at once, axes (s_1..s_N, a_1..a_N); the
         array is copied into the mode's type and validated like a mapping."""
         mode = numeric.check_mode(mode)
-        typed = numeric.as_array(stacked, mode,
-                                 shape=scenario.settings_per_site + scenario.table_shape)
-        return cls.from_numerators(scenario, *numeric.common_denominator(typed), mode, tol)
+        numerators, denominator = numeric.numerators(
+            stacked, mode, shape=scenario.settings_per_site + scenario.table_shape)
+        return cls.from_numerators(scenario, numerators, denominator, mode, tol)
 
     @classmethod
     def from_numerators(cls, scenario: Scenario, numerators: np.ndarray, denominator: int,

@@ -16,16 +16,24 @@ directly on `Fraction` arrays, as the package did before it moved to
 integer numerators over one denominator. For the LHV
 linear program there is a loop-built marginal matrix and a dense
 `Fraction` phase-1 tableau that recomputes every reduced cost before each
-pivot.
+pivot. `per_table_family` reads a family's tables one at a time into
+`Fraction` (or float) arrays, stacks them and splits them over their
+common denominator, as the package did before it read all entries in one
+pass; it shares only the per-entry rule `coerce_scalar` and the tuple
+validation with the package.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
+
+from lqhv.errors import InputError
+from lqhv.numeric import FLOAT, RATIONAL, coerce_scalar
 
 
 def axis_offsets(settings_per_site):
@@ -578,3 +586,61 @@ def fraction_build(stacked, settings_per_site):
     for site in range(n):
         atoms = _fraction_site_map(atoms, n - site, _site_marginal(stacked, site))
     return atoms, fraction_tuple_marginals(atoms, settings_per_site)
+
+
+def _holds_bool(data):
+    if isinstance(data, (list, tuple)):
+        return any(_holds_bool(v) for v in data)
+    if isinstance(data, np.ndarray):
+        if data.dtype == object:
+            return any(isinstance(v, (bool, np.bool_)) for v in data.flat)
+        return data.dtype == bool
+    return isinstance(data, (bool, np.bool_))
+
+
+def per_table_array(data, mode, shape=None):
+    """One table coerced on its own: an array of Fractions, each entry
+    through `coerce_scalar`, or a checked float64 copy; then its size."""
+    if mode == FLOAT:
+        if _holds_bool(data):
+            raise InputError("true/false is not a number")
+        try:
+            arr = np.asarray(data, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"cannot interpret data as a float array: {exc}") from exc
+        if not np.all(np.isfinite(arr)):
+            raise InputError("non-finite entry in float array")
+        arr = arr.copy()
+    else:
+        raw = np.asarray(data, dtype=object)
+        coerce = np.frompyfunc(lambda v: coerce_scalar(v, RATIONAL), 1, 1)
+        arr = np.asarray(coerce(raw), dtype=object)
+    if shape is not None:
+        size = int(np.prod(shape, dtype=object))
+        if size != arr.size:
+            raise InputError(f"expected {shape} = {size} entries, got {arr.size}")
+        arr = arr.reshape(shape)
+    return arr
+
+
+def per_table_family(scenario, tables, mode):
+    """(numerators, denominator) of a {tuple: table} map, its tables read
+    one at a time in tuple order and stacked, with axes (s_1..s_N,
+    a_1..a_N); raises what a bad count, key, entry or size raised."""
+    if len(tables) != scenario.n_tuples:
+        problem = "missing tables" if len(tables) < scenario.n_tuples else "unexpected tuples"
+        raise InputError(f"{problem}: {len(tables)} tables given for "
+                         f"{scenario.n_tuples} setting tuples")
+    keyed = {scenario.validate_setting_tuple(k): v for k, v in tables.items()}
+    if len(keyed) != len(tables):
+        raise InputError("duplicate setting tuples in table map")
+    stacked = np.stack([per_table_array(keyed[t], mode, scenario.table_shape)
+                        for t in sorted(keyed)])
+    stacked = stacked.reshape(scenario.settings_per_site + scenario.table_shape)
+    if stacked.dtype != object:
+        return stacked, 1
+    flat = stacked.reshape(-1).tolist()
+    den = math.lcm(*(v.denominator for v in flat))
+    nums = np.empty(len(flat), dtype=object)
+    nums[:] = [v.numerator * (den // v.denominator) for v in flat]
+    return nums.reshape(stacked.shape), den

@@ -216,6 +216,22 @@ class TestUsage:
         assert err.value.code == 1
 
 
+class TestUndecodableFile:
+    @pytest.mark.parametrize("command", [
+        "check", "build", "lhv", "expect --tuple 1,1 --observables [[1,-1],[1,-1]]", "quantum"])
+    def test_bytes_that_are_not_utf8_exit_one(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        words = command.split()
+        argv = [words[0], str(path), *words[1:]]
+        if words[0] in ("build", "quantum"):
+            argv += ["-o", str(tmp_path / "out.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert f"{path} is not valid UTF-8 JSON" in err
+
+
 class TestMalformedCounts:
     @pytest.mark.parametrize("command,data", [
         ("check", {"parties": [{"settings": "x", "outcomes": 2}], "mode": "rational", "tables": {}}),
@@ -259,6 +275,13 @@ class TestMalformedCounts:
         # quantum and random take no tolerance: the flag itself is refused
         pytest.param("quantum --tol inf", CHSH_QUANTUM_JSON, id="quantum-tolinf"),
         pytest.param("random --seed 1 --tol nan", PR_BOX_JSON, id="random-tolnan"),
+        # a rational entry with a huge exponent is refused before any power
+        # of ten is computed, in a family file and in --weights
+        *(pytest.param("check", {"parties": [{"settings": 1, "outcomes": 2}], "mode": "rational",
+                                 "tables": {"1": [entry, "1/2"]}}, id=f"check-{entry}")
+          for entry in ("1e400000000", "1e-3000000", "1e5000")),
+        pytest.param("random --seed 1 --weights 1e400000000,1", PR_BOX_JSON,
+                     id="random-weights-exponent"),
     ])
     def test_malformed_entries_exit_one(self, command, data, tmp_path, capsys, monkeypatch):
         path = tmp_path / "bad.json"

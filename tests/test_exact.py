@@ -2,6 +2,7 @@
 build, exactness at the edges, and the public Fraction arrays."""
 
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -158,3 +159,47 @@ class TestBooleansAreNotNumbers:
     def test_weights(self, mode):
         with pytest.raises(InputError):
             L.mix_families([L.pr_box(mode), L.uniform_family(L.CHSH_SCENARIO, mode)], [True, 1])
+
+
+# the interpreter's limit on the digits of an integer literal
+DIGIT_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+class TestExponentLimit:
+    """Decimal text is read while its exponent magnitude plus its digits
+    stay within the integer digit limit, and refused beyond it."""
+
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    @pytest.mark.parametrize("mantissa", ["1", "1.5", "0_1"])
+    def test_at_the_limit_is_read(self, sign, mantissa):
+        digits = sum(c.isdigit() for c in mantissa)
+        exponent = DIGIT_LIMIT - digits
+        value = numeric.coerce_scalar(f"{mantissa}e{sign}{exponent}", L.RATIONAL)
+        scale = Fraction(10) ** (-exponent if sign == "-" else exponent)
+        assert value == Fraction(mantissa.replace("_", "")) * scale
+
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    @pytest.mark.parametrize("mantissa", ["1", "1.5", "0_1", "  -1.", ".5"])
+    def test_one_past_the_limit_is_refused(self, sign, mantissa):
+        digits = sum(c.isdigit() for c in mantissa)
+        text = f"{mantissa}E{sign}{DIGIT_LIMIT - digits + 1}"
+        with pytest.raises(InputError, match="exponent and digits exceed"):
+            numeric.coerce_scalar(text, L.RATIONAL)
+
+    @pytest.mark.parametrize("text", ["1e400000000", "1e-3000000", "1e" + "9" * 5000])
+    def test_far_past_the_limit_is_refused(self, text):
+        with pytest.raises(InputError):
+            numeric.coerce_scalar(text, L.RATIONAL)
+
+    def test_float_mode_reads_such_text_as_a_float(self):
+        assert numeric.coerce_scalar("1e-400", L.FLOAT) == 0.0
+        with pytest.raises(InputError, match="non-finite"):
+            numeric.coerce_scalar("1e400", L.FLOAT)
+
+    def test_measure_atoms_and_weights_are_refused(self):
+        doc = io.measure_to_json(L.build_deterministic_measure(L.pr_box()).measure)
+        doc["atoms"][0] = f"1e-{DIGIT_LIMIT}"
+        with pytest.raises(InputError, match="exponent and digits exceed"):
+            io.measure_from_json(doc)
+        with pytest.raises(InputError, match="exponent and digits exceed"):
+            numeric.normalize_weights(["1", f"1e{DIGIT_LIMIT}"], L.RATIONAL)
