@@ -19,7 +19,7 @@ import lqhv as L
 q = L.chsh_optimal_scenario()
 family = L.born_family(q)
 
-print("tables are consistent:", L.check_nonsignaling(family, 1e-12) is None)
+print("tables are consistent:", L.check_nonsignaling(family) is None)
 
 # Correlators via product expectations with the +1/-1 encoding of the
 # binary outcomes. Three are +1/sqrt(2), the last is -1/sqrt(2).

@@ -103,7 +103,7 @@ def cmd_check(args) -> int:
     report = {"input": args.family, "digest": _digest(args.family), "timings": {}}
     family = load_family(args.family, tol=args.tol)
     t0 = time.perf_counter()
-    witness = check_nonsignaling(family, args.tol)
+    witness = check_nonsignaling(family)
     report["timings"]["check"] = time.perf_counter() - t0
     passed = witness is None
     report["consistency"] = {
@@ -129,7 +129,7 @@ def cmd_build(args) -> int:
     report = {"input": args.family, "digest": _digest(args.family), "timings": {}}
     family = _family_for(args)
     t0 = time.perf_counter()
-    marginals = extract_marginal_family(family, args.tol)
+    marginals = extract_marginal_family(family)
     report["timings"]["check"] = time.perf_counter() - t0
     report["consistency"] = {"passed": True, "witness": None}
 
@@ -147,7 +147,7 @@ def cmd_build(args) -> int:
     }
 
     t0 = time.perf_counter()
-    check = verify_marginals(model, family, args.tol)
+    check = verify_marginals(model, family)
     report["timings"]["verify"] = time.perf_counter() - t0
     report["verification"] = {"max_error": fmt(check.max_error)}
 
@@ -190,7 +190,7 @@ def cmd_lhv(args) -> int:
     report = {"input": args.family, "digest": _digest(args.family), "timings": {}}
     family = _family_for(args)
     t0 = time.perf_counter()
-    verdict = lhv_feasible(family, tol=args.tol, budget=args.budget)
+    verdict = lhv_feasible(family, budget=args.budget)
     report["timings"]["lhv"] = time.perf_counter() - t0
     mode = family.mode
     report["lhv"] = {
@@ -224,7 +224,7 @@ def cmd_expect(args) -> int:
     lines = [f"expectation at {args.tuple}: {fmt(value)}"]
     if args.compare_model:
         t0 = time.perf_counter()
-        model = build_deterministic_measure(family, budget=args.budget, tol=args.tol)
+        model = build_deterministic_measure(family, budget=args.budget)
         model_value = product_expectation_model(model, setting_tuple, observables)
         report["timings"]["model"] = time.perf_counter() - t0
         report["expectation"]["model_value"] = fmt(model_value)

@@ -10,7 +10,8 @@ integer verification), is multilinear and site-local: the builder applies
 one linear map per site to the family's stacked tensor, and verification
 gets every full-tuple marginal at once from per-site 0/1 projections. In
 rational mode both run on integer numerators over one denominator, so no
-`Fraction` is formed until a result is read.
+`Fraction` is formed until a result is read. Every comparison against a
+family is made within the family's own tolerance `family.tol`.
 
 Also here: the Jordan split of a signed measure into positive and negative
 parts, conversion of a stochastic one-measure-space model into the
@@ -235,8 +236,7 @@ def _apply_site_map(atoms: np.ndarray, axis: int, p: np.ndarray, keep, shrink) -
 
 def build_deterministic_measure(family: DistributionFamily,
                                 marginals: MarginalFamily | None = None,
-                                *, budget: int = DEFAULT_ATOM_BUDGET,
-                                tol: float | None = None) -> DeterministicLqHVModel:
+                                *, budget: int = DEFAULT_ATOM_BUDGET) -> DeterministicLqHVModel:
     """Construct the deterministic LqHV measure of a nonsignaling family.
 
     The measure is mu = (M_1 (x) ... (x) M_N) F on the stacked family F, with
@@ -253,16 +253,14 @@ def build_deterministic_measure(family: DistributionFamily,
     ----------
     family:
         The joint tables; must satisfy the nonsignaling consistency
-        condition (verified here via the marginal extraction when
-        `marginals` is not supplied).
+        condition within `family.tol` (verified here via the marginal
+        extraction when `marginals` is not supplied).
     marginals:
         Optionally the output of `extract_marginal_family(family)`; pass
         it to avoid re-running the consistency check.
     budget:
         Refuse joint spaces with more atoms than this instead of
         allocating them.
-    tol:
-        Comparison tolerance for the consistency check (float mode).
 
     Returns
     -------
@@ -275,7 +273,7 @@ def build_deterministic_measure(family: DistributionFamily,
         raise AtomBudgetError(
             f"joint space holds {scenario.joint_size} atoms, over the budget {budget}")
     if marginals is None:
-        marginals = extract_marginal_family(family, tol)
+        marginals = extract_marginal_family(family)
     elif marginals.scenario != scenario or marginals.mode != family.mode:
         raise InputError("marginal family does not match the distribution family")
 
@@ -313,14 +311,14 @@ class VerificationReport:
 
 
 def verify_marginals(model: DeterministicLqHVModel | SignedMeasure,
-                     family: DistributionFamily, tol: float | None = None) -> VerificationReport:
+                     family: DistributionFamily) -> VerificationReport:
     """Compare every full-tuple marginal of the measure with its table.
 
     Returns the largest absolute entrywise error over all tuples and
     raises RepresentationError if any reproduced entry drops below the
-    nonnegativity floor -tol (0 in rational mode). In rational mode the
-    marginals R over the measure's denominator Q are compared with the
-    family F over D exactly, as R D against F Q.
+    nonnegativity floor -family.tol (0 in rational mode). In rational
+    mode the marginals R over the measure's denominator Q are compared
+    with the family F over D exactly, as R D against F Q.
     """
     measure = model.measure if isinstance(model, DeterministicLqHVModel) else model
     if measure.scenario != family.scenario:
@@ -328,30 +326,29 @@ def verify_marginals(model: DeterministicLqHVModel | SignedMeasure,
     if measure.mode != family.mode:
         raise InputError("measure and family use different arithmetic modes")
     mode = family.mode
-    floor = -(family.tol if tol is None else numeric.tolerance(mode, tol))
     reproduced = _tuple_marginals(measure.numerators, measure.scenario)
     error = numeric.max_abs(reproduced * family.denominator
                             - family.numerators * measure.denominator)
     max_err = numeric.ratio(error, family.denominator * measure.denominator, mode)
     min_repro = numeric.ratio(reproduced.min(), measure.denominator, mode)
-    if min_repro < floor:
+    if min_repro < -family.tol:
         raise RepresentationError(
-            f"reproduced probability {min_repro} below the nonnegativity floor {floor}")
+            f"reproduced probability {min_repro} below the nonnegativity floor {-family.tol}")
     return VerificationReport(max_err, min_repro)
 
 
-def induced_family(measure: SignedMeasure, tol: float | None = None) -> DistributionFamily:
+def induced_family(measure: SignedMeasure) -> DistributionFamily:
     """Read the joint tables off a measure's full-tuple marginals.
 
     Marginals of a single measure are automatically consistent, so the
     result always passes the nonsignaling check; if some marginal entry is
     negative the measure represents no probability family and a
-    RepresentationError is raised.
+    RepresentationError is raised. The family gets the default tolerance.
     """
     try:
         return DistributionFamily.from_numerators(
             measure.scenario, _tuple_marginals(measure.numerators, measure.scenario),
-            measure.denominator, measure.mode, tol=tol)
+            measure.denominator, measure.mode)
     except InputError as exc:
         raise RepresentationError(f"measure does not induce a probability family: {exc}") from exc
 
@@ -362,13 +359,14 @@ class StochasticLqHVModel:
     A signed weight vector nu over a finite hidden space (summing to 1)
     plus, for each (site, setting), a row-stochastic matrix mapping hidden
     points to outcome distributions. The conditionals must be genuine
-    probabilities; only nu may go negative.
+    probabilities; only nu may go negative. Sums and floors are judged
+    within the default tolerance (LQHV_TOL, else 1e-9; 0 in rational mode).
     """
 
     def __init__(self, nu, conditionals: Sequence[Sequence[object]],
-                 mode: str = numeric.RATIONAL, tol: float | None = None):
+                 mode: str = numeric.RATIONAL):
         self.mode = numeric.check_mode(mode)
-        self.tol = numeric.tolerance(self.mode, tol)
+        self.tol = numeric.tolerance(self.mode)
         self.nu = numeric.as_array(nu, self.mode)
         if self.nu.ndim != 1 or self.nu.size == 0:
             raise InputError("nu must be a nonempty vector")
@@ -419,8 +417,7 @@ class StochasticLqHVModel:
         return out
 
 
-def determinize(model: StochasticLqHVModel, scenario: Scenario,
-                tol: float | None = None) -> DeterministicLqHVModel:
+def determinize(model: StochasticLqHVModel, scenario: Scenario) -> DeterministicLqHVModel:
     """Convert a stochastic model into the deterministic coordinate form.
 
     The hidden space is traded for the joint coordinate space: each atom

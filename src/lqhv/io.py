@@ -25,7 +25,7 @@ Measure files:
      "mode": "rational" | "float",
      "atoms": [row-major entries in the axis order shown]}
 Axes follow the fixed coordinate order (1,1)..(1,S_1)..(N,S_N); import
-revalidates normalization.
+revalidates normalization, within LQHV_TOL or 1e-9 in float mode.
 
 Verdict files:
     {"row_order": <description>, "feasible": bool,
@@ -36,7 +36,9 @@ Quantum scenario files:
     {"site_dims": [d_n, ...], "rho": [[[re, im], ...], ...],
      "povms": [[[effect, ...] per setting] per site]}
 with every complex entry a two-element [re, im] array and every effect a
-d_n x d_n nested matrix.
+d_n x d_n nested matrix, checked within `lqhv.quantum.TOL`. A family's
+tolerance is fixed when it is read: the `tol` given to `load_family` (the
+CLI's `--tol`), else LQHV_TOL, else 1e-9; a rational family's is 0.
 
 Every file and every `--json` report goes through one writer,
 `write_json`. Its output is byte for byte what
@@ -144,7 +146,7 @@ def measure_to_json(measure: SignedMeasure) -> dict:
     }
 
 
-def measure_from_json(data: Any, tol: float | None = None) -> SignedMeasure:
+def measure_from_json(data: Any) -> SignedMeasure:
     axes = _require(data, "axes", "measure file")
     if not isinstance(axes, list) or not axes:
         raise InputError("'axes' must be a nonempty list")
@@ -180,7 +182,7 @@ def measure_from_json(data: Any, tol: float | None = None) -> SignedMeasure:
         raise InputError("axes must appear in the fixed order (1,1)..(1,S_1)..(N,S_N)")
     mode = _read_mode(data, "measure file")
     atoms = _require(data, "atoms", "measure file")
-    return SignedMeasure(scenario, atoms, mode, tol=tol)
+    return SignedMeasure(scenario, atoms, mode)
 
 
 def verdict_to_json(verdict: LhvVerdict) -> dict:
@@ -229,12 +231,12 @@ def quantum_to_json(q: QuantumScenario) -> dict:
     }
 
 
-def quantum_from_json(data: Any, tol: float = 1e-9) -> QuantumScenario:
+def quantum_from_json(data: Any) -> QuantumScenario:
     dims = _require(data, "site_dims", "quantum file")
     if not isinstance(dims, list) or not dims:
         raise InputError("'site_dims' must be a nonempty list")
     dims = [_as_int(d, f"site_dims entry {n}") for n, d in enumerate(dims, start=1)]
-    rho = DensityMatrix(_complex_matrix(_require(data, "rho", "quantum file"), "rho"), tol)
+    rho = DensityMatrix(_complex_matrix(_require(data, "rho", "quantum file"), "rho"))
     raw_povms = _require(data, "povms", "quantum file")
     if not isinstance(raw_povms, list) or len(raw_povms) != len(dims):
         raise InputError("'povms' must hold one setting list per site")
@@ -248,7 +250,7 @@ def quantum_from_json(data: Any, tol: float = 1e-9) -> QuantumScenario:
                 raise InputError(f"site {n} setting {s}: expected a list of effects")
             mats = [_complex_matrix(e, f"site {n} setting {s} effect {i}")
                     for i, e in enumerate(effects)]
-            site_povms.append(POVM(tuple(mats), tol))
+            site_povms.append(POVM(tuple(mats)))
         for p in site_povms:
             if p.dim != dims[n - 1]:
                 raise InputError(f"site {n} POVM dimension {p.dim} does not match "
@@ -341,16 +343,16 @@ def save_family(family: DistributionFamily, path: str) -> None:
     dump_json(family_to_json(family), path)
 
 
-def load_measure(path: str, tol: float | None = None) -> SignedMeasure:
-    return measure_from_json(load_json(path), tol=tol)
+def load_measure(path: str) -> SignedMeasure:
+    return measure_from_json(load_json(path))
 
 
 def save_measure(measure: SignedMeasure, path: str) -> None:
     dump_json(measure_to_json(measure), path)
 
 
-def load_quantum(path: str, tol: float = 1e-9) -> QuantumScenario:
-    return quantum_from_json(load_json(path), tol=tol)
+def load_quantum(path: str) -> QuantumScenario:
+    return quantum_from_json(load_json(path))
 
 
 def save_quantum(q: QuantumScenario, path: str) -> None:

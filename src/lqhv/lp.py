@@ -27,7 +27,7 @@ and every division is exact, so the result is exactly that of a
 multiplication, and `Fraction`s are formed only for the returned
 witness, certificate and residual. Float mode divides the pivot
 row by its pivot instead. Every verdict is checked before it is
-returned, exactly in rational mode and within tol in float mode.
+returned, exactly in rational mode and within `family.tol` in float mode.
 
 Row order is fixed and documented: setting tuples in lexicographic order,
 and within each tuple the outcome combinations in row-major order, i.e.
@@ -189,13 +189,14 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
     return objective, x, y
 
 
-def _checked_witness(x: list, family: DistributionFamily, tol: float) -> tuple[np.ndarray, int]:
+def _checked_witness(x: list, family: DistributionFamily) -> tuple[np.ndarray, int]:
     """Witness atoms as (numerators, denominator), checked nonnegative and
-    reproducing every table of the family.
+    reproducing every table of the family within its tolerance.
 
     Float atoms within tol below zero are clipped to zero first. A failed
     check raises RepresentationError.
     """
+    tol = family.tol
     atoms = np.array(x, dtype=object if family.mode == numeric.RATIONAL else float)
     if atoms.min() < -tol:
         raise RepresentationError(f"simplex returned atom {atoms.min()} below the floor")
@@ -209,13 +210,14 @@ def _checked_witness(x: list, family: DistributionFamily, tol: float) -> tuple[n
 
 
 def _check_certificate(y: np.ndarray, residual: Scalar, family: DistributionFamily,
-                       rows: np.ndarray, tol: float) -> None:
+                       rows: np.ndarray) -> None:
     """Require y.A <= 0 on every atom column, y.b > 0 and y.b == residual,
-    each within tol.
+    each within the family's tolerance.
 
     y.A and y.b are taken on integer numerators in rational mode. A failed
     check raises RepresentationError.
     """
+    tol = family.tol
     values, den = numeric.common_denominator(y)
     products = values[rows].sum(axis=0)
     if products.max() > tol:
@@ -227,12 +229,12 @@ def _check_certificate(y: np.ndarray, residual: Scalar, family: DistributionFami
         raise RepresentationError(f"certificate gap y.b = {gap} does not match the residual {residual}")
 
 
-def lhv_feasible(family: DistributionFamily, tol: float | None = None,
-                 budget: int = DEFAULT_ATOM_BUDGET) -> LhvVerdict:
+def lhv_feasible(family: DistributionFamily, *, budget: int = DEFAULT_ATOM_BUDGET) -> LhvVerdict:
     """Search for a nonnegative joint-space measure matching every table.
 
     The family must pass the consistency check first (a signaling family
     has no simulating measure of any sign, so the question is not posed).
+    Every comparison is made within the family's tolerance `family.tol`.
     `budget` caps both the atom count and the simplex tableau's cells,
     rows x (atoms + rows + 1), and is enforced before anything is built.
     Feasible instances return the witness measure; infeasible ones return
@@ -248,19 +250,18 @@ def lhv_feasible(family: DistributionFamily, tol: float | None = None,
     cells = n_rows * (scenario.joint_size + n_rows + 1)
     if cells > budget:
         raise AtomBudgetError(f"LP tableau holds {cells} cells, over the budget {budget}")
-    tol = family.tol if tol is None else numeric.tolerance(family.mode, tol)
-    witness = check_nonsignaling(family, tol)
+    witness = check_nonsignaling(family)
     if witness is not None:
         raise SignalingError(witness)
 
     objective, x, y = _phase1_simplex(marginal_matrix(scenario), family.numerators.reshape(-1),
-                                      family.denominator, family.mode, tol)
-    if objective <= tol:
-        atoms, den = _checked_witness(x, family, tol)
+                                      family.denominator, family.mode, family.tol)
+    if objective <= family.tol:
+        atoms, den = _checked_witness(x, family)
         measure = SignedMeasure.from_numerators(scenario, atoms, den, family.mode,
-                                                tol=max(tol, 1e-12))
+                                                tol=max(family.tol, 1e-12))
         return LhvVerdict(True, measure, None, objective)
     certificate = np.array(y, dtype=object if family.mode == numeric.RATIONAL else float)
-    _check_certificate(certificate, objective, family, marginal_rows(scenario), tol)
+    _check_certificate(certificate, objective, family, marginal_rows(scenario))
     certificate.setflags(write=False)
     return LhvVerdict(False, None, certificate, objective)

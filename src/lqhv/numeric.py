@@ -29,6 +29,7 @@ in rational mode it is 0, so the same rule is exact equality there.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -124,7 +125,7 @@ def _refuse_long_exponent(text: str) -> None:
     match = _EXPONENT_TEXT.fullmatch(text)
     if match is None:
         return
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = _digit_limit()
     mantissa = match[1]
     digits = len(mantissa) - mantissa.count("_") - mantissa.count(".")
     try:
@@ -145,8 +146,10 @@ def numerators(data, mode: str, shape: tuple[int, ...] | None = None) -> tuple[n
     give. A string in the strict form "p" or "p/q" (ASCII digits, an
     optional leading minus, q nonzero) is read with two `int` calls and
     reduced by `math.gcd`; every other entry goes through `coerce_scalar`, so it is accepted or
-    refused as there. Float mode gives a float64 copy over 1, typed and
-    checked for booleans and non-finite values in one pass each.
+    refused as there. The lcm is refused once it has more decimal digits
+    than Python's integer string limit (4300 by default), the limit the
+    entries' own text is held to. Float mode gives a float64 copy over 1,
+    typed and checked for booleans and non-finite values in one pass each.
 
     Entries are read in row-major order, so the first bad one is the one
     reported; `shape`, when given, is checked after they are read.
@@ -164,7 +167,7 @@ def numerators(data, mode: str, shape: tuple[int, ...] | None = None) -> tuple[n
     else:
         entries, data_shape = flat_entries(data)
         tops, bottoms = zip(*map(_rational_pair, entries)) if entries else ((), ())
-        denominator = math.lcm(*bottoms)
+        denominator = _bounded_lcm(bottoms)
         values = np.empty(len(tops), dtype=object)
         values[:] = [p * (denominator // q) for p, q in zip(tops, bottoms)]
         values = values.reshape(data_shape)
@@ -174,6 +177,31 @@ def numerators(data, mode: str, shape: tuple[int, ...] | None = None) -> tuple[n
             raise InputError(f"expected {shape} = {size} entries, got {values.size}")
         values = values.reshape(shape)
     return values, denominator
+
+
+def _digit_limit() -> int:
+    """The interpreter's limit on the decimal digits of an int read from
+    or written as text (4300 by default; the default where it is off)."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+@functools.cache
+def _power_of_ten(exponent: int) -> int:
+    return 10**exponent
+
+
+def _bounded_lcm(denominators) -> int:
+    """lcm of the distinct denominators, built one at a time and refused
+    with InputError as soon as it has more decimal digits than
+    `_digit_limit()`, before the numerators are scaled to it."""
+    limit = _digit_limit()
+    bound = _power_of_ten(limit)
+    out = 1
+    for q in set(denominators):
+        out = math.lcm(out, q)
+        if out >= bound:
+            raise InputError(f"the entries' common denominator has more than {limit} digits")
+    return out
 
 
 # "p" or "p/q" with ASCII digits, an optional minus on p and q nonzero

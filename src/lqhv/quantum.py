@@ -23,6 +23,7 @@ from . import numeric
 from .errors import InputError
 from .scenario import DistributionFamily, Scenario, interleaved_to_stacked
 
+TOL = 1e-9  # Hermitian asymmetry, trace, POVM closure and unit-direction checks
 EIGENVALUE_FLOOR = -1e-10
 IMAGINARY_RESIDUE = 1e-12
 
@@ -40,9 +41,9 @@ def _as_square_complex(matrix, what: str) -> np.ndarray:
     return arr
 
 
-def _check_hermitian(arr: np.ndarray, tol: float, what: str) -> None:
+def _check_hermitian(arr: np.ndarray, what: str) -> None:
     gap = np.abs(arr - arr.conj().T).max()
-    if gap > tol:
+    if gap > TOL:
         raise InputError(f"{what} is not Hermitian (asymmetry {gap:.3e})")
 
 
@@ -51,13 +52,12 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite complex matrix."""
 
     matrix: np.ndarray
-    tol: float = 1e-9
 
     def __post_init__(self):
         arr = _as_square_complex(self.matrix, "density matrix")
-        _check_hermitian(arr, self.tol, "density matrix")
+        _check_hermitian(arr, "density matrix")
         trace = arr.trace()
-        if abs(trace - 1.0) > self.tol:
+        if abs(trace - 1.0) > TOL:
             raise InputError(f"density matrix trace is {trace:.6g}, not 1")
         low = np.linalg.eigvalsh(arr).min()
         if low < EIGENVALUE_FLOOR:
@@ -75,7 +75,6 @@ class POVM:
     """Finite list of positive-semidefinite effects summing to the identity."""
 
     effects: tuple
-    tol: float = 1e-9
 
     def __post_init__(self):
         if len(self.effects) == 0:
@@ -83,7 +82,7 @@ class POVM:
         arrs = []
         for i, effect in enumerate(self.effects):
             arr = _as_square_complex(effect, f"effect {i}")
-            _check_hermitian(arr, self.tol, f"effect {i}")
+            _check_hermitian(arr, f"effect {i}")
             if arrs and arr.shape != arrs[0].shape:
                 raise InputError("POVM effects have mismatched dimensions")
             low = np.linalg.eigvalsh(arr).min()
@@ -93,7 +92,7 @@ class POVM:
             arrs.append(arr)
         closure = sum(arrs) - np.eye(arrs[0].shape[0], dtype=complex)
         gap = np.abs(closure).max()
-        if gap > self.tol:
+        if gap > TOL:
             raise InputError(f"POVM effects sum misses the identity by {gap:.3e}")
         object.__setattr__(self, "effects", tuple(arrs))
 
@@ -191,7 +190,7 @@ def projective_qubit_povm(direction: Sequence[float]) -> POVM:
     if n.shape != (3,):
         raise InputError("direction must be a 3-vector")
     norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > TOL:
         raise InputError(f"direction must be unit length, got norm {norm:.6g}")
     spin = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
     eye = np.eye(2, dtype=complex)

@@ -16,9 +16,10 @@ A family is built from a {tuple: table} mapping (the file format) or,
 by producers that compute all tables at once, from the tensor itself with
 `DistributionFamily.from_stacked(scenario, stacked, mode, tol)` or from
 its numerators with `DistributionFamily.from_numerators`; all run one
-validation over the stacked tensor. The tensor is held as numerators over
-one denominator (see `lqhv.numeric`), and the check and the marginal
-means run on those numerators.
+validation over the stacked tensor, which fixes the family's tolerance
+`tol` (0 in rational mode) that every later comparison reads. The tensor
+is held as numerators over one denominator (see `lqhv.numeric`), and the
+check and the marginal means run on those numerators.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -104,7 +106,15 @@ class Scenario:
             raise InputError(f"site {site} out of range 1..{self.n_parties}")
 
     def validate_setting_tuple(self, s: Iterable[int]) -> SettingTuple:
-        st = tuple(int(v) for v in s)
+        """The tuple of 1-based settings `s`, each entry an integer (not a
+        bool) in range; anything else raises InputError naming `s`."""
+        try:
+            items = tuple(s)
+            if any(isinstance(v, (bool, np.bool_)) for v in items):
+                raise TypeError("a bool is not a setting")
+            st = tuple(map(operator.index, items))
+        except TypeError as exc:
+            raise InputError(f"setting tuple {s!r} is not a sequence of integers") from exc
         if len(st) != self.n_parties:
             raise InputError(f"setting tuple {st} has {len(st)} entries, expected {self.n_parties}")
         for n, (v, s_max) in enumerate(zip(st, self.settings_per_site), start=1):
@@ -180,19 +190,31 @@ class DistributionFamily:
             raise InputError(f"{problem}: {len(tables)} tables given for "
                              f"{scenario.n_tuples} setting tuples")
         order = scenario.setting_tuples()
-        if tables.keys() != set(order):
+        # keys such as (True, 1) or (1.0, 1) equal a setting tuple but are refused
+        if tables.keys() != set(order) or set(map(type, itertools.chain(*tables))) != {int}:
             keyed = {scenario.validate_setting_tuple(k): v for k, v in tables.items()}
             if len(keyed) != len(tables):
                 raise InputError("duplicate setting tuples in table map")
             tables = keyed  # n_tuples distinct valid keys: exactly the tuples of `order`
         # All entries are read at once, in tuple order, before any table's
         # size is checked, so a bad entry is reported ahead of a bad size.
+        # Only on failure is each table read alone, to name the one at fault.
         parts = [numeric.flat_entries(tables[t])[0] for t in order]
-        numerators, denominator = numeric.numerators(list(itertools.chain.from_iterable(parts)), mode)
+        try:
+            numerators, denominator = numeric.numerators(list(itertools.chain.from_iterable(parts)),
+                                                         mode)
+        except InputError:
+            for t, part in zip(order, parts):
+                try:
+                    numeric.numerators(part, mode)
+                except InputError as exc:
+                    raise InputError(f"table {t}: {exc}") from exc
+            raise
         size = math.prod(scenario.table_shape)
-        for part in parts:
+        for t, part in zip(order, parts):
             if len(part) != size:
-                raise InputError(f"expected {scenario.table_shape} = {size} entries, got {len(part)}")
+                raise InputError(f"table {t}: expected {scenario.table_shape} = {size} entries, "
+                                 f"got {len(part)}")
         self._adopt(scenario, numerators.reshape(scenario.settings_per_site + scenario.table_shape),
                     denominator, mode, tol)
 
@@ -322,13 +344,13 @@ def _lattice_spreads(tensor: np.ndarray, n: int, kept: tuple[int, ...] | None = 
         yield from _lattice_spreads(child, n, sites, site)
 
 
-def check_nonsignaling(family: DistributionFamily, tol: float | None = None) -> Witness | None:
+def check_nonsignaling(family: DistributionFamily) -> Witness | None:
     """Test the consistency condition; None means pass.
 
     For every nonempty proper site subset and every pair of full setting
     tuples agreeing there, the subset marginals of the two tables must
-    coincide (entrywise within `tol`; exactly in rational mode), so each
-    group of compatible tuples is judged by its entrywise max - min. The
+    coincide (entrywise within `family.tol`; exactly in rational mode), so
+    each group of compatible tuples is judged by its entrywise max - min. The
     subsets' outcome sums come from one depth-first walk over the subset
     lattice, each from its parent with one site more, not from the full
     tensor. The witness carries the largest spread at its first occurrence
@@ -342,13 +364,12 @@ def check_nonsignaling(family: DistributionFamily, tol: float | None = None) -> 
     Vacuously true for single-site scenarios or a single setting tuple.
     """
     scenario = family.scenario
-    threshold = family.tol if tol is None else numeric.tolerance(family.mode, tol)
     peaks = {}
     for sites, spread in _lattice_spreads(family.numerators, scenario.n_parties):
         i = int(np.argmax(spread))
         peaks[sites] = (spread[i], i)
-    worst = max((value for value, _ in peaks.values()), default=threshold)
-    if not worst > threshold:
+    worst = max((value for value, _ in peaks.values()), default=family.tol)
+    if not worst > family.tol:
         return None
     sites = next(t for t in scenario.site_subsets(proper=True) if peaks[t][0] == worst)
     c, cell = np.unravel_index(peaks[sites][1], (
@@ -433,9 +454,9 @@ class MarginalFamily:
         return marginals[row].reshape([self.scenario.outcomes_per_site[n - 1] for n in sites])
 
 
-def extract_marginal_family(family: DistributionFamily, tol: float | None = None) -> MarginalFamily:
+def extract_marginal_family(family: DistributionFamily) -> MarginalFamily:
     """Collect the common marginals; raises SignalingError if inconsistent."""
-    witness = check_nonsignaling(family, tol)
+    witness = check_nonsignaling(family)
     if witness is not None:
         raise SignalingError(witness)
     return MarginalFamily.from_numerators(family.scenario, family.mode, family.numerators,
@@ -452,13 +473,12 @@ class EprReport:
     settings: tuple[int, ...] | None = None
 
 
-def compare_scenarios_epr(family_a: DistributionFamily, family_b: DistributionFamily,
-                          tol: float | None = None) -> EprReport:
+def compare_scenarios_epr(family_a: DistributionFamily, family_b: DistributionFamily) -> EprReport:
     """Check that two families share all their sub-tuple marginals.
 
-    Both families must have the same shape and pass the consistency check;
-    the comparison then runs over every proper site subset and setting
-    assignment, where consistency makes the marginals setting-determined.
+    Both families must have the same shape and pass the consistency check,
+    each within its own tolerance; the comparison, within `family_a.tol`,
+    runs over every proper site subset and setting assignment.
     """
     if family_a.scenario != family_b.scenario:
         raise InputError("families describe different scenario shapes")
@@ -466,9 +486,8 @@ def compare_scenarios_epr(family_a: DistributionFamily, family_b: DistributionFa
         raise InputError("families use different arithmetic modes")
     scenario = family_a.scenario
     mode = family_a.mode
-    tol = family_a.tol if tol is None else numeric.tolerance(mode, tol)
-    marg_a = extract_marginal_family(family_a, tol)
-    marg_b = extract_marginal_family(family_b, tol)
+    marg_a = extract_marginal_family(family_a)
+    marg_b = extract_marginal_family(family_b)
     worst = numeric.zero(mode)
     worst_key: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for sites in scenario.site_subsets(proper=True):
@@ -479,6 +498,6 @@ def compare_scenarios_epr(family_a: DistributionFamily, family_b: DistributionFa
         if value > worst:
             settings = np.unravel_index(i, [scenario.settings_per_site[n - 1] for n in sites])
             worst, worst_key = value, (sites, tuple(int(s) + 1 for s in settings))
-    if worst > tol:
+    if worst > family_a.tol:
         return EprReport(False, worst, worst_key[0], worst_key[1])
     return EprReport(True, worst)

@@ -20,13 +20,15 @@ pivot. `per_table_family` reads a family's tables one at a time into
 `Fraction` (or float) arrays, stacks them and splits them over their
 common denominator, as the package did before it read all entries in one
 pass; it shares only the per-entry rule `coerce_scalar` and the tuple
-validation with the package.
+validation with the package, and refuses a common denominator past the
+interpreter's integer digit limit, per table and then for the family.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -598,9 +600,18 @@ def _holds_bool(data):
     return isinstance(data, (bool, np.bool_))
 
 
+def _check_denominator_digits(fractions):
+    """Refuse Fractions whose common denominator has more decimal digits
+    than the interpreter's integer string limit."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if math.lcm(*(v.denominator for v in fractions)) >= 10**limit:
+        raise InputError(f"the entries' common denominator has more than {limit} digits")
+
+
 def per_table_array(data, mode, shape=None):
     """One table coerced on its own: an array of Fractions, each entry
-    through `coerce_scalar`, or a checked float64 copy; then its size."""
+    through `coerce_scalar`, or a checked float64 copy; then the digits of
+    its common denominator (rational), then its size."""
     if mode == FLOAT:
         if _holds_bool(data):
             raise InputError("true/false is not a number")
@@ -615,6 +626,7 @@ def per_table_array(data, mode, shape=None):
         raw = np.asarray(data, dtype=object)
         coerce = np.frompyfunc(lambda v: coerce_scalar(v, RATIONAL), 1, 1)
         arr = np.asarray(coerce(raw), dtype=object)
+        _check_denominator_digits(arr.reshape(-1).tolist())
     if shape is not None:
         size = int(np.prod(shape, dtype=object))
         if size != arr.size:
@@ -623,10 +635,12 @@ def per_table_array(data, mode, shape=None):
     return arr
 
 
-def per_table_family(scenario, tables, mode):
+def per_table_family(scenario, tables, mode, name_tables=False):
     """(numerators, denominator) of a {tuple: table} map, its tables read
     one at a time in tuple order and stacked, with axes (s_1..s_N,
-    a_1..a_N); raises what a bad count, key, entry or size raised."""
+    a_1..a_N); raises what a bad count, key, entry or size raised, with
+    the faulty table's setting tuple in front when `name_tables` is set,
+    then what a common denominator over the digit limit raises."""
     if len(tables) != scenario.n_tuples:
         problem = "missing tables" if len(tables) < scenario.n_tuples else "unexpected tuples"
         raise InputError(f"{problem}: {len(tables)} tables given for "
@@ -634,12 +648,19 @@ def per_table_family(scenario, tables, mode):
     keyed = {scenario.validate_setting_tuple(k): v for k, v in tables.items()}
     if len(keyed) != len(tables):
         raise InputError("duplicate setting tuples in table map")
-    stacked = np.stack([per_table_array(keyed[t], mode, scenario.table_shape)
-                        for t in sorted(keyed)])
-    stacked = stacked.reshape(scenario.settings_per_site + scenario.table_shape)
+    arrays = []
+    for t in sorted(keyed):
+        try:
+            arrays.append(per_table_array(keyed[t], mode, scenario.table_shape))
+        except InputError as exc:
+            if not name_tables:
+                raise
+            raise InputError(f"table {t}: {exc}") from exc
+    stacked = np.stack(arrays).reshape(scenario.settings_per_site + scenario.table_shape)
     if stacked.dtype != object:
         return stacked, 1
     flat = stacked.reshape(-1).tolist()
+    _check_denominator_digits(flat)
     den = math.lcm(*(v.denominator for v in flat))
     nums = np.empty(len(flat), dtype=object)
     nums[:] = [v.numerator * (den // v.denominator) for v in flat]

@@ -97,7 +97,8 @@ def test_3_pr_box_quantities_are_exact(reported):
 def test_4_quantum_pipeline_hits_the_tsirelson_point(reported):
     with reported(4, "singlet pipeline: consistent family, CHSH 2*sqrt(2), rebuilt"):
         family = L.born_family(L.chsh_optimal_scenario())
-        assert L.check_nonsignaling(family, 1e-12) is None
+        assert family.tol == 1e-12
+        assert L.check_nonsignaling(family) is None
         assert abs(L.chsh_value(family) - 2 * np.sqrt(2)) <= 1e-9
         model = L.build_deterministic_measure(family)
         assert L.verify_marginals(model, family).max_error <= 1e-9

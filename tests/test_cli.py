@@ -1,6 +1,7 @@
 """Command-line pipeline: exit codes, reports, idempotence."""
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -308,3 +309,76 @@ class TestMalformedCounts:
         if "tol" in command.lower():
             assert "tol" in err.lower()
         assert not out.exists()
+
+
+def drift_json(shift):
+    """Float CHSH family whose site-1 marginal moves by 2 * shift with site 2's setting."""
+    tables = {io.tuple_key(t): [0.25 + (shift if t[1] == 2 else -shift), 0.25,
+                                0.25 - (shift if t[1] == 2 else -shift), 0.25]
+              for t in L.CHSH_SCENARIO.setting_tuples()}
+    return {"parties": [{"settings": 2, "outcomes": 2}] * 2, "mode": "float", "tables": tables}
+
+
+class TestToleranceReachesEveryCommand:
+    """The family read with --tol or LQHV_TOL carries that tolerance into
+    every step a command runs: a 2e-12 drift passes at 1e-9 and signals
+    at 1e-15."""
+
+    @pytest.mark.parametrize("command", [
+        "check", "build", "build --mode float", "lhv",
+        "expect --tuple 1,1 --observables [[1,-1],[1,-1]] --compare-model",
+    ])
+    @pytest.mark.parametrize("tol,env,code", [
+        (None, None, 0), ("1e-9", None, 0), ("1e-15", None, 2), (None, "1e-15", 2),
+    ], ids=["default", "tol1e-9", "tol1e-15", "LQHV_TOL=1e-15"])
+    def test_tolerance_decides_the_exit_code(self, command, tol, env, code, tmp_path,
+                                             monkeypatch):
+        monkeypatch.delenv("LQHV_TOL", raising=False)
+        if env is not None:
+            monkeypatch.setenv("LQHV_TOL", env)
+        path = tmp_path / "drift.json"
+        path.write_text(json.dumps(drift_json(1e-12)))
+        argv = command.split() + [str(path)] + (["--tol", tol] if tol else [])
+        if argv[0] == "build":
+            argv += ["-o", str(tmp_path / "measure.json")]
+        assert main(argv) == code
+
+
+class TestErrorsNameTheirTable:
+    @pytest.mark.parametrize("mode,entry,message", [
+        ("rational", "x", "table (1, 2): cannot parse rational entry 'x'"),
+        ("float", [0.25], "table (1, 2): cannot interpret data as a float array"),
+    ])
+    def test_bad_entry(self, mode, entry, message, tmp_path, capsys):
+        doc = io.family_to_json(L.convert_family(L.uniform_family(L.CHSH_SCENARIO), mode))
+        doc["tables"]["1,2"][2] = entry
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {message}")
+        assert "(16,)" not in err
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_bad_size(self, mode, tmp_path, capsys):
+        doc = io.family_to_json(L.convert_family(L.uniform_family(L.CHSH_SCENARIO), mode))
+        doc["tables"]["2,1"].pop()
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            "input error: table (2, 1): expected (2, 2) = 4 entries, got 3\n"
+
+
+def test_long_common_denominator_exits_one(tmp_path, capsys):
+    # two tables of 200 entries 1/q, each q a random odd 3300-bit number:
+    # the lcm passes the integer digit limit after a handful of them
+    rng = random.Random(0)
+    q = lambda: rng.getrandbits(3300) | 1 << 3299 | 1
+    doc = {"parties": [{"settings": 2, "outcomes": 200}], "mode": "rational",
+           "tables": {s: [f"1/{q()}" for _ in range(200)] for s in ("1", "2")}}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "common denominator has more than" in err

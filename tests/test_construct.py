@@ -236,12 +236,12 @@ class TestBuild:
         assert verify_peak <= 4 * joint_bytes
 
     def test_float_mode_build(self):
-        fam = L.convert_family(L.random_nonsignaling_family(11), L.FLOAT)
+        fam = L.convert_family(L.random_nonsignaling_family(11), L.FLOAT, tol=1e-9)
         mu = L.build_deterministic_measure(fam).measure
         assert abs(mu.total_mass - 1.0) <= 1e-12
-        report = L.verify_marginals(L.DeterministicLqHVModel(mu), fam, 1e-9)
+        report = L.verify_marginals(L.DeterministicLqHVModel(mu), fam)
         assert report.max_error <= 1e-9
-        assert L.verify_marginals(mu, fam, fam.tol) == L.verify_marginals(mu, fam)
+        assert L.verify_marginals(mu, fam) == report
 
 
 class TestVerifyMarginals:
@@ -265,7 +265,6 @@ class TestVerifyMarginals:
         fam = L.DistributionFamily(pr.scenario, shifted, L.RATIONAL)
         report = L.verify_marginals(model, fam)
         assert report.max_error >= eps
-        assert all(L.verify_marginals(model, fam, tol) == report for tol in (0, 0.5))
 
     def test_negative_reproduction_raises(self):
         sc = L.Scenario((1,), (2,))
@@ -273,10 +272,9 @@ class TestVerifyMarginals:
         mu = L.SignedMeasure(sc, atoms)
         fam = L.DistributionFamily(
             sc, {(1,): np.array([Fraction(1, 2), Fraction(1, 2)], dtype=object)})
-        # -1/2 is not below -0.5, so the floor must be 0 for any passed tol
-        for tol in (None, 0, 0.5):
-            with pytest.raises(RepresentationError):
-                L.verify_marginals(mu, fam, tol)
+        # a rational family's floor is exactly 0
+        with pytest.raises(RepresentationError):
+            L.verify_marginals(mu, fam)
 
     def test_shape_mismatch_rejected(self):
         model = L.build_deterministic_measure(L.pr_box())

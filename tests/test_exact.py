@@ -203,3 +203,22 @@ class TestExponentLimit:
             io.measure_from_json(doc)
         with pytest.raises(InputError, match="exponent and digits exceed"):
             numeric.normalize_weights(["1", f"1e{DIGIT_LIMIT}"], L.RATIONAL)
+
+
+class TestDenominatorLimit:
+    """The entries' common denominator is built one denominator at a time
+    and refused once it has more decimal digits than the limit."""
+
+    def test_at_the_limit_loads(self):
+        # 1/2^e and 1/5^e are coprime; with the rest of the mass over 10^e
+        # (e + 1 digits) the lcm is 10^e
+        e = DIGIT_LIMIT - 1
+        two, five, ten = 2**e, 5**e, 10**e
+        table = [f"1/{two}", f"1/{five}", f"{ten - two - five}/{ten}"]
+        family = L.DistributionFamily(L.Scenario((1,), (3,)), {(1,): table})
+        assert family.denominator == ten
+
+    def test_one_digit_past_the_limit_is_refused(self):
+        e = DIGIT_LIMIT
+        with pytest.raises(InputError, match=f"common denominator has more than {e} digits"):
+            numeric.numerators([f"1/{2**e}", f"1/{5**e}"], L.RATIONAL)

@@ -12,6 +12,7 @@ import hashlib
 import io as text_io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -108,8 +109,8 @@ def case_digests(name: str, workdir) -> tuple[str, ...]:
     io.save_family(CASES[name](), family)
     build = _run(["build", family, "--json", "-o", measure])
     lhv = _run(["lhv", family, "--json", "-o", verdict])
-    return (_sha(open(family, "rb").read()), build, _sha(open(measure, "rb").read()),
-            lhv, _sha(open(verdict, "rb").read()))
+    return (_sha(Path(family).read_bytes()), build, _sha(Path(measure).read_bytes()),
+            lhv, _sha(Path(verdict).read_bytes()))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

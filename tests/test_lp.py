@@ -120,11 +120,11 @@ class TestFeasibleInstances:
                 assert L.lhv_feasible(fam).feasible
 
     def test_float_mode_witness(self):
-        fam = L.convert_family(L.isotropic_box(Fraction(2, 5)), L.FLOAT)
+        fam = L.convert_family(L.isotropic_box(Fraction(2, 5)), L.FLOAT, tol=1e-9)
         verdict = L.lhv_feasible(fam)
         assert verdict.feasible
         assert verdict.measure.min_atom >= 0
-        report = L.verify_marginals(verdict.measure, fam, 1e-9)
+        report = L.verify_marginals(verdict.measure, fam)
         assert report.max_error <= 1e-9
 
 
@@ -182,14 +182,12 @@ class TestSimplex:
         rhs = fam.numerators.reshape(-1)
         assert lp._phase1_simplex(a, rhs, fam.denominator, L.RATIONAL, 0.0) == expected
         objective, x, y = expected
-        # a rational family's tolerance is 0 whatever is passed
-        for tol in (None, 0, 0.5):
-            verdict = L.lhv_feasible(fam, tol)
-            assert verdict.residual == objective
-            if verdict.feasible:
-                assert list(verdict.measure.atoms.reshape(-1)) == x
-            else:
-                assert list(verdict.certificate) == y
+        verdict = L.lhv_feasible(fam)
+        assert verdict.residual == objective
+        if verdict.feasible:
+            assert list(verdict.measure.atoms.reshape(-1)) == x
+        else:
+            assert list(verdict.certificate) == y
 
     def test_oracle_families_cover_both_verdicts(self):
         verdicts = {name: L.lhv_feasible(make()).feasible for name, make in ORACLE_FAMILIES.items()
@@ -218,8 +216,6 @@ class TestSimplex:
         approx = L.lhv_feasible(as_float)
         assert exact.feasible == approx.feasible == local
         assert float(exact.residual) == pytest.approx(approx.residual, abs=1e-9)
-        own = L.lhv_feasible(as_float, as_float.tol)
-        assert (own.feasible, own.residual) == (approx.feasible, approx.residual)
 
 
 class TestVerdictCheck:

@@ -55,8 +55,10 @@ def family_numerators(family):
 
 
 def oracle_family(scenario, tables, mode, tol=None):
-    return DistributionFamily.from_numerators(scenario, *per_table_family(scenario, tables, mode),
-                                              mode, tol)
+    """The oracle's family, its errors naming the table at fault as the
+    mapping constructor's do."""
+    return DistributionFamily.from_numerators(
+        scenario, *per_table_family(scenario, tables, mode, name_tables=True), mode, tol)
 
 
 @settings(max_examples=400, deadline=None)

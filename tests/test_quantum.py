@@ -91,7 +91,9 @@ class TestBornFamily:
 
     def test_born_families_are_nonsignaling(self):
         q = L.chsh_optimal_scenario()
-        assert L.check_nonsignaling(L.born_family(q), tol=1e-12) is None
+        family = L.born_family(q)
+        assert family.tol == 1e-12
+        assert L.check_nonsignaling(family) is None
 
     def test_tables_sum_to_one_tightly(self):
         fam = L.born_family(L.chsh_optimal_scenario())
@@ -154,5 +156,5 @@ class TestChshOptimal:
     def test_pipeline_reproduces_tables(self):
         fam = L.born_family(L.chsh_optimal_scenario())
         model = L.build_deterministic_measure(fam)
-        report = L.verify_marginals(model, fam, 1e-9)
+        report = L.verify_marginals(model, fam)
         assert report.max_error <= 1e-9

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -265,9 +266,10 @@ class TestCheckNonsignaling:
             if t == (2, 2):
                 table = np.array([[0.25 + eps, 0.25 - eps], [0.25, 0.25]])
             tables[t] = table
-        fam = L.DistributionFamily(L.CHSH_SCENARIO, tables, L.FLOAT)
-        assert L.check_nonsignaling(fam, tol=1e-9) is None
-        assert L.check_nonsignaling(fam, tol=1e-15) is not None
+        loose = L.DistributionFamily(L.CHSH_SCENARIO, tables, L.FLOAT, tol=1e-9)
+        tight = L.DistributionFamily(L.CHSH_SCENARIO, tables, L.FLOAT, tol=1e-15)
+        assert L.check_nonsignaling(loose) is None
+        assert L.check_nonsignaling(tight) is not None
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 8), min_size=24, max_size=24).filter(any))
@@ -294,9 +296,6 @@ class TestCheckAgainstAllPairsOracle:
             bent = as_mode(perturbed(tables, rng))
             family = L.DistributionFamily(scenario, bent, mode)
             witness = L.check_nonsignaling(family)
-            # any tolerance on a rational family, the family's own on a float one
-            for tol in ((0, 0.5) if mode == L.RATIONAL else (family.tol,)):
-                assert L.check_nonsignaling(family, tol) == witness
             expected = all_pairs_check(bent, *shape, threshold)
             if expected is None:
                 assert witness is None
@@ -431,17 +430,16 @@ class TestExtractMarginalFamily:
             L.extract_marginal_family(L.signaling_example())
         assert err.value.witness.site_subset == (2,)
         # site 1's marginal moves by 2 eps with site 2's setting; a rational
-        # family compares exactly whatever tolerance is passed
+        # family compares exactly
         eps = Fraction(1, 10**11)
         quarter = Fraction(1, 4)
         tables = {t: np.array([[quarter + (eps if t[1] == 2 else -eps), quarter],
                                [quarter - (eps if t[1] == 2 else -eps), quarter]], dtype=object)
                   for t in L.CHSH_SCENARIO.setting_tuples()}
         fam = L.DistributionFamily(L.CHSH_SCENARIO, tables, L.RATIONAL)
-        for tol in (None, 0, 0.5):
-            with pytest.raises(SignalingError) as err:
-                L.extract_marginal_family(fam, tol)
-            assert err.value.witness.max_discrepancy == 2 * eps
+        with pytest.raises(SignalingError) as err:
+            L.extract_marginal_family(fam)
+        assert err.value.witness.max_discrepancy == 2 * eps
 
     def test_float_mode_averages(self):
         eps = 1e-11
@@ -449,12 +447,10 @@ class TestExtractMarginalFamily:
         for t in L.CHSH_SCENARIO.setting_tuples():
             shift = eps if t[1] == 2 else -eps
             tables[t] = np.array([[0.25 + shift, 0.25 - shift], [0.25, 0.25]])
-        fam = L.DistributionFamily(L.CHSH_SCENARIO, tables, L.FLOAT)
-        marg = L.extract_marginal_family(fam, tol=1e-9)
+        fam = L.DistributionFamily(L.CHSH_SCENARIO, tables, L.FLOAT, tol=1e-9)
+        marg = L.extract_marginal_family(fam)
         # site-1 marginal at s1=1 averages the two compatible tuples
         assert marg.get((1,), (1,))[0] == pytest.approx(0.5, abs=1e-15)
-        own = L.extract_marginal_family(fam, tol=fam.tol)
-        assert np.array_equal(own.stacked, L.extract_marginal_family(fam).stacked)
 
 
 class TestConvertFamily:
@@ -492,9 +488,6 @@ class TestCompareScenariosEpr:
         p_shift = [[Fraction(7, 10), Fraction(3, 10)], [Fraction(1, 2), Fraction(1, 2)]]
         q = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]
         report = L.compare_scenarios_epr(product_family(p_a, q), product_family(p_shift, q))
-        for tol in (0, 0.5):
-            assert L.compare_scenarios_epr(product_family(p_a, q), product_family(p_shift, q),
-                                           tol) == report
         assert not report.passed
         assert report.max_discrepancy == Fraction(1, 5)
         assert report.site_subset == (1,)
@@ -526,3 +519,27 @@ class TestCompareScenariosEpr:
     def test_structure_mismatch_rejected(self):
         with pytest.raises(InputError):
             L.compare_scenarios_epr(L.pr_box(), L.signaling_example())
+
+    def test_each_family_is_checked_at_its_own_tolerance(self):
+        # site 1's marginal moves by 2e-12 with site 2's setting
+        tables = {t: np.array([[0.25 + (1e-12 if t[1] == 2 else -1e-12), 0.25],
+                               [0.25 - (1e-12 if t[1] == 2 else -1e-12), 0.25]])
+                  for t in L.CHSH_SCENARIO.setting_tuples()}
+        loose = L.DistributionFamily(L.CHSH_SCENARIO, tables, L.FLOAT, tol=1e-9)
+        tight = L.DistributionFamily(L.CHSH_SCENARIO, tables, L.FLOAT, tol=1e-15)
+        assert L.compare_scenarios_epr(loose, loose).passed
+        for a, b in ((loose, tight), (tight, loose)):
+            with pytest.raises(SignalingError):
+                L.compare_scenarios_epr(a, b)
+
+
+@pytest.mark.parametrize("key", ["1,1", None, "12", (1.5, 1), (True, 1)], ids=repr)
+def test_malformed_setting_tuple_keys_are_refused(key):
+    message = re.escape(f"setting tuple {key!r} is not a sequence of integers")
+    with pytest.raises(InputError, match=message):
+        L.CHSH_SCENARIO.validate_setting_tuple(key)
+    quarter = [Fraction(1, 4)] * 4
+    tables = {t: quarter for t in L.CHSH_SCENARIO.setting_tuples() if t != (1, 1)}
+    tables[key] = quarter
+    with pytest.raises(InputError, match=message):
+        L.DistributionFamily(L.CHSH_SCENARIO, tables)
