@@ -66,7 +66,7 @@ print("\nJSON round trip is exact:", bool((again.atoms == measure.atoms).all()))
 # the marginals are genuine distributions. A nudged uniform measure
 # shows the reverse direction.
 uniform = L.build_deterministic_measure(L.uniform_family(pr.scenario)).measure
-bump = numeric.zeros(uniform.atoms.shape, uniform.mode)
+bump = np.zeros(uniform.atoms.shape, dtype=object)
 bump[0, 0, 0, 0] = Fraction(1, 32)
 bump[1, 1, 1, 1] = Fraction(-1, 32)
 nudged = L.SignedMeasure(pr.scenario, uniform.atoms + bump, uniform.mode)

@@ -56,11 +56,11 @@ for t in scenario.setting_tuples():
     print(f"  settings {t}: tables agree: {same}")
 
 # On the determinized side each (site, setting) response is a
-# coordinate projection; asking for the value of site 1's second
-# variable at a point of the joint space just reads off a coordinate.
+# coordinate projection; the value of site 1's second variable at a
+# point of the joint space is the point's coordinate on that axis.
 point = (0, 1, 1, 0)
 print("variable (site 1, setting 2) at point", point, "=",
-      det.evaluate_variable(1, 2, point))
+      point[scenario.axis_index(1, 2)])
 
 # Now a signed hidden-variable weight. Take the PR box's constructed
 # measure, use its 16 joint points as the hidden space with nu given

@@ -50,7 +50,7 @@ from .errors import (
     RepresentationError,
     SignalingError,
 )
-from .lp import LhvVerdict, certificate_gap, lhv_feasible, marginal_matrix, stack_tables
+from .lp import LhvVerdict, certificate_gap, lhv_feasible, marginal_matrix
 from .numeric import FLOAT, RATIONAL
 from .quantum import (
     POVM,
@@ -73,7 +73,6 @@ from .scenario import (
     compare_scenarios_epr,
     convert_family,
     extract_marginal_family,
-    marginalize,
 )
 
 __version__ = "0.1.0"
@@ -124,7 +123,6 @@ __all__ = [
     "lhv_feasible",
     "local_deterministic_vertex",
     "marginal_matrix",
-    "marginalize",
     "maximally_mixed",
     "mix_families",
     "pr_box",
@@ -136,7 +134,6 @@ __all__ = [
     "random_scenario_family",
     "signaling_example",
     "singlet_state",
-    "stack_tables",
     "tensor_family",
     "uniform_family",
     "verify_marginals",

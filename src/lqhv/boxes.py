@@ -88,11 +88,16 @@ def mix_families(families: Sequence[DistributionFamily], weights,
     for f in families[1:]:
         if f.scenario != scenario or f.mode != mode:
             raise InputError("mixture components must share scenario and mode")
-    w = numeric.normalize_weights(weights, mode)
+    w = [numeric.coerce_scalar(v, mode) for v in weights]
+    if any(v < 0 for v in w):
+        raise InputError("weights must be nonnegative")
+    total = sum(w)
+    if total == 0:
+        raise InputError("weights must not all be zero")
     if len(w) != len(families):
         raise InputError(f"need {len(families)} weights, got {len(w)}")
-    # sum_i w_i F_i / D_i over the weights' and the families' common denominators
-    w, w_den = numeric.numerators(w, mode)
+    # sum_i w_i F_i / D_i over the normalized weights' and the families' common denominators
+    w, w_den = numeric.numerators([v / total for v in w], mode)
     den = math.lcm(*(f.denominator for f in families))
     acc = sum(weight * (den // f.denominator) * f.numerators for weight, f in zip(w, families))
     return DistributionFamily.from_numerators(scenario, acc, den * w_den, mode)

@@ -8,20 +8,23 @@ construction, an inclusion-exclusion sum over site subsets weighted by an
 integer subset coefficient (whose defining identity is exposed for direct
 integer verification), is multilinear and site-local: the builder applies
 one linear map per site to the family's stacked tensor, and verification
-gets every full-tuple marginal at once from per-site 0/1 projections. In
-rational mode both run on integer numerators over one denominator, so no
-`Fraction` is formed until a result is read. Every comparison against a
-family is made within the family's own tolerance `family.tol`.
+gets every full-tuple marginal at once from per-site 0/1 projections.
+Every comparison against a family is made within the family's own
+tolerance `family.tol`, and a computed measure's mass within
+`numeric.mass_tolerance` of its source's.
 
 Also here: the Jordan split of a signed measure into positive and negative
 parts, conversion of a stochastic one-measure-space model into the
 deterministic coordinate form, and product expectations evaluated on
-either side of the representation.
+either side of the representation. All of it runs on integer numerators
+over one denominator in rational mode (floats over 1 in float mode), so
+no `Fraction` is formed until a result is read.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Sequence
@@ -98,7 +101,7 @@ class SignedMeasure:
         t = self.scenario.validate_setting_tuple(setting_tuple)
         keep = {self.scenario.axis_index(n, s) for n, s in enumerate(t, start=1)}
         drop = tuple(ax for ax in range(len(self.scenario.joint_shape)) if ax not in keep)
-        return self.atoms.sum(axis=drop) if drop else self.atoms
+        return numeric.ratio_array(self.numerators.sum(axis=drop), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -139,9 +142,10 @@ class DeterministicLqHVModel:
     """A signed measure together with its coordinate random variables.
 
     The variable attached to (site, setting) is the projection of a joint
-    point onto that coordinate axis, so it depends only on its own site
-    and setting; the measure of an intersection of variable preimages then
-    reproduces the scenario probabilities.
+    point onto its axis `scenario.axis_index(site, setting)`, so it
+    depends only on its own site and setting; the measure of an
+    intersection of variable preimages then reproduces the scenario
+    probabilities.
     """
 
     measure: SignedMeasure
@@ -149,15 +153,6 @@ class DeterministicLqHVModel:
     @property
     def scenario(self) -> Scenario:
         return self.measure.scenario
-
-    def variable_axis(self, site: int, setting: int) -> int:
-        return self.scenario.axis_index(site, setting)
-
-    def evaluate_variable(self, site: int, setting: int, point: Sequence[int]) -> int:
-        """Value of the (site, setting) variable at a joint-space point."""
-        if len(point) != len(self.scenario.joint_shape):
-            raise InputError("point length does not match the joint space rank")
-        return int(point[self.variable_axis(site, setting)])
 
 
 def coefficient(scenario: Scenario, sites: Iterable[int]) -> int:
@@ -289,7 +284,8 @@ def build_deterministic_measure(family: DistributionFamily,
     atoms = marginals.numerators
     for site, (p, keep, shrink) in enumerate(maps, start=1):
         atoms = _apply_site_map(atoms, scenario.n_parties - site + 1, p, keep, shrink)
-    measure = SignedMeasure.from_numerators(scenario, atoms, denominator, family.mode, tol=1e-12)
+    measure = SignedMeasure.from_numerators(scenario, atoms, denominator, family.mode,
+                                            tol=numeric.mass_tolerance(family.tol))
     return DeterministicLqHVModel(measure)
 
 
@@ -327,8 +323,7 @@ def verify_marginals(model: DeterministicLqHVModel | SignedMeasure,
         raise InputError("measure and family use different arithmetic modes")
     mode = family.mode
     reproduced = _tuple_marginals(measure.numerators, measure.scenario)
-    error = numeric.max_abs(reproduced * family.denominator
-                            - family.numerators * measure.denominator)
+    error = abs(reproduced * family.denominator - family.numerators * measure.denominator).max()
     max_err = numeric.ratio(error, family.denominator * measure.denominator, mode)
     min_repro = numeric.ratio(reproduced.min(), measure.denominator, mode)
     if min_repro < -family.tol:
@@ -361,60 +356,79 @@ class StochasticLqHVModel:
     points to outcome distributions. The conditionals must be genuine
     probabilities; only nu may go negative. Sums and floors are judged
     within the default tolerance (LQHV_TOL, else 1e-9; 0 in rational mode).
+
+    nu is held as `nu_numerators` over `nu_denominator`, and each matrix
+    as a (numerators, denominator) pair in `conditional_numerators[n-1][s-1]`;
+    `nu` and `conditionals` are their public forms, built on first access.
     """
 
     def __init__(self, nu, conditionals: Sequence[Sequence[object]],
                  mode: str = numeric.RATIONAL):
         self.mode = numeric.check_mode(mode)
         self.tol = numeric.tolerance(self.mode)
-        self.nu = numeric.as_array(nu, self.mode)
-        if self.nu.ndim != 1 or self.nu.size == 0:
+        self.nu_numerators, self.nu_denominator = numeric.numerators(nu, self.mode)
+        self.nu_numerators.setflags(write=False)
+        if self.nu_numerators.ndim != 1 or self.nu_numerators.size == 0:
             raise InputError("nu must be a nonempty vector")
-        if not numeric.is_close(self.nu.sum(), 1, self.tol):
-            raise InputError(f"nu sums to {self.nu.sum()}, not 1")
-        rows: list[list[np.ndarray]] = []
+        total = self.nu_numerators.sum()
+        if not numeric.is_close(total, self.nu_denominator, self.tol):
+            raise InputError(f"nu sums to {numeric.ratio(total, self.nu_denominator, mode)}, not 1")
+        rows = []
         for n, site_conds in enumerate(conditionals, start=1):
-            site_rows: list[np.ndarray] = []
+            site_rows = []
             for s, matrix in enumerate(site_conds, start=1):
-                arr = numeric.as_array(matrix, self.mode)
-                if arr.ndim != 2 or arr.shape[0] != self.omega_size:
+                arr, den = numeric.numerators(matrix, self.mode)
+                arr.setflags(write=False)
+                if arr.ndim != 2 or arr.shape[0] != self.omega_size or arr.size == 0:
                     raise InputError(
                         f"conditional for site {n}, setting {s} must be (|Omega|, K) shaped")
                 if arr.min() < -self.tol:
                     raise InputError(f"negative conditional probability at site {n}, setting {s}")
-                for row in arr:
-                    if not numeric.is_close(row.sum(), 1, self.tol):
-                        raise InputError(
-                            f"conditional row sums to {row.sum()} at site {n}, setting {s}")
-                site_rows.append(arr)
+                for row in arr.sum(axis=1):
+                    if not numeric.is_close(row, den, self.tol):
+                        raise InputError(f"conditional row sums to {numeric.ratio(row, den, mode)} "
+                                         f"at site {n}, setting {s}")
+                site_rows.append((arr, den))
             if not site_rows:
                 raise InputError(f"site {n} has no conditionals")
-            if len({m.shape[1] for m in site_rows}) != 1:
+            if len({arr.shape[1] for arr, _ in site_rows}) != 1:
                 raise InputError(f"site {n} conditionals disagree on the outcome count")
             rows.append(site_rows)
         if not rows:
             raise InputError("model needs at least one site")
-        self.conditionals = rows
+        self.conditional_numerators = rows
+
+    @cached_property
+    def nu(self) -> np.ndarray:
+        return numeric.ratio_array(self.nu_numerators, self.nu_denominator)
+
+    @cached_property
+    def conditionals(self) -> list[list[np.ndarray]]:
+        return [[numeric.ratio_array(*pair) for pair in site] for site in self.conditional_numerators]
 
     @property
     def omega_size(self) -> int:
-        return self.nu.shape[0]
+        return self.nu_numerators.shape[0]
 
     def inferred_scenario(self) -> Scenario:
         return Scenario(
-            tuple(len(site) for site in self.conditionals),
-            tuple(site[0].shape[1] for site in self.conditionals),
+            tuple(len(site) for site in self.conditional_numerators),
+            tuple(site[0][0].shape[1] for site in self.conditional_numerators),
         )
+
+    def _integrate(self, coordinates: Iterable[tuple[int, int]]) -> tuple[np.ndarray, int]:
+        """sum_omega nu(omega) prod_c q_c(omega) over the (site, setting)
+        `coordinates` c, one axis per coordinate, as numerators over one
+        denominator; the hidden points are added in order."""
+        pairs = [self.conditional_numerators[n - 1][s - 1] for n, s in coordinates]
+        out = sum(weight * reduce(np.multiply.outer, [arr[omega] for arr, _ in pairs])
+                  for omega, weight in enumerate(self.nu_numerators))
+        return out, self.nu_denominator * math.prod(den for _, den in pairs)
 
     def joint_table(self, setting_tuple: Iterable[int]) -> np.ndarray:
         """Joint outcome tensor of one tuple, integrated over the hidden space."""
         t = self.inferred_scenario().validate_setting_tuple(setting_tuple)
-        shape = tuple(site[0].shape[1] for site in self.conditionals)
-        out = numeric.zeros(shape, self.mode)
-        for omega in range(self.omega_size):
-            rows = [self.conditionals[n - 1][s - 1][omega] for n, s in enumerate(t, start=1)]
-            out = out + self.nu[omega] * reduce(np.multiply.outer, rows)
-        return out
+        return numeric.ratio_array(*self._integrate(enumerate(t, start=1)))
 
 
 def determinize(model: StochasticLqHVModel, scenario: Scenario) -> DeterministicLqHVModel:
@@ -436,44 +450,50 @@ def determinize(model: StochasticLqHVModel, scenario: Scenario) -> Deterministic
     if scenario.joint_size > DEFAULT_ATOM_BUDGET:
         raise AtomBudgetError(f"joint space holds {scenario.joint_size} atoms, "
                               f"over the budget {DEFAULT_ATOM_BUDGET}")
-    atoms = numeric.zeros(scenario.joint_shape, model.mode)
-    coords = [(n, s) for n in scenario.sites
-              for s in range(1, scenario.settings_per_site[n - 1] + 1)]
-    for omega in range(model.omega_size):
-        rows = [model.conditionals[n - 1][s - 1][omega] for n, s in coords]
-        atoms = atoms + model.nu[omega] * reduce(np.multiply.outer, rows)
-    measure = SignedMeasure(scenario, atoms, model.mode, tol=1e-12)
+    atoms, denominator = model._integrate(
+        (n, s) for n in scenario.sites for s in range(1, scenario.settings_per_site[n - 1] + 1))
+    measure = SignedMeasure.from_numerators(scenario, atoms, denominator, model.mode,
+                                            tol=numeric.mass_tolerance(model.tol))
     return DeterministicLqHVModel(measure)
 
 
 def _coerce_observables(observables: Sequence[Sequence], scenario: Scenario,
-                        mode: str) -> list[np.ndarray]:
+                        mode: str) -> tuple[list[np.ndarray], int]:
+    """Per-site observable vectors as numerators, over the product of
+    their denominators."""
     if not isinstance(observables, (list, tuple)):
         raise InputError(f"observables must be a list of per-site value lists, "
                          f"got {observables!r}")
     if len(observables) != scenario.n_parties:
         raise InputError(f"expected {scenario.n_parties} observable vectors")
-    out = []
+    out, denominator = [], 1
     for n, (phi, k) in enumerate(zip(observables, scenario.outcomes_per_site), start=1):
-        vec = numeric.as_array(phi, mode)
+        vec, den = numeric.numerators(phi, mode)
         if vec.shape != (k,):
             raise InputError(f"observable for site {n} must have {k} values, got shape {vec.shape}")
         out.append(vec)
-    return out
+        denominator *= den
+    return out, denominator
+
+
+def _product_sum(numerators: np.ndarray, axes: Iterable[int], phis: list[np.ndarray]):
+    """sum of `numerators` times phi_n read off axis n of `axes`, the
+    products taken site by site."""
+    acc = numerators
+    for axis, phi in zip(axes, phis):
+        shape = [1] * numerators.ndim
+        shape[axis] = phi.shape[0]
+        acc = acc * phi.reshape(shape)
+    return acc.sum()
 
 
 def product_expectation_family(family: DistributionFamily, setting_tuple: Iterable[int],
                                observables: Sequence[Sequence]) -> Scalar:
     """Expectation of prod_n phi_n(lambda_n) under one joint table."""
-    table = family.table(setting_tuple)
-    phis = _coerce_observables(observables, family.scenario, family.mode)
-    acc = table
-    n_sites = family.scenario.n_parties
-    for axis, phi in enumerate(phis):
-        shape = [1] * n_sites
-        shape[axis] = phi.shape[0]
-        acc = acc * phi.reshape(shape)
-    return acc.sum()
+    t = family.scenario.validate_setting_tuple(setting_tuple)
+    phis, den = _coerce_observables(observables, family.scenario, family.mode)
+    total = _product_sum(family.numerators[tuple(s - 1 for s in t)], range(len(t)), phis)
+    return numeric.ratio(total, family.denominator * den, family.mode)
 
 
 def product_expectation_model(model: DeterministicLqHVModel, setting_tuple: Iterable[int],
@@ -484,13 +504,9 @@ def product_expectation_model(model: DeterministicLqHVModel, setting_tuple: Iter
     runs over the joint space with phi_n read off axis (n, s_n); on the
     generating family this agrees with the table-side expectation.
     """
-    scenario = model.scenario
-    t = scenario.validate_setting_tuple(setting_tuple)
-    phis = _coerce_observables(observables, scenario, model.measure.mode)
-    rank = len(scenario.joint_shape)
-    acc = model.measure.atoms
-    for n, (s, phi) in enumerate(zip(t, phis), start=1):
-        shape = [1] * rank
-        shape[scenario.axis_index(n, s)] = phi.shape[0]
-        acc = acc * phi.reshape(shape)
-    return acc.sum()
+    measure = model.measure
+    t = measure.scenario.validate_setting_tuple(setting_tuple)
+    phis, den = _coerce_observables(observables, measure.scenario, measure.mode)
+    axes = [measure.scenario.axis_index(n, s) for n, s in enumerate(t, start=1)]
+    return numeric.ratio(_product_sum(measure.numerators, axes, phis),
+                         measure.denominator * den, measure.mode)

@@ -28,7 +28,9 @@ class SignalingError(LqhvError):
 
 
 class AtomBudgetError(LqhvError):
-    """Joint space exceeds the configured atom budget."""
+    """A resource limit is exceeded: a joint space or LP tableau over its
+    budget, or a result entry too long to write as text (an integer past
+    the interpreter's digit limit, `sys.get_int_max_str_digits()`)."""
 
 
 class RepresentationError(LqhvError):

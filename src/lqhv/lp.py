@@ -24,10 +24,13 @@ M_r <- (p * M_r - M_r[e] * M_l) // d_r and d_r <- p on every row with
 M_r[e] != 0; p is the determinant of the next basis. Pivots are positive
 and every division is exact, so the result is exactly that of a
 `Fraction` tableau. The ratio test compares M_r[-1] / M_r[e] by cross
-multiplication, and `Fraction`s are formed only for the returned
-witness, certificate and residual. Float mode divides the pivot
-row by its pivot instead. Every verdict is checked before it is
-returned, exactly in rational mode and within `family.tol` in float mode.
+multiplication. The simplex returns the basic solution as numerators
+over D times the family's denominator and the multipliers as numerators
+over D, and the verdict checks read them as they are; a `Fraction` is
+formed only for the public residual, witness and certificate. Float
+mode divides the pivot row by its pivot instead, and its numerators are
+the floats over 1. Every verdict is checked before it is returned,
+exactly in rational mode and within `family.tol` in float mode.
 
 Row order is fixed and documented: setting tuples in lexicographic order,
 and within each tuple the outcome combinations in row-major order, i.e.
@@ -38,9 +41,7 @@ points in row-major order over the joint shape.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -52,11 +53,6 @@ from .scenario import DistributionFamily, Scenario, check_nonsignaling
 
 ROW_ORDER = ("rows: setting tuples lexicographic, outcomes row-major within each tuple; "
              "columns: joint points row-major")
-
-
-def stack_tables(family: DistributionFamily) -> np.ndarray:
-    """Right-hand side vector b in the documented row order."""
-    return family.stacked.reshape(-1)
 
 
 def marginal_rows(scenario: Scenario) -> np.ndarray:
@@ -106,11 +102,19 @@ class LhvVerdict:
 
 
 def certificate_gap(certificate: np.ndarray, family: DistributionFamily) -> Scalar:
-    """Value y.b of a certificate on a family; positive proves infeasibility."""
-    b = stack_tables(family)
-    if certificate.shape != b.shape:
-        raise InputError(f"certificate has {certificate.shape[0]} rows, family needs {b.shape[0]}")
-    return (certificate * b).sum()
+    """Value y.b of a certificate on a family; positive proves infeasibility.
+
+    The certificate is read into the family's mode as numerators once."""
+    rows = family.numerators.size
+    if certificate.shape != (rows,):
+        raise InputError(f"certificate has {certificate.shape[0]} rows, family needs {rows}")
+    return _gap(*numeric.numerators(certificate, family.mode), family)
+
+
+def _gap(y: np.ndarray, denominator: int, family: DistributionFamily) -> Scalar:
+    """y.b for y = `y` / `denominator` in the documented row order."""
+    return numeric.ratio((y * family.numerators.reshape(-1)).sum(),
+                         denominator * family.denominator, family.mode)
 
 
 def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol: float):
@@ -120,9 +124,11 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
     right-hand side as numerators over one denominator: Python ints over
     a positive int in rational mode, floats over 1 in float mode. Scaling
     b changes no ratio test, so the pivots are those of b itself. Returns
-    (objective, x, y) with x the structural basic solution and y the
-    simplex multipliers pulled back through the row sign flips, which make
-    y a separating certificate whenever the objective is positive.
+    (objective, x, y, D): the artificial mass left as the mode's scalar,
+    the structural basic solution x as numerators over D * `scale`, and
+    the simplex multipliers y, pulled back through the row sign flips,
+    as numerators over D, the final basis determinant (1 in float mode).
+    y is a separating certificate whenever the objective is positive.
     """
     m, n = a01.shape
     exact = mode == numeric.RATIONAL
@@ -138,7 +144,6 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
     denom = np.ones(m + 1, dtype=tableau.dtype)
     basis_det = 1
     basis = np.arange(n, n + m)
-    divide = Fraction if exact else operator.truediv
 
     while True:
         entering = np.flatnonzero(tableau[m, :-1] < -tol)
@@ -180,51 +185,49 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
         costs = tableau[m] * basis_det // denom[m]
     else:
         values, costs = tableau[:m, -1], tableau[m]
-    den = basis_det * scale
-    objective = divide(sum(values[r] for r in np.flatnonzero(basis >= n)), den)
-    x = [numeric.zero(mode)] * n
-    for r in np.flatnonzero(basis < n):
-        x[basis[r]] = divide(values[r], den)
-    y = [divide(f * (basis_det - costs[n + i]), basis_det) for i, f in enumerate(flip)]
-    return objective, x, y
+    # the artificial rows' values in row order, from a zero of their type
+    mass = sum(values[basis >= n], values.dtype.type(0))
+    structural = basis < n
+    x = np.zeros(n, dtype=values.dtype)
+    x[basis[structural]] = values[structural]
+    y = np.array(flip) * (basis_det - costs[n:n + m])
+    return numeric.ratio(mass, basis_det * scale, mode), x, y, basis_det
 
 
-def _checked_witness(x: list, family: DistributionFamily) -> tuple[np.ndarray, int]:
-    """Witness atoms as (numerators, denominator), checked nonnegative and
+def _checked_witness(x: np.ndarray, denominator: int, family: DistributionFamily) -> np.ndarray:
+    """Witness atom numerators over `denominator`, checked nonnegative and
     reproducing every table of the family within its tolerance.
 
     Float atoms within tol below zero are clipped to zero first. A failed
     check raises RepresentationError.
     """
     tol = family.tol
-    atoms = np.array(x, dtype=object if family.mode == numeric.RATIONAL else float)
-    if atoms.min() < -tol:
-        raise RepresentationError(f"simplex returned atom {atoms.min()} below the floor")
-    values, den = numeric.common_denominator(np.maximum(atoms, 0))
-    reproduced = _tuple_marginals(values.reshape(family.scenario.joint_shape), family.scenario)
-    missed = abs(reproduced * family.denominator - family.numerators * den) > tol
+    if x.min() < -tol:
+        raise RepresentationError(f"simplex returned atom "
+                                  f"{numeric.ratio(x.min(), denominator, family.mode)} below the floor")
+    atoms = np.maximum(x, 0).reshape(family.scenario.joint_shape)
+    reproduced = _tuple_marginals(atoms, family.scenario)
+    missed = abs(reproduced * family.denominator - family.numerators * denominator) > tol
     if missed.any():
         raise RepresentationError(
             f"witness misses the table entry in constraint row {np.flatnonzero(missed)[0]}")
-    return values, den
+    return atoms
 
 
-def _check_certificate(y: np.ndarray, residual: Scalar, family: DistributionFamily,
-                       rows: np.ndarray) -> None:
+def _check_certificate(y: np.ndarray, denominator: int, residual: Scalar,
+                       family: DistributionFamily, rows: np.ndarray) -> None:
     """Require y.A <= 0 on every atom column, y.b > 0 and y.b == residual,
-    each within the family's tolerance.
+    each within the family's tolerance, for y = `y` / `denominator`.
 
-    y.A and y.b are taken on integer numerators in rational mode. A failed
-    check raises RepresentationError.
+    y.A and y.b are taken on the numerators. A failed check raises
+    RepresentationError.
     """
     tol = family.tol
-    values, den = numeric.common_denominator(y)
-    products = values[rows].sum(axis=0)
+    products = y[rows].sum(axis=0)
     if products.max() > tol:
         raise RepresentationError(
             f"certificate is positive on atom column {np.argmax(products > tol)}")
-    gap = numeric.ratio((values * family.numerators.reshape(-1)).sum(),
-                        den * family.denominator, family.mode)
+    gap = _gap(y, denominator, family)
     if not (gap > tol and numeric.is_close(gap, residual, tol)):
         raise RepresentationError(f"certificate gap y.b = {gap} does not match the residual {residual}")
 
@@ -254,14 +257,15 @@ def lhv_feasible(family: DistributionFamily, *, budget: int = DEFAULT_ATOM_BUDGE
     if witness is not None:
         raise SignalingError(witness)
 
-    objective, x, y = _phase1_simplex(marginal_matrix(scenario), family.numerators.reshape(-1),
-                                      family.denominator, family.mode, family.tol)
+    objective, x, y, basis_det = _phase1_simplex(
+        marginal_matrix(scenario), family.numerators.reshape(-1), family.denominator,
+        family.mode, family.tol)
     if objective <= family.tol:
-        atoms, den = _checked_witness(x, family)
-        measure = SignedMeasure.from_numerators(scenario, atoms, den, family.mode,
-                                                tol=max(family.tol, 1e-12))
+        den = basis_det * family.denominator
+        measure = SignedMeasure.from_numerators(scenario, _checked_witness(x, den, family), den,
+                                                family.mode, tol=numeric.mass_tolerance(family.tol))
         return LhvVerdict(True, measure, None, objective)
-    certificate = np.array(y, dtype=object if family.mode == numeric.RATIONAL else float)
-    _check_certificate(certificate, objective, family, marginal_rows(scenario))
+    _check_certificate(y, basis_det, objective, family, marginal_rows(scenario))
+    certificate = numeric.ratio_array(y, basis_det)
     certificate.setflags(write=False)
     return LhvVerdict(False, None, certificate, objective)

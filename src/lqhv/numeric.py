@@ -15,16 +15,19 @@ data in one pass into numerators over one denominator. Strict "p" or
 "p/q" text, the form every rational file this package writes holds, is
 read with two `int` calls; ``fractions.Fraction`` is built only for an
 entry outside that form (through `coerce_scalar`, which also reads a
-single number), for returned scalars and for the public rational
-arrays, which `ratio_array` builds from the numerators. `as_array` is
-that public form of `numerators`. `common_denominator` splits computed
-Fractions into numerators, `format_entries` writes numerators as
-reduced "p/q" text.
+single number), for returned scalars (`ratio`) and for the public
+rational arrays, which `ratio_array` builds from the numerators. Every
+computation in between runs on the numerators. `common_denominator`
+splits a Fraction array into numerators for `format_array` to print.
+`format_entries` and `format_scalar` write numbers as text and refuse,
+with AtomBudgetError, an integer past the interpreter's digit limit.
 
 There is one comparison rule for both modes: two values agree when they
 differ by at most the tolerance, and a value clears a floor when it is
 not below minus the tolerance. `tolerance` resolves that tolerance, and
-in rational mode it is 0, so the same rule is exact equality there.
+in rational mode it is 0, so the same rule is exact equality there. A
+measure computed from a family or model is held to `mass_tolerance` of
+its source's tolerance.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ import re
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import AtomBudgetError, InputError
 
 Scalar = Union[float, Fraction]
 
@@ -68,6 +71,13 @@ def tolerance(mode: str, tol: float | None = None) -> float:
     if not (math.isfinite(value) and value >= 0):
         raise InputError(f"{source} must be finite and nonnegative, got {tol!r}")
     return 0 if mode == RATIONAL else value
+
+
+def mass_tolerance(tol: float) -> float:
+    """Tolerance of the mass check on a measure computed from a family or
+    model held to `tol`: `tol`, but at least 1e-12, since a float build
+    rounds. A rational measure's tolerance is 0 all the same."""
+    return max(tol, 1e-12)
 
 
 def check_mode(mode: str) -> str:
@@ -237,14 +247,6 @@ def flat_entries(data) -> tuple[list, tuple[int, ...]]:
     return arr.reshape(-1).tolist(), arr.shape
 
 
-def as_array(data, mode: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """Coerce nested data into a read-only mode-typed array: reduced
-    Fractions in rational mode, float64 in float mode."""
-    out = ratio_array(*numerators(data, mode, shape))
-    out.setflags(write=False)
-    return out
-
-
 def _holds_bool(data) -> bool:
     """Whether nested lists or an array hold a boolean anywhere.
 
@@ -301,22 +303,22 @@ def format_entries(numerators: np.ndarray, denominator: int) -> list:
 
     Python-int numerators become reduced "p/q" text, byte for byte what
     `str(Fraction(p, q))` gives ("p" when q is 1, the sign on p); a float
-    array gives its floats.
+    array gives its floats. A reduced numerator or denominator with more
+    digits than `_digit_limit()` raises AtomBudgetError.
     """
     if numerators.dtype != object:
         return numerators.reshape(-1).tolist()
     flat = numerators.reshape(-1)
     common = np.gcd(flat, denominator)
-    return [f"{p}/{q}" if q != 1 else str(p)
-            for p, q in zip((flat // common).tolist(), (denominator // common).tolist())]
+    try:
+        return [f"{p}/{q}" if q != 1 else str(p)
+                for p, q in zip((flat // common).tolist(), (denominator // common).tolist())]
+    except ValueError as exc:  # an int past the digit limit
+        raise _too_long_to_write() from exc
 
 
-def zeros(shape: tuple[int, ...], mode: str) -> np.ndarray:
-    if mode == FLOAT:
-        return np.zeros(shape, dtype=float)
-    out = np.empty(shape, dtype=object)
-    out[...] = Fraction(0)
-    return out
+def _too_long_to_write() -> AtomBudgetError:
+    return AtomBudgetError(f"an entry to write has more than {_digit_limit()} digits")
 
 
 def zero(mode: str) -> Scalar:
@@ -328,31 +330,17 @@ def is_close(a: Scalar, b: Scalar, tol: float) -> bool:
     return abs(a - b) <= tol
 
 
-def max_abs(arr: np.ndarray) -> Scalar:
-    """Largest absolute entry; Fraction(0)/0.0 for empty input."""
-    if arr.size == 0:
-        return Fraction(0) if arr.dtype == object else 0.0
-    return abs(arr).max()
-
-
 def format_scalar(value: Scalar, mode: str):
-    """JSON-ready form of one entry: "p/q" strings in rational mode."""
+    """JSON-ready form of one entry: "p/q" strings in rational mode, where
+    a numerator or denominator past the digit limit raises AtomBudgetError."""
     if mode == RATIONAL:
-        return str(value)
+        try:
+            return str(value)
+        except ValueError as exc:  # an int past the digit limit
+            raise _too_long_to_write() from exc
     return float(value)
 
 
 def format_array(arr: np.ndarray, mode: str) -> list:
     typed = np.asarray(arr, dtype=float if mode == FLOAT else object)
     return format_entries(*common_denominator(typed))
-
-
-def normalize_weights(weights: Iterable, mode: str) -> list[Scalar]:
-    """Coerce nonnegative weights and scale them to sum 1."""
-    ws = [coerce_scalar(w, mode) for w in weights]
-    if any(w < 0 for w in ws):
-        raise InputError("weights must be nonnegative")
-    total = sum(ws, zero(mode))
-    if total == 0:
-        raise InputError("weights must not all be zero")
-    return [w / total for w in ws]

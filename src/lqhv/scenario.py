@@ -18,8 +18,9 @@ by producers that compute all tables at once, from the tensor itself with
 its numerators with `DistributionFamily.from_numerators`; all run one
 validation over the stacked tensor, which fixes the family's tolerance
 `tol` (0 in rational mode) that every later comparison reads. The tensor
-is held as numerators over one denominator (see `lqhv.numeric`), and the
-check and the marginal means run on those numerators.
+is held as numerators over one denominator (see `lqhv.numeric`); the
+check, the marginal means and the cross-family comparison run on those
+numerators, and `MarginalFamily` takes them as they are.
 """
 
 from __future__ import annotations
@@ -289,15 +290,6 @@ def convert_family(family: DistributionFamily, mode: str,
     return DistributionFamily.from_stacked(family.scenario, family.stacked, mode, tol=tol)
 
 
-def marginalize(family: DistributionFamily, setting_tuple: Iterable[int],
-                keep_sites: Iterable[int]) -> np.ndarray:
-    """Marginal of one joint table onto `keep_sites` (axes in site order)."""
-    table = family.table(setting_tuple)
-    keep = validate_sites(family.scenario, keep_sites)
-    drop = tuple(n - 1 for n in family.scenario.sites if n not in keep)
-    return table.sum(axis=drop) if drop else table
-
-
 def _subset_groups(stacked: np.ndarray, scenario: Scenario, sites: tuple[int, ...]) -> np.ndarray:
     """Every tuple's marginal on `sites`: entry [c, g] is that of the g-th full
     tuple with the c-th setting assignment on `sites` (all axes row-major)."""
@@ -387,24 +379,12 @@ class MarginalFamily:
 
     Computed on demand from the stacked tensor as the average over all
     compatible full tuples, which a passed consistency check makes equal to
-    each of them (exactly in rational mode). The tensor is held as
-    numerators over one denominator, like `DistributionFamily`.
+    each of them (exactly in rational mode). The tensor is given and held
+    as `numerators` over `denominator`, like `DistributionFamily`'s, and
+    taken over, not copied.
     """
 
-    def __init__(self, scenario: Scenario, mode: str, stacked: np.ndarray):
-        typed = np.asarray(stacked, dtype=object if mode == numeric.RATIONAL else float)
-        self._hold(scenario, mode, *numeric.common_denominator(typed))
-
-    @classmethod
-    def from_numerators(cls, scenario: Scenario, mode: str, numerators: np.ndarray,
-                        denominator: int) -> "MarginalFamily":
-        """Marginals of a stacked tensor already held as numerators."""
-        marginals = cls.__new__(cls)
-        marginals._hold(scenario, mode, numerators, denominator)
-        return marginals
-
-    def _hold(self, scenario: Scenario, mode: str, numerators: np.ndarray,
-              denominator: int) -> None:
+    def __init__(self, scenario: Scenario, mode: str, numerators: np.ndarray, denominator: int):
         self.scenario = scenario
         self.mode = mode
         self.numerators = numerators
@@ -459,8 +439,7 @@ def extract_marginal_family(family: DistributionFamily) -> MarginalFamily:
     witness = check_nonsignaling(family)
     if witness is not None:
         raise SignalingError(witness)
-    return MarginalFamily.from_numerators(family.scenario, family.mode, family.numerators,
-                                          family.denominator)
+    return MarginalFamily(family.scenario, family.mode, family.numerators, family.denominator)
 
 
 @dataclass(frozen=True)

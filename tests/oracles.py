@@ -22,6 +22,12 @@ common denominator, as the package did before it read all entries in one
 pass; it shares only the per-entry rule `coerce_scalar` and the tuple
 validation with the package, and refuses a common denominator past the
 interpreter's integer digit limit, per table and then for the family.
+
+The `fraction_*` functions and `marginalize` are the package's own
+formulas as they ran on public `Fraction` (or float) arrays before the
+stochastic model, the expectations, `SignedMeasure.marginal` and the LP
+verdicts moved onto numerators: the same operations in the same order,
+so rational results must be equal and float results equal bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import numpy as np
 
 from lqhv.errors import InputError
 from lqhv.numeric import FLOAT, RATIONAL, coerce_scalar
+from lqhv.scenario import validate_sites
 
 
 def axis_offsets(settings_per_site):
@@ -665,3 +672,64 @@ def per_table_family(scenario, tables, mode, name_tables=False):
     nums = np.empty(len(flat), dtype=object)
     nums[:] = [v.numerator * (den // v.denominator) for v in flat]
     return nums.reshape(stacked.shape), den
+
+
+def marginalize(family, setting_tuple, keep_sites):
+    """Marginal of one joint table onto `keep_sites` (axes in site order)."""
+    table = family.table(setting_tuple)
+    keep = validate_sites(family.scenario, keep_sites)
+    drop = tuple(n - 1 for n in family.scenario.sites if n not in keep)
+    return table.sum(axis=drop) if drop else table
+
+
+def _mode_zeros(shape, mode):
+    if mode == FLOAT:
+        return np.zeros(shape, dtype=float)
+    out = np.empty(shape, dtype=object)
+    out[...] = Fraction(0)
+    return out
+
+
+def fraction_array(data, mode):
+    """Entries as a mode-typed array: Fractions through `coerce_scalar`,
+    or float64."""
+    if mode == FLOAT:
+        return np.array(data, dtype=float)
+    coerce = np.frompyfunc(lambda v: coerce_scalar(v, RATIONAL), 1, 1)
+    return np.asarray(coerce(np.asarray(data, dtype=object)), dtype=object)
+
+
+def fraction_stochastic(nu, conditionals, coords, mode):
+    """sum over the hidden points of nu times the outer product of the
+    conditional rows of the (site, setting) `coords`, accumulated onto a
+    zero array one hidden point at a time."""
+    nu = fraction_array(nu, mode)
+    mats = [[fraction_array(m, mode) for m in site] for site in conditionals]
+    shape = tuple(mats[n - 1][s - 1].shape[1] for n, s in coords)
+    out = _mode_zeros(shape, mode)
+    for omega in range(nu.shape[0]):
+        rows = [mats[n - 1][s - 1][omega] for n, s in coords]
+        out = out + nu[omega] * reduce(np.multiply.outer, rows)
+    return out
+
+
+def fraction_measure_marginal(atoms, axes):
+    """Sum of an atom array over every axis not in `axes`."""
+    drop = tuple(ax for ax in range(atoms.ndim) if ax not in axes)
+    return atoms.sum(axis=drop) if drop else atoms
+
+
+def fraction_expectation(array, axes, observables, mode):
+    """sum of `array` times observable n read off axis `axes[n]`."""
+    acc = array
+    for axis, phi in zip(axes, observables):
+        vec = fraction_array(phi, mode)
+        shape = [1] * array.ndim
+        shape[axis] = vec.shape[0]
+        acc = acc * vec.reshape(shape)
+    return acc.sum()
+
+
+def fraction_certificate_gap(certificate, stacked):
+    """y.b on the stacked tables in the documented row order."""
+    return (certificate * stacked.reshape(-1)).sum()

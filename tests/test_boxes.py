@@ -17,6 +17,7 @@ from oracles import (
     loop_pr_type_vertex,
     loop_signaling_example,
     loop_tensor,
+    marginalize,
 )
 
 # (mode, zero, one, one half) in each mode's scalar type
@@ -92,8 +93,8 @@ class TestVertices:
 class TestSignalingExample:
     def test_marginal_flip(self):
         sig = L.signaling_example()
-        m1 = L.marginalize(sig, (1, 1), [2])
-        m2 = L.marginalize(sig, (2, 1), [2])
+        m1 = marginalize(sig, (1, 1), [2])
+        m2 = marginalize(sig, (2, 1), [2])
         assert list(m1) == [Fraction(1), Fraction(0)]
         assert list(m2) == [Fraction(0), Fraction(1)]
 

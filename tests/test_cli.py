@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -382,3 +383,70 @@ def test_long_common_denominator_exits_one(tmp_path, capsys):
     assert main(["check", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "common denominator has more than" in err
+
+
+# the interpreter's limit on the digits of an integer written as text
+DIGIT_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def product_family(bits, seed):
+    """Rational CHSH product family: each site's two settings give a coin
+    over one random odd `bits`-bit denominator, the two sites' differing."""
+    rng = random.Random(seed)
+    dens = [rng.getrandbits(bits) | 1 << (bits - 1) | 1 for _ in range(2)]
+    coins = []
+    for den in dens:
+        heads = [rng.randrange(1, den) for _ in range(2)]
+        coins.append([np.array([Fraction(h, den), Fraction(den - h, den)], dtype=object)
+                      for h in heads])
+    return L.DistributionFamily(L.CHSH_SCENARIO, {
+        (s, t): np.multiply.outer(coins[0][s - 1], coins[1][t - 1])
+        for s, t in L.CHSH_SCENARIO.setting_tuples()})
+
+
+class TestExportDigitLimit:
+    """Only what is written is held to the integer digit limit: the
+    reduced entries, not the unreduced denominator they are computed over."""
+
+    def test_atoms_past_the_limit_exit_three(self, tmp_path, capsys):
+        # family entries over 2409 digits: the reduced atoms have about 4800
+        path, out = tmp_path / "big.json", tmp_path / "measure.json"
+        io.save_family(product_family(4000, 0), str(path))
+        assert 70_000 < path.stat().st_size < 80_000
+        assert main(["build", str(path), "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ") and f"more than {DIGIT_LIMIT} digits" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_long_unreduced_denominator_builds(self, tmp_path):
+        # family entries over 903 digits: the measure's denominator, 4516
+        # digits, passes the limit, its reduced atoms (at most 1805) do not
+        family = product_family(1500, 0)
+        assert 10**902 < family.denominator < 10**903
+        measure = L.build_deterministic_measure(family).measure
+        assert measure.denominator >= 10**DIGIT_LIMIT
+        path, out = tmp_path / "mid.json", tmp_path / "measure.json"
+        io.save_family(family, str(path))
+        assert main(["build", str(path), "-o", str(out)]) == 0
+        assert np.array_equal(io.load_measure(str(out)).atoms, measure.atoms)
+
+
+class TestBuiltMassTolerance:
+    """A measure's mass is checked within the family's tolerance, floored at 1e-12."""
+
+    def test_family_passing_check_builds(self, tmp_path, monkeypatch):
+        # every table sums to 1 + 5e-10, inside the default 1e-9
+        monkeypatch.delenv("LQHV_TOL", raising=False)
+        tables = {io.tuple_key(t): [0.25 + 1.25e-10] * 4 for t in L.CHSH_SCENARIO.setting_tuples()}
+        path, out = tmp_path / "heavy.json", tmp_path / "measure.json"
+        path.write_text(json.dumps({"parties": [{"settings": 2, "outcomes": 2}] * 2,
+                                    "mode": "float", "tables": tables}))
+        for argv in (["check"], ["lhv"], ["build", "-o", str(out)]):
+            assert main(argv[:1] + [str(path)] + argv[1:]) == 0
+        assert io.load_measure(str(out)).total_mass == pytest.approx(1 + 5e-10, abs=1e-15)
+
+    def test_random_float_family_builds_at_a_tight_tolerance(self, tmp_path):
+        path, out = tmp_path / "random.json", tmp_path / "measure.json"
+        assert main(["random", "--seed", "3", "--mode", "float", "-o", str(path)]) == 0
+        assert main(["build", str(path), "--tol", "1e-15", "-o", str(out)]) == 0

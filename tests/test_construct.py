@@ -412,6 +412,14 @@ class TestDeterminize:
                 assert np.array_equal(oracle, model.joint_table(t))
                 assert np.array_equal(oracle, det.measure.marginal(t))
 
+    def test_float_weights_passing_their_check_determinize(self, monkeypatch):
+        # nu sums to 1 + 5e-10, inside the default 1e-9, and so does the measure
+        monkeypatch.delenv("LQHV_TOL", raising=False)
+        rows = [[[0.25, 0.75], [0.5, 0.5]]]
+        model = L.StochasticLqHVModel([0.5, 0.5 + 5e-10], [rows, rows], L.FLOAT)
+        measure = L.determinize(model, L.Scenario((1, 1), (2, 2))).measure
+        assert measure.total_mass == pytest.approx(1 + 5e-10, abs=1e-15)
+
     def test_oversized_joint_space_refused_before_allocation(self):
         # 2^24 * 2 atoms, over the default budget; one hidden point
         half = [[Fraction(1, 2), Fraction(1, 2)]]
@@ -438,6 +446,14 @@ class TestDeterminize:
                 [Fraction(1)], [[[[Fraction(3, 2), Fraction(-1, 2)]]]])
         with pytest.raises(InputError, match="sums to"):
             L.StochasticLqHVModel([Fraction(1)], [[[[Fraction(1, 2), Fraction(1, 3)]]]])
+        with pytest.raises(InputError, match="shaped"):
+            L.StochasticLqHVModel([Fraction(1)], [[[[]]]])
+
+    def test_float_model_arrays_are_read_only(self):
+        model = L.StochasticLqHVModel([0.5, 0.5], [[[[1.0], [1.0]]]], L.FLOAT)
+        for arr in (model.nu, model.conditionals[0][0]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 3
 
     def test_nu_must_normalize(self):
         with pytest.raises(InputError, match="nu sums"):

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the package source."""
+"""Every demo script runs to completion against the package source, warning-free."""
 
 import os
 import subprocess
@@ -17,7 +17,8 @@ def test_all_five_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ)
+    # any warning is an error, so a demo cannot start emitting one unnoticed
+    env = dict(os.environ, PYTHONWARNINGS="error")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,

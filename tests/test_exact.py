@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import lqhv as L
 from lqhv import io, numeric
 from lqhv.boxes import random_local_assignment
-from lqhv.errors import InputError
+from lqhv.errors import AtomBudgetError, InputError
 from oracles import fraction_build
 
 DENOMINATORS = (1, 2, 3, 5, 7, 9, 11, 13)
@@ -102,7 +102,7 @@ class TestExactEdges:
         stacked = np.where(b == (s1 == 2), Fraction(1, 2), Fraction(0))
         family = L.DistributionFamily.from_stacked(scenario, stacked)
         assert L.check_nonsignaling(family) is not None
-        marginals = L.MarginalFamily(scenario, L.RATIONAL, family.stacked)
+        marginals = L.MarginalFamily(scenario, L.RATIONAL, family.numerators, family.denominator)
         assert list(marginals.get((2,), (1,))) == [Fraction(2, 3), Fraction(1, 3)]
         assert list(marginals.stacked_marginal((1,)).reshape(-1)) == [Fraction(1, 2)] * 6
         numerators, denominator = marginals.marginal_numerators((2,))
@@ -153,7 +153,7 @@ class TestBooleansAreNotNumbers:
                                       np.array([True, False])], ids=str)
     def test_array(self, mode, data):
         with pytest.raises(InputError):
-            numeric.as_array(data, mode)
+            numeric.numerators(data, mode)
 
     @pytest.mark.parametrize("mode", [L.RATIONAL, L.FLOAT])
     def test_weights(self, mode):
@@ -202,7 +202,7 @@ class TestExponentLimit:
         with pytest.raises(InputError, match="exponent and digits exceed"):
             io.measure_from_json(doc)
         with pytest.raises(InputError, match="exponent and digits exceed"):
-            numeric.normalize_weights(["1", f"1e{DIGIT_LIMIT}"], L.RATIONAL)
+            L.mix_families([L.pr_box(), L.uniform_family(L.CHSH_SCENARIO)], ["1", f"1e{DIGIT_LIMIT}"])
 
 
 class TestDenominatorLimit:
@@ -222,3 +222,24 @@ class TestDenominatorLimit:
         e = DIGIT_LIMIT
         with pytest.raises(InputError, match=f"common denominator has more than {e} digits"):
             numeric.numerators([f"1/{2**e}", f"1/{5**e}"], L.RATIONAL)
+
+
+class TestWriteLimit:
+    """Entries are written while their reduced numerator and denominator
+    stay within the integer digit limit, and refused as a resource beyond it."""
+
+    @pytest.mark.parametrize("numerator,denominator", [(1, 10**DIGIT_LIMIT),
+                                                       (10**DIGIT_LIMIT, 3)],
+                             ids=["long denominator", "long numerator"])
+    def test_one_digit_past_the_limit_is_refused(self, numerator, denominator):
+        with pytest.raises(AtomBudgetError, match=f"more than {DIGIT_LIMIT} digits"):
+            numeric.format_entries(np.array([numerator, 1], dtype=object), denominator)
+        with pytest.raises(AtomBudgetError, match=f"more than {DIGIT_LIMIT} digits"):
+            numeric.format_scalar(Fraction(numerator, denominator), L.RATIONAL)
+
+    def test_at_the_limit_is_written(self):
+        # 10^(limit - 1) has `limit` digits; the entries reduce below it
+        big = 10 ** (DIGIT_LIMIT - 1)
+        assert numeric.format_entries(np.array([1, 2 * big], dtype=object), 2 * big) == \
+            [f"1/{2 * big}", "1"]
+        assert numeric.format_scalar(Fraction(1, big), L.RATIONAL) == f"1/{big}"

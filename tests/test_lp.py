@@ -61,7 +61,7 @@ ORACLE_FAMILIES = {
 class TestConstraintAssembly:
     def test_stacked_order_matches_documentation(self):
         pr = L.pr_box()
-        b = L.stack_tables(pr)
+        b = pr.stacked.reshape(-1)
         # rows: tuples (1,1),(1,2),(2,1),(2,2); inside each, outcomes
         # (0,0),(0,1),(1,0),(1,1)
         assert b.shape == (16,)
@@ -82,7 +82,7 @@ class TestConstraintAssembly:
         mu = L.build_deterministic_measure(L.pr_box()).measure
         x = mu.atoms.reshape(-1)
         stacked = a.astype(object) @ x
-        assert np.array_equal(stacked, L.stack_tables(L.pr_box()))
+        assert np.array_equal(stacked, L.pr_box().stacked.reshape(-1))
 
 
 class TestFeasibleInstances:
@@ -177,10 +177,13 @@ class TestSimplex:
     def test_rational_matches_dense_fraction_tableau(self, name):
         fam = ORACLE_FAMILIES[name]()
         a = L.marginal_matrix(fam.scenario)
-        b = L.stack_tables(fam)
+        b = fam.stacked.reshape(-1)
         expected = dense_bland_phase1(a.tolist(), list(b))
         rhs = fam.numerators.reshape(-1)
-        assert lp._phase1_simplex(a, rhs, fam.denominator, L.RATIONAL, 0.0) == expected
+        objective, x, y, det = lp._phase1_simplex(a, rhs, fam.denominator, L.RATIONAL, 0.0)
+        got = (objective, [Fraction(v, det * fam.denominator) for v in x],
+               [Fraction(v, det) for v in y])
+        assert got == expected
         objective, x, y = expected
         verdict = L.lhv_feasible(fam)
         assert verdict.residual == objective
@@ -199,10 +202,6 @@ class TestSimplex:
                                      L.random_scenario_family(S222, 0),
                                      L.random_scenario_family(S222, 1)])
     def test_rational_outputs_are_fractions(self, fam):
-        objective, x, y = lp._phase1_simplex(L.marginal_matrix(fam.scenario),
-                                             fam.numerators.reshape(-1), fam.denominator,
-                                             L.RATIONAL, 0.0)
-        assert all(type(v) is Fraction for v in [objective, *x, *y])
         verdict = L.lhv_feasible(fam)
         values = verdict.measure.atoms.reshape(-1) if verdict.feasible else verdict.certificate
         assert all(type(v) is Fraction for v in [verdict.residual, *values])
@@ -232,37 +231,37 @@ class TestVerdictCheck:
 
     @pytest.mark.parametrize("mode", [L.RATIONAL, L.FLOAT])
     def test_witness_missing_a_table_entry(self, corrupt, mode):
-        def shift_mass(objective, x, y):
+        def shift_mass(objective, x, y, det):
             i, j = [k for k, v in enumerate(x) if v > 0][:2]
             x[i], x[j] = x[i] + x[j], 0 * x[j]
-            return objective, x, y
+            return objective, x, y, det
         corrupt(shift_mass)
         fam = L.convert_family(L.isotropic_box(Fraction(2, 5)), mode)
         with pytest.raises(RepresentationError, match="witness"):
             L.lhv_feasible(fam)
 
     def test_negative_witness_atom(self, corrupt):
-        def negate(objective, x, y):
+        def negate(objective, x, y, det):
             i = next(k for k, v in enumerate(x) if v > 0)
             x[i] = -x[i]
-            return objective, x, y
+            return objective, x, y, det
         corrupt(negate)
         with pytest.raises(RepresentationError, match="below"):
             L.lhv_feasible(L.uniform_family(L.CHSH_SCENARIO))
 
     @pytest.mark.parametrize("mode", [L.RATIONAL, L.FLOAT])
     def test_certificate_positive_on_an_atom(self, corrupt, mode):
-        corrupt(lambda objective, x, y: (objective, x, [abs(v) for v in y]))
+        corrupt(lambda objective, x, y, det: (objective, x, abs(y), det))
         with pytest.raises(RepresentationError, match="atom column"):
             L.lhv_feasible(L.convert_family(L.pr_box(), mode))
 
     def test_certificate_gap_must_match_residual(self, corrupt):
-        corrupt(lambda objective, x, y: (2 * objective, x, y))
+        corrupt(lambda objective, x, y, det: (2 * objective, x, y, det))
         with pytest.raises(RepresentationError, match="residual"):
             L.lhv_feasible(L.pr_box())
 
     def test_cli_maps_failed_check_to_exit_two(self, corrupt, tmp_path, capsys):
-        corrupt(lambda objective, x, y: (2 * objective, x, y))
+        corrupt(lambda objective, x, y, det: (2 * objective, x, y, det))
         path = tmp_path / "pr.json"
         io.save_family(L.pr_box(), str(path))
         assert main(["lhv", str(path)]) == 2
