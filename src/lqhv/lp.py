@@ -14,7 +14,7 @@ The simplex runs on one numpy tableau with the reduced costs kept as an
 extra row, and each pivot eliminates only the rows with a nonzero entry
 in the entering column. In rational mode the right-hand side is the
 family's integer numerators over its one denominator, and the tableau
-holds Python ints, updated by fraction-free integer pivoting (Bareiss,
+holds integers, updated by fraction-free integer pivoting (Bareiss,
 Math. Comp. 22 (1968) 565; Edmonds, J. Res. NBS 71B (1967) 241). Every
 row r stores integers M_r and a denominator d_r with row = M_r / d_r.
 A pivot in column e first brings the leaving row to the determinant D
@@ -24,13 +24,31 @@ M_r <- (p * M_r - M_r[e] * M_l) // d_r and d_r <- p on every row with
 M_r[e] != 0; p is the determinant of the next basis. Pivots are positive
 and every division is exact, so the result is exactly that of a
 `Fraction` tableau. The ratio test compares M_r[-1] / M_r[e] by cross
-multiplication. The simplex returns the basic solution as numerators
-over D times the family's denominator and the multipliers as numerators
-over D, and the verdict checks read them as they are; a `Fraction` is
-formed only for the public residual, witness and certificate. Float
-mode divides the pivot row by its pivot instead, and its numerators are
-the floats over 1. Every verdict is checked before it is returned,
-exactly in rational mode and within `family.tol` in float mode.
+multiplication.
+
+The integers are int64 for as long as every stored entry, every row
+denominator and D are below 2^31 in magnitude. Each product a pivot
+forms then has both operands below 2^31, so it stays below 2^62 and a
+difference of two stays below 2^63. The bound is checked on the initial
+tableau (cost row included), on each new leaving row M_l * D // d_l
+before the elimination, and on the eliminated rows after it. When a
+check fails, the tableau, the row denominators and D become Python-int
+object arrays in place, still exact, and the same numpy expressions go
+on; a right-hand side of 2^31 or more starts there. The coefficients and
+basis determinants of the corpus families stay within a few bits, so
+the object path is for wide numerators, not for everyday input.
+
+The simplex returns the basic solution as Python-int numerators over D
+times the family's denominator and the multipliers as numerators over
+D, and the verdict checks read them as they are; a `Fraction` is formed
+only for the public residual, witness and certificate. Float mode
+divides the pivot row by its pivot instead, and its numerators are the
+floats over 1. Its ratio test divides all candidate rows at once and
+takes the first of a lexsort on (ratio, basis index), the same IEEE
+quotients and tie-break as a candidate-by-candidate minimum. Every
+verdict is checked before it is returned, exactly in rational mode and
+within `family.tol` in float mode. A simplex that passes `PIVOT_BUDGET`
+pivots per constraint row and atom raises AtomBudgetError.
 
 Row order is fixed and documented: setting tuples in lexicographic order,
 and within each tuple the outcome combinations in row-major order, i.e.
@@ -50,6 +68,12 @@ from .construct import DEFAULT_ATOM_BUDGET, SignedMeasure, _tuple_marginals
 from .errors import AtomBudgetError, InputError, RepresentationError, SignalingError
 from .numeric import Scalar
 from .scenario import DistributionFamily, Scenario, check_nonsignaling
+
+# Rational tableaux are int64 while every entry is below this bound, so that
+# the product of two entries stays below 2^62 and a difference of two below 2^63
+_INT64_BOUND = 2**31
+# The simplex gives up after this many pivots per constraint row and atom
+PIVOT_BUDGET = 50
 
 ROW_ORDER = ("rows: setting tuples lexicographic, outcomes row-major within each tuple; "
              "columns: joint points row-major")
@@ -117,6 +141,11 @@ def _gap(y: np.ndarray, denominator: int, family: DistributionFamily) -> Scalar:
                          denominator * family.denominator, family.mode)
 
 
+def _fits(block: np.ndarray) -> bool:
+    """True when every entry of an int64 block is below 2^31 in magnitude."""
+    return -_INT64_BOUND < block.min() and block.max() < _INT64_BOUND
+
+
 def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol: float):
     """Minimize the artificial mass of Ax = b, x >= 0, by Bland's rule.
 
@@ -125,53 +154,87 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
     a positive int in rational mode, floats over 1 in float mode. Scaling
     b changes no ratio test, so the pivots are those of b itself. Returns
     (objective, x, y, D): the artificial mass left as the mode's scalar,
-    the structural basic solution x as numerators over D * `scale`, and
-    the simplex multipliers y, pulled back through the row sign flips,
-    as numerators over D, the final basis determinant (1 in float mode).
-    y is a separating certificate whenever the objective is positive.
+    the structural basic solution x as Python-int numerators over
+    D * `scale` (floats over 1 in float mode), and the simplex
+    multipliers y, pulled back through the row sign flips, as numerators
+    over D, the final basis determinant (1 in float mode). y is a
+    separating certificate whenever the objective is positive.
+
+    In rational mode the tableau, its row denominators and D are int64
+    while every stored entry is below 2^31 in magnitude, so each product
+    the pivot forms has both operands below 2^31 and fits. The bound is
+    checked on the initial tableau (cost row included), on each new
+    pivot row before the elimination and on the eliminated rows after
+    it; the first failure turns the three into Python ints in place,
+    still exact, and the same expressions go on. Float mode picks the
+    leaving row by one vectorized division and a lexsort on (ratio,
+    basis index). More than `PIVOT_BUDGET` * (rows + atoms) pivots
+    raise AtomBudgetError.
     """
     m, n = a01.shape
     exact = mode == numeric.RATIONAL
-    flip = [1 if v >= 0 else -1 for v in rhs]
-    tableau = np.zeros((m + 1, n + m + 1), dtype=object if exact else float)
+    flip = np.where(rhs >= 0, 1, -1)
+    b = flip * rhs
+    if not exact:
+        dtype = float
+    elif max(m, b.sum()) < _INT64_BOUND:
+        dtype, b = np.int64, b.astype(np.int64)
+    else:
+        dtype = object
+    tableau = np.zeros((m + 1, n + m + 1), dtype=dtype)
     # rows 0..m-1 hold [flip*A | I | flip*rhs]; row m holds the reduced
     # costs of the artificial objective, which start at minus the column sums
-    tableau[:m, :n] = np.array(flip)[:, None] * a01
+    tableau[:m, :n] = flip[:, None] * a01
     tableau[np.arange(m), n + np.arange(m)] = 1
-    tableau[:m, -1] = [f * v for f, v in zip(flip, rhs)]
+    tableau[:m, -1] = b
     tableau[m, :n] = -tableau[:m, :n].sum(axis=0)
     tableau[m, -1] = -tableau[:m, -1].sum()
-    denom = np.ones(m + 1, dtype=tableau.dtype)
+    denom = np.ones(m + 1, dtype=dtype)
     basis_det = 1
     basis = np.arange(n, n + m)
+    budget = PIVOT_BUDGET * (m + n)
+    pivots = 0
 
     while True:
-        entering = np.flatnonzero(tableau[m, :-1] < -tol)
-        if entering.size == 0:
+        entering = tableau[m, :-1] < -tol
+        e = entering.argmax()
+        if not entering[e]:
             break
-        e = entering[0]
+        if pivots == budget:
+            raise AtomBudgetError(f"simplex reached {budget} pivots on {m} rows and {n} atoms, "
+                                  f"the budget of {PIVOT_BUDGET} per row and atom")
+        pivots += 1
         column = tableau[:m, e]
-        candidates = np.flatnonzero(column > tol)
+        candidates = (column > tol).nonzero()[0]
         if candidates.size == 0:
             raise InputError("phase-1 objective unbounded; the constraint matrix is corrupt")
         if exact:
             # b_r / a_r < b_s / a_s on positive integers, without forming the ratios
-            leave = candidates[0]
-            for r in candidates[1:]:
-                lhs, rhs_r = tableau[r, -1] * column[leave], tableau[leave, -1] * column[r]
-                if lhs < rhs_r or (lhs == rhs_r and basis[r] < basis[leave]):
-                    leave = r
+            values, coeffs = tableau[candidates, -1].tolist(), column[candidates].tolist()
+            order = basis[candidates].tolist()
+            best = 0
+            for k in range(1, candidates.size):
+                lhs, rhs_k = values[k] * coeffs[best], values[best] * coeffs[k]
+                if lhs < rhs_k or (lhs == rhs_k and order[k] < order[best]):
+                    best = k
+            leave = candidates[best]
         else:
-            leave = min(candidates, key=lambda r: (tableau[r, -1] / column[r], basis[r]))
-        touched = np.flatnonzero(tableau[:, e])
+            ratios = tableau[candidates, -1] / column[candidates]
+            leave = candidates[np.lexsort((basis[candidates], ratios))[0]]
+        touched = tableau[:, e].nonzero()[0]
         others = touched[touched != leave]
         if exact:
             pivot_row = tableau[leave] * basis_det // denom[leave]
+            if tableau.dtype != object and not _fits(pivot_row):
+                tableau, denom = tableau.astype(object), denom.astype(object)
+                pivot_row = pivot_row.astype(object)
             basis_det = pivot_row[e]
-            tableau[others] = ((basis_det * tableau[others]
-                                - np.multiply.outer(tableau[others, e], pivot_row))
-                               // denom[others, None])
+            block = ((basis_det * tableau[others] - np.multiply.outer(tableau[others, e], pivot_row))
+                     // denom[others, None])
+            tableau[others] = block
             denom[touched] = basis_det
+            if tableau.dtype != object and not _fits(block):
+                tableau, denom, basis_det = tableau.astype(object), denom.astype(object), int(basis_det)
         else:
             pivot_row = tableau[leave] / tableau[leave, e]
             tableau[others] -= np.multiply.outer(tableau[others, e], pivot_row)
@@ -181,8 +244,9 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
     if exact:
         # bring every row to the final basis determinant; the divisions are exact
         # (Cramer's rule), and the values become numerators over basis_det * scale
-        values = tableau[:m, -1] * basis_det // denom[:m]
-        costs = tableau[m] * basis_det // denom[m]
+        values = (tableau[:m, -1] * basis_det // denom[:m]).astype(object)
+        costs = (tableau[m] * basis_det // denom[m]).astype(object)
+        basis_det = int(basis_det)
     else:
         values, costs = tableau[:m, -1], tableau[m]
     # the artificial rows' values in row order, from a zero of their type
@@ -190,7 +254,7 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
     structural = basis < n
     x = np.zeros(n, dtype=values.dtype)
     x[basis[structural]] = values[structural]
-    y = np.array(flip) * (basis_det - costs[n:n + m])
+    y = flip * (basis_det - costs[n:n + m])
     return numeric.ratio(mass, basis_det * scale, mode), x, y, basis_det
 
 
@@ -239,7 +303,9 @@ def lhv_feasible(family: DistributionFamily, *, budget: int = DEFAULT_ATOM_BUDGE
     has no simulating measure of any sign, so the question is not posed).
     Every comparison is made within the family's tolerance `family.tol`.
     `budget` caps both the atom count and the simplex tableau's cells,
-    rows x (atoms + rows + 1), and is enforced before anything is built.
+    rows x (atoms + rows + 1), and is enforced before anything is built;
+    the simplex itself stops with AtomBudgetError after `PIVOT_BUDGET`
+    pivots per constraint row and atom.
     Feasible instances return the witness measure; infeasible ones return
     the separating certificate in the documented row order. Both are
     checked before they are returned, and a failed check raises

@@ -14,9 +14,10 @@ output against these, atom by atom, in exact arithmetic. `fraction_build`
 is the per-site tensor build and full-tuple marginal verification run
 directly on `Fraction` arrays, as the package did before it moved to
 integer numerators over one denominator. For the LHV
-linear program there is a loop-built marginal matrix and a dense
+linear program there is a loop-built marginal matrix, a dense
 `Fraction` phase-1 tableau that recomputes every reduced cost before each
-pivot. `per_table_family` reads a family's tables one at a time into
+pivot, and the package's former float pivot loop with its per-candidate
+ratio test, which the float simplex must match bit for bit. `per_table_family` reads a family's tables one at a time into
 `Fraction` (or float) arrays, stacks them and splits them over their
 common denominator, as the package did before it read all entries in one
 pass; it shares only the per-entry rule `coerce_scalar` and the tuple
@@ -343,6 +344,45 @@ def dense_bland_phase1(a_rows, b):
             x[basis[r]] = tableau[r][-1]
     y = [flip[i] * sum((tableau[r][n + i] for r in artificial), Fraction(0)) for i in range(m)]
     return objective, x, y
+
+
+def float_bland_phase1(a01, rhs, tol):
+    """The package's float phase-1 loop as it ran before its ratio test was vectorized.
+
+    The same tableau, the same pivot arithmetic and the same order of
+    operations, with the leaving row chosen candidate by candidate by
+    `min` on (ratio, basis index). Returns (mass, x, y) as float arrays,
+    which the package must reproduce bit for bit, signed zeros included.
+    """
+    m, n = a01.shape
+    flip = [1 if v >= 0 else -1 for v in rhs]
+    tableau = np.zeros((m + 1, n + m + 1), dtype=float)
+    tableau[:m, :n] = np.array(flip)[:, None] * a01
+    tableau[np.arange(m), n + np.arange(m)] = 1
+    tableau[:m, -1] = [f * v for f, v in zip(flip, rhs)]
+    tableau[m, :n] = -tableau[:m, :n].sum(axis=0)
+    tableau[m, -1] = -tableau[:m, -1].sum()
+    basis = np.arange(n, n + m)
+    while True:
+        entering = np.flatnonzero(tableau[m, :-1] < -tol)
+        if entering.size == 0:
+            break
+        e = entering[0]
+        column = tableau[:m, e]
+        candidates = np.flatnonzero(column > tol)
+        leave = min(candidates, key=lambda r: (tableau[r, -1] / column[r], basis[r]))
+        touched = np.flatnonzero(tableau[:, e])
+        others = touched[touched != leave]
+        pivot_row = tableau[leave] / tableau[leave, e]
+        tableau[others] -= np.multiply.outer(tableau[others, e], pivot_row)
+        tableau[leave] = pivot_row
+        basis[leave] = e
+    values, costs = tableau[:m, -1], tableau[m]
+    mass = sum(values[basis >= n], values.dtype.type(0))
+    x = np.zeros(n)
+    x[basis[basis < n]] = values[basis < n]
+    y = np.array(flip) * (1 - costs[n:n + m])
+    return mass, x, y
 
 
 def loop_marginal(table, outcomes_per_site, keep):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lqhv as L
-from lqhv import io
+from lqhv import io, lp
 from lqhv.cli import main
 
 
@@ -169,6 +169,15 @@ class TestLhv:
 
     def test_signaling_exits_two(self, signaling_file):
         assert main(["lhv", signaling_file]) == 2
+
+    def test_pivot_budget_exits_three(self, pr_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lp, "PIVOT_BUDGET", 0)
+        verdict_path = tmp_path / "verdict.json"
+        assert main(["lhv", pr_file, "-o", str(verdict_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: simplex reached 0 pivots")
+        assert "Traceback" not in err
+        assert not verdict_path.exists()
 
 
 class TestExpect:

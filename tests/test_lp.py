@@ -10,7 +10,7 @@ import lqhv as L
 from lqhv import io, lp
 from lqhv.cli import main
 from lqhv.errors import AtomBudgetError, RepresentationError, SignalingError
-from oracles import brute_marginal_matrix, dense_bland_phase1
+from oracles import brute_marginal_matrix, dense_bland_phase1, float_bland_phase1
 
 
 def product_family_2x2():
@@ -215,6 +215,98 @@ class TestSimplex:
         approx = L.lhv_feasible(as_float)
         assert exact.feasible == approx.feasible == local
         assert float(exact.residual) == pytest.approx(approx.residual, abs=1e-9)
+
+
+def exact_solution(fam, scale=1):
+    """_phase1_simplex on a rational family with b's numerators and denominator
+    both multiplied by `scale`, read back as Fractions (objective, x, y) and D."""
+    a = L.marginal_matrix(fam.scenario)
+    rhs, den = fam.numerators.reshape(-1) * scale, fam.denominator * scale
+    objective, x, y, det = lp._phase1_simplex(a, rhs, den, L.RATIONAL, 0.0)
+    assert all(type(v) is int for v in [*x, *y, det])
+    return (objective, [Fraction(v, det * den) for v in x], [Fraction(v, det) for v in y]), det
+
+
+@pytest.fixture()
+def int64_checks(monkeypatch):
+    """Results of every int64 bound check the simplex makes, in order."""
+    results = []
+    fits = lp._fits
+
+    def spy(block):
+        results.append(fits(block))
+        return results[-1]
+    monkeypatch.setattr(lp, "_fits", spy)
+    return results
+
+
+def crossing_family():
+    """(3,3)/(2,2) family whose initial tableau is below 2^31 but whose
+    pivots are not: a random family with 1/q white noise, q = 2^24 + 43."""
+    q = 2**24 + 43
+    return L.mix_families([L.random_scenario_family(S33, 0), L.uniform_family(S33)],
+                          [Fraction(q - 1, q), Fraction(1, q)])
+
+
+class TestIntegerPaths:
+    """Rational pivots run on int64 below 2^31 and on Python ints past it."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_scaled_numerators_take_the_object_path(self, name, int64_checks):
+        fam = ORACLE_FAMILIES[name]()
+        small = exact_solution(fam)
+        assert int64_checks and all(int64_checks)
+        int64_checks.clear()
+        # b's entries now exceed 2^31, so no pivot runs on int64
+        assert exact_solution(fam, 2**40) == small
+        assert int64_checks == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: L.isotropic_box(Fraction(2**39 - 1, 2**40)),
+        lambda: L.isotropic_box(Fraction(2**39 + 1, 2**40)),
+        crossing_family])
+    def test_wide_numerators_match_dense_fraction_tableau(self, make):
+        fam = make()
+        expected = dense_bland_phase1(L.marginal_matrix(fam.scenario).tolist(),
+                                      list(fam.stacked.reshape(-1)))
+        assert exact_solution(fam)[0] == expected
+        verdict = L.lhv_feasible(fam)
+        assert verdict.residual == expected[0]
+        values = verdict.measure.atoms.reshape(-1) if verdict.feasible else verdict.certificate
+        assert list(values) == expected[1 if verdict.feasible else 2]
+
+    def test_crossing_family_leaves_int64_mid_run(self, int64_checks):
+        fam = crossing_family()
+        assert sum(abs(v) for v in fam.numerators.reshape(-1)) < 2**31
+        exact_solution(fam)
+        assert int64_checks[0] and not all(int64_checks)
+
+    def test_large_minors_match_the_object_path(self, int64_checks):
+        # a dense random 0/1 system has basis determinants of about 2^33, so
+        # unchecked int64 pivots would wrap; the bound moves the run onto Python ints
+        rng = np.random.default_rng(1)
+        a = (rng.random((32, 64)) < 0.5).astype(np.int8)
+        rhs = np.array([int(v) for v in a.astype(np.int64) @ rng.integers(0, 1000, 64)], dtype=object)
+        assert rhs.sum() < 2**31
+        objective, x, y, det = lp._phase1_simplex(a, rhs, 1, L.RATIONAL, 0.0)
+        assert int64_checks[0] and not all(int64_checks)
+        wide_objective, wide_x, wide_y, wide_det = lp._phase1_simplex(
+            a, rhs * 2**40, 2**40, L.RATIONAL, 0.0)
+        assert objective == wide_objective == 0 and det == wide_det
+        assert list(wide_x) == list(x * 2**40) and list(wide_y) == list(y)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES) + ["2^4-seed0", "2^4-seed1"])
+    def test_float_pivots_match_former_loop_bit_for_bit(self, name):
+        if name.startswith("2^4"):
+            fam = L.random_scenario_family(L.Scenario((2,) * 4, (2,) * 4), int(name[-1]), L.FLOAT)
+        else:
+            fam = L.convert_family(ORACLE_FAMILIES[name](), L.FLOAT)
+        a = L.marginal_matrix(fam.scenario)
+        rhs = fam.numerators.reshape(-1)
+        mass, x, y = float_bland_phase1(a, rhs, fam.tol)
+        objective, got_x, got_y, det = lp._phase1_simplex(a, rhs, 1, L.FLOAT, fam.tol)
+        assert det == 1 and objective == mass
+        assert got_x.tobytes() == x.tobytes() and got_y.tobytes() == y.tobytes()
 
 
 class TestVerdictCheck:
