@@ -137,14 +137,14 @@ def cmd_build(args) -> int:
     model = build_deterministic_measure(family, marginals, budget=args.budget)
     report["timings"]["build"] = time.perf_counter() - t0
     measure = model.measure
-    jordan = jordan_decompose(measure)
     fmt = lambda v: numeric.format_scalar(v, family.mode)
-    report["construction"] = {
+    construction = {
         "atom_count": int(measure.numerators.size),
         "normalization": fmt(measure.total_mass),
         "min_atom": fmt(measure.min_atom),
-        "total_variation": fmt(jordan.total_variation),
+        "total_variation": fmt(jordan_decompose(measure).total_variation),
     }
+    report["construction"] = construction
 
     t0 = time.perf_counter()
     check = verify_marginals(model, family)
@@ -155,10 +155,10 @@ def cmd_build(args) -> int:
     report["output"] = args.out
     lines = [
         "consistency: pass",
-        f"atoms: {measure.numerators.size}",
-        f"normalization: {fmt(measure.total_mass)}",
-        f"min atom: {fmt(measure.min_atom)}",
-        f"total variation: {fmt(jordan.total_variation)}",
+        f"atoms: {construction['atom_count']}",
+        f"normalization: {construction['normalization']}",
+        f"min atom: {construction['min_atom']}",
+        f"total variation: {construction['total_variation']}",
         f"max marginal error: {fmt(check.max_error)}",
         f"wrote measure to {args.out}",
     ]

@@ -108,15 +108,24 @@ class SignedMeasure:
 class JordanPair:
     """Positive/negative parts of a signed measure, disjoint supports.
 
-    The parts are held as numerators over the measure's denominator;
-    `positive_part` and `negative_part` are their public forms, built on
-    first access.
+    The pair holds the measure's own numerators (not a copy), their
+    denominator and the total variation, computed at construction.
+    `positive_numerators` and `negative_numerators`, the parts as
+    numerators over that denominator, are built on first access, and
+    `positive_part` and `negative_part`, their public forms, from them.
     """
 
-    positive_numerators: np.ndarray
-    negative_numerators: np.ndarray
+    numerators: np.ndarray
     denominator: int
     total_variation: Scalar
+
+    @cached_property
+    def positive_numerators(self) -> np.ndarray:
+        return _read_only(np.maximum(self.numerators, 0))
+
+    @cached_property
+    def negative_numerators(self) -> np.ndarray:
+        return _read_only(np.maximum(-self.numerators, 0))
 
     @cached_property
     def positive_part(self) -> np.ndarray:
@@ -127,14 +136,21 @@ class JordanPair:
         return numeric.ratio_array(self.negative_numerators, self.denominator)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def jordan_decompose(measure: SignedMeasure) -> JordanPair:
-    """Atomwise Jordan split; total variation is the combined mass."""
-    pos = np.maximum(measure.numerators, 0)
-    neg = np.maximum(-measure.numerators, 0)
-    pos.setflags(write=False)
-    neg.setflags(write=False)
-    total = numeric.ratio(pos.sum() + neg.sum(), measure.denominator, measure.mode)
-    return JordanPair(pos, neg, measure.denominator, total)
+    """Atomwise Jordan split; total variation is the combined mass,
+    summed through one buffer of the measure's size."""
+    x = measure.numerators
+    buf = np.maximum(x, 0)
+    positive = buf.sum()
+    np.negative(x, out=buf)
+    np.maximum(buf, 0, out=buf)
+    total = numeric.ratio(positive + buf.sum(), measure.denominator, measure.mode)
+    return JordanPair(x, measure.denominator, total)
 
 
 @dataclass(frozen=True)

@@ -44,16 +44,28 @@ Every file and every `--json` report goes through one writer,
 `write_json`. Its output is byte for byte what
 `json.dump(data, fh, indent=2, sort_keys=True)` followed by a line break
 writes, for any JSON value of dicts with str keys, lists, tuples and
-scalars. It walks dicts and lists as that encoder does, but a list of
-plain scalars (str, int, float, bool, None) goes through the C encoder
-in pieces of `_CHUNK` entries, so the text of a large list is never held
-whole and never formatted entry by entry in Python.
+scalars, where an `Entries` sequence stands for the list it holds. It
+walks dicts and lists as that encoder does, but a list of plain scalars
+(str, int, float, bool, None) goes through the C encoder in pieces of
+`_CHUNK` entries, so the text of a large list is never held whole and
+never formatted entry by entry in Python.
+
+A measure document's "atoms" is such an `Entries` sequence: a read-only
+view of the measure's numerators that formats its entries only when
+they are read. The writer streams it `_CHUNK` entries at a time, so no
+list of the whole measure is ever built. A rational entry past the digit
+limit is then found mid-write, and `dump_json` removes the file it was
+writing on any failure, so a failed write leaves no file at the path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import os
+import stat
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -134,6 +146,33 @@ def family_from_json(data: Any, tol: float | None = None) -> DistributionFamily:
     return DistributionFamily(scenario, tables, mode, tol=tol)
 
 
+class Entries(Sequence):
+    """The JSON entries of a numerator array over its denominator,
+    flattened row-major, as a read-only sequence that formats them on
+    access: a slice is `numeric.format_entries` of that slice, and
+    iteration formats `_CHUNK` entries at a time. A contiguous array is
+    viewed, not copied."""
+
+    __slots__ = ("_flat", "_denominator")
+
+    def __init__(self, numerators: np.ndarray, denominator: int):
+        self._flat = numerators.reshape(-1)
+        self._denominator = denominator
+
+    def __len__(self) -> int:
+        return self._flat.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return numeric.format_entries(self._flat[index], self._denominator)
+        index = range(len(self))[index]
+        return self[index:index + 1][0]
+
+    def __iter__(self):
+        for start in range(0, len(self), _CHUNK):
+            yield from self[start:start + _CHUNK]
+
+
 def measure_to_json(measure: SignedMeasure) -> dict:
     scenario = measure.scenario
     axes = [{"site": n, "setting": s, "outcomes": scenario.outcomes_per_site[n - 1]}
@@ -142,7 +181,7 @@ def measure_to_json(measure: SignedMeasure) -> dict:
     return {
         "axes": axes,
         "mode": measure.mode,
-        "atoms": numeric.format_entries(measure.numerators, measure.denominator),
+        "atoms": Entries(measure.numerators, measure.denominator),
     }
 
 
@@ -299,12 +338,12 @@ def _write(value: Any, fh, newline: str) -> None:
             _write(value[key], fh, inner)
             sep = ","
         fh.write(newline + "}")
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, Entries)):
         if not value:
             fh.write("[]")
             return
         inner, sep = newline + "  ", "["
-        if set(map(type, value)) <= _SCALARS:
+        if isinstance(value, Entries) or set(map(type, value)) <= _SCALARS:
             encode = _list_encoder(inner)
             for start in range(0, len(value), _CHUNK):
                 fh.write(sep + inner)
@@ -328,11 +367,23 @@ def write_json(data: Any, fh) -> None:
 
 
 def dump_json(data: Any, path: str) -> None:
+    """Write `data` to the file at `path`. On any failure once the file is
+    open, a regular file is removed again, so no partial file is left."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            write_json(data, fh)
+        fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    try:
+        with fh:
+            write_json(data, fh)
+    except BaseException as exc:
+        if regular:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def load_family(path: str, tol: float | None = None) -> DistributionFamily:

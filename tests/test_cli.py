@@ -1,8 +1,10 @@
 """Command-line pipeline: exit codes, reports, idempotence."""
 
+import errno
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -398,9 +400,10 @@ def test_long_common_denominator_exits_one(tmp_path, capsys):
 DIGIT_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
-def product_family(bits, seed):
+def product_family(bits, seed, sure_first=False):
     """Rational CHSH product family: each site's two settings give a coin
-    over one random odd `bits`-bit denominator, the two sites' differing."""
+    over one random odd `bits`-bit denominator, the two sites' differing.
+    With `sure_first`, site 1's first setting always gives its second outcome."""
     rng = random.Random(seed)
     dens = [rng.getrandbits(bits) | 1 << (bits - 1) | 1 for _ in range(2)]
     coins = []
@@ -408,6 +411,8 @@ def product_family(bits, seed):
         heads = [rng.randrange(1, den) for _ in range(2)]
         coins.append([np.array([Fraction(h, den), Fraction(den - h, den)], dtype=object)
                       for h in heads])
+    if sure_first:
+        coins[0][0] = np.array([Fraction(0), Fraction(1)], dtype=object)
     return L.DistributionFamily(L.CHSH_SCENARIO, {
         (s, t): np.multiply.outer(coins[0][s - 1], coins[1][t - 1])
         for s, t in L.CHSH_SCENARIO.setting_tuples()})
@@ -439,6 +444,63 @@ class TestExportDigitLimit:
         io.save_family(family, str(path))
         assert main(["build", str(path), "-o", str(out)]) == 0
         assert np.array_equal(io.load_measure(str(out)).atoms, measure.atoms)
+
+
+class TestFailedExportLeavesNoFile:
+    """A write that fails after the output file is opened removes it."""
+
+    def test_entry_past_the_limit_in_the_second_chunk_exits_three(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # the first 8 of the 16 atoms are 0; the rest have over 4500 digits
+        family = product_family(5000, 0, sure_first=True)
+        measure = L.build_deterministic_measure(family).measure
+        assert not measure.numerators.reshape(-1)[:8].any()
+        path, out = tmp_path / "sure.json", tmp_path / "measure.json"
+        io.save_family(family, str(path))
+        out.write_text("an older file")
+        monkeypatch.setattr(io, "_CHUNK", 8)
+        assert main(["build", str(path), "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ") and f"more than {DIGIT_LIMIT} digits" in err
+        assert not out.exists()
+
+    def test_os_error_mid_write_exits_one(self, pr_file, tmp_path, capsys, monkeypatch):
+        real_open, writes = open, []
+
+        def full_disk_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            real_write = fh.write
+
+            def write(text):
+                writes.append(text)
+                if len(writes) == 5:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return real_write(text)
+
+            fh.write = write
+            return fh
+
+        out = tmp_path / "measure.json"
+        monkeypatch.setattr(io, "open", full_disk_open, raising=False)
+        assert main(["build", pr_file, "-o", str(out)]) == 1
+        assert len(writes) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot write ") and "No space left" in err
+        assert not out.exists()
+
+
+def test_float_build_peaks_near_the_measure(tmp_path):
+    # (5,5)/(4,4): 1,048,576 atoms, 8 MiB of float64
+    family = L.random_scenario_family(L.Scenario((5, 5), (4, 4)), 3, L.FLOAT)
+    path, out = tmp_path / "family.json", tmp_path / "measure.json"
+    io.save_family(family, str(path))
+    tracemalloc.start()
+    try:
+        assert main(["build", str(path), "-o", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * family.scenario.joint_size * 8
 
 
 class TestBuiltMassTolerance:

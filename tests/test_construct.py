@@ -357,6 +357,29 @@ class TestJordan:
         assert jd.total_variation >= 1
 
 
+    def test_total_variation_peak_stays_near_the_measure(self):
+        # (4,4)/(4,4): 65,536 atoms; the parts are not built for the sum
+        family = L.random_scenario_family(L.Scenario((4, 4), (4, 4)), 3, L.FLOAT)
+        mu = L.build_deterministic_measure(family).measure
+        tracemalloc.start()
+        try:
+            L.jordan_decompose(mu).total_variation
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * mu.numerators.nbytes
+
+    def test_parts_are_built_on_first_access(self):
+        mu = L.build_deterministic_measure(L.pr_box(L.FLOAT)).measure
+        jd = L.jordan_decompose(mu)
+        assert jd.numerators is mu.numerators
+        assert "positive_numerators" not in vars(jd)
+        assert jd.positive_numerators is jd.positive_numerators
+        assert not jd.positive_numerators.flags.writeable
+        assert not jd.negative_numerators.flags.writeable
+        assert jd.total_variation == jd.positive_numerators.sum() + jd.negative_numerators.sum()
+
+
 class TestDeterminize:
     def test_single_point_hidden_space(self):
         q11 = [Fraction(1, 3), Fraction(2, 3)]

@@ -88,6 +88,7 @@ class TestMeasureFiles:
     def test_import_validates_normalization(self):
         mu = L.build_deterministic_measure(L.pr_box()).measure
         data = io.measure_to_json(mu)
+        data["atoms"] = list(data["atoms"])
         data["atoms"][0] = "1/2"
         with pytest.raises(InputError, match="mass"):
             io.measure_from_json(data)

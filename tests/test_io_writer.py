@@ -7,10 +7,12 @@ import random
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lqhv as L
 from lqhv import io as lio
 
 SPECIAL_FLOATS = [-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
@@ -114,3 +116,87 @@ def test_peak_memory_stays_below_the_text(tmp_path):
     size = path.stat().st_size
     assert size > 2**20 * 18
     assert peak < size / 10
+
+
+def line_measure(numerators, denominator, mode):
+    """A one-site, one-setting measure with the given atoms; the writer
+    does not read the mass, so a float line is held to a wide tolerance."""
+    scenario = L.Scenario((1,), (numerators.size,))
+    return L.SignedMeasure.from_numerators(scenario, numerators, denominator, mode,
+                                           tol=None if mode == L.RATIONAL else 1e17)
+
+
+def float_line(size, rng):
+    values = np.array([rng.uniform(-1, 1) for _ in range(size)])
+    values[:8] = [-0.0, 5e-324, 1e16, -1e16, 1e-7, -1e-7, 0.1, 1.0]
+    values[size // 2] = 1e16
+    values[-1] = 1 - values[:-1].sum()
+    return line_measure(values, 1, L.FLOAT)
+
+
+def rational_line(size, rng):
+    # over 12, entries like 6/12 reduce to "1/2" and 24/12 to "2"
+    values = np.array([rng.randrange(-30, 31) for _ in range(size)], dtype=object)
+    values[-1] = 12 - values[:-1].sum()
+    return line_measure(values, 12, L.RATIONAL)
+
+
+class TestStreamedAtoms:
+    """A measure document's atoms are formatted as they are written."""
+
+    @pytest.mark.parametrize("make", [float_line, rational_line], ids=["float", "rational"])
+    def test_written_as_the_list_form(self, make):
+        measure = make(2 * lio._CHUNK + 17, random.Random(2))
+        doc = lio.measure_to_json(measure)
+        listed = lio.numeric.format_entries(measure.numerators, measure.denominator)
+        assert list(doc["atoms"]) == listed
+        assert written(doc) == reference({**doc, "atoms": listed})
+
+    def test_rational_entries_take_both_forms(self):
+        atoms = list(lio.measure_to_json(rational_line(2 * lio._CHUNK + 17,
+                                                       random.Random(2)))["atoms"])
+        assert any("/" in a for a in atoms) and any("/" not in a for a in atoms)
+
+    def test_length_indexing_and_slices(self):
+        measure = rational_line(lio._CHUNK + 5, random.Random(3))
+        atoms = lio.measure_to_json(measure)["atoms"]
+        listed = list(atoms)
+        assert len(atoms) == len(listed) == lio._CHUNK + 5
+        assert atoms[0] == listed[0] and atoms[-1] == listed[-1]
+        assert atoms[lio._CHUNK - 2:lio._CHUNK + 2] == listed[lio._CHUNK - 2:lio._CHUNK + 2]
+        with pytest.raises(IndexError):
+            atoms[len(listed)]
+
+
+class TestFailedDump:
+    """dump_json removes the file it opened when the write fails."""
+
+    def test_unserializable_value_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            lio.dump_json({"a": [1.0] * 10, "b": object()}, str(path))
+        assert not path.exists()
+
+    def test_interrupt_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+
+        def interrupted(indent):
+            raise KeyboardInterrupt
+
+        with mock.patch.object(lio, "_list_encoder", interrupted):
+            with pytest.raises(KeyboardInterrupt):
+                lio.dump_json({"atoms": [1.0, 2.0]}, str(path))
+        assert not path.exists()
+
+
+def test_save_measure_peak_stays_near_the_measure(tmp_path):
+    # (4,4)/(4,4): 65,536 atoms; no list of every atom is built
+    family = L.random_scenario_family(L.Scenario((4, 4), (4, 4)), 3, L.FLOAT)
+    measure = L.build_deterministic_measure(family).measure
+    tracemalloc.start()
+    try:
+        lio.save_measure(measure, str(tmp_path / "measure.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * measure.numerators.nbytes

@@ -28,6 +28,7 @@ FAMILIES = [io.family_to_json(L.pr_box()),
             io.family_to_json(L.random_scenario_family(L.Scenario((2, 1, 2), (2, 3, 2)), 5,
                                                        L.FLOAT))]
 MEASURE = io.measure_to_json(L.build_deterministic_measure(L.pr_box()).measure)
+MEASURE["atoms"] = list(MEASURE["atoms"])
 QUANTUM = io.quantum_to_json(L.chsh_optimal_scenario())
 
 
