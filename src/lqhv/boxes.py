@@ -25,6 +25,8 @@ from .errors import InputError
 from .scenario import DistributionFamily, Scenario, interleaved_to_stacked
 
 CHSH_SCENARIO = Scenario((2, 2), (2, 2))
+# Local deterministic vertices mixed by `random_scenario_family`
+RANDOM_COMPONENTS = 6
 
 
 def uniform_family(scenario: Scenario, mode: str = numeric.RATIONAL) -> DistributionFamily:
@@ -190,21 +192,19 @@ def tensor_family(left: DistributionFamily, right: DistributionFamily) -> Distri
                                               left.mode)
 
 
-def random_scenario_family(scenario: Scenario, seed: int, mode: str = numeric.RATIONAL,
-                           n_components: int = 6) -> DistributionFamily:
+def random_scenario_family(scenario: Scenario, seed: int,
+                           mode: str = numeric.RATIONAL) -> DistributionFamily:
     """Random nonsignaling family on an arbitrary scenario.
 
-    Mixes `n_components` random local deterministic vertices; when the
+    Mixes `RANDOM_COMPONENTS` random local deterministic vertices; when the
     first two sites form a two-setting binary block, a random XOR box
     composed with a random vertex on the remaining sites joins the pool,
     so the mixture is not always locally reproducible. Weights are small
     seeded integers, normalized.
     """
-    if n_components < 1:
-        raise InputError("need at least one component")
     rng = random.Random(seed)
     pool: list[DistributionFamily] = []
-    for _ in range(n_components):
+    for _ in range(RANDOM_COMPONENTS):
         pool.append(local_deterministic_vertex(
             scenario, random_local_assignment(scenario, rng), mode))
     head = (scenario.settings_per_site[:2], scenario.outcomes_per_site[:2])

@@ -134,7 +134,7 @@ def cmd_build(args) -> int:
     report["consistency"] = {"passed": True, "witness": None}
 
     t0 = time.perf_counter()
-    model = build_deterministic_measure(family, marginals, budget=args.budget)
+    model = build_deterministic_measure(marginals, budget=args.budget)
     report["timings"]["build"] = time.perf_counter() - t0
     measure = model.measure
     fmt = lambda v: numeric.format_scalar(v, family.mode)

@@ -8,7 +8,8 @@ construction, an inclusion-exclusion sum over site subsets weighted by an
 integer subset coefficient (whose defining identity is exposed for direct
 integer verification), is multilinear and site-local: the builder applies
 one linear map per site to the family's stacked tensor, and verification
-gets every full-tuple marginal at once from per-site 0/1 projections.
+gets every full-tuple marginal at once from per-site 0/1 projections,
+whose transpose builds and prices the LHV constraint matrix in `lqhv.lp`.
 Every comparison against a family is made within the family's own
 tolerance `family.tol`, and a computed measure's mass within
 `numeric.mass_tolerance` of its source's.
@@ -49,17 +50,18 @@ class SignedMeasure:
     """Normalized real-valued measure on the joint coordinate space.
 
     Atoms form a tensor over the axes (1,1)..(1,S_1)..(N,1)..(N,S_N); the
-    total mass must be 1 within `tol` (exactly in rational mode) and every
+    total mass must be 1 within `tol`, the mode's default tolerance unless
+    `from_numerators` is given one (exactly in rational mode), and every
     atom finite. The tensor is held as `numerators` over `denominator`
     (Python ints over a positive int in rational mode, the floats over 1
     in float mode); `atoms` is its public form, read-only Fractions in
     rational mode, built on first access.
     """
 
-    def __init__(self, scenario: Scenario, atoms, mode: str = numeric.RATIONAL,
-                 tol: float | None = None):
+    def __init__(self, scenario: Scenario, atoms, mode: str = numeric.RATIONAL):
         mode = numeric.check_mode(mode)
-        self._adopt(scenario, *numeric.numerators(atoms, mode, shape=scenario.joint_shape), mode, tol)
+        self._adopt(scenario, *numeric.numerators(atoms, mode, shape=scenario.joint_shape), mode,
+                    None)
 
     @classmethod
     def from_numerators(cls, scenario: Scenario, numerators: np.ndarray, denominator: int,
@@ -245,9 +247,8 @@ def _apply_site_map(atoms: np.ndarray, axis: int, p: np.ndarray, keep, shrink) -
     return out
 
 
-def build_deterministic_measure(family: DistributionFamily,
-                                marginals: MarginalFamily | None = None,
-                                *, budget: int = DEFAULT_ATOM_BUDGET) -> DeterministicLqHVModel:
+def build_deterministic_measure(family: DistributionFamily, *,
+                                budget: int = DEFAULT_ATOM_BUDGET) -> DeterministicLqHVModel:
     """Construct the deterministic LqHV measure of a nonsignaling family.
 
     The measure is mu = (M_1 (x) ... (x) M_N) F on the stacked family F, with
@@ -263,12 +264,11 @@ def build_deterministic_measure(family: DistributionFamily,
     Parameters
     ----------
     family:
-        The joint tables; must satisfy the nonsignaling consistency
-        condition within `family.tol` (verified here via the marginal
-        extraction when `marginals` is not supplied).
-    marginals:
-        Optionally the output of `extract_marginal_family(family)`; pass
-        it to avoid re-running the consistency check.
+        The joint tables. A `MarginalFamily` has passed the nonsignaling
+        consistency check and is built from as it is; any other family
+        goes through `extract_marginal_family` first, which runs the check
+        within `family.tol` and raises SignalingError on failure. Mode,
+        tolerance and numerators all come from that one family.
     budget:
         Refuse joint spaces with more atoms than this instead of
         allocating them.
@@ -283,21 +283,19 @@ def build_deterministic_measure(family: DistributionFamily,
     if scenario.joint_size > budget:
         raise AtomBudgetError(
             f"joint space holds {scenario.joint_size} atoms, over the budget {budget}")
-    if marginals is None:
-        marginals = extract_marginal_family(family)
-    elif marginals.scenario != scenario or marginals.mode != family.mode:
-        raise InputError("marginal family does not match the distribution family")
+    if not isinstance(family, MarginalFamily):
+        family = extract_marginal_family(family)
 
     exact = family.mode == numeric.RATIONAL
     maps = []
-    denominator = marginals.denominator
+    denominator = family.denominator
     for site in scenario.sites:
-        p, d = marginals.marginal_numerators((site,))
+        p, d = family.marginal_numerators((site,))
         count = p.shape[0]
         keep, shrink = (count * d, count - 1) if exact else (1, (count - 1) / count)
         denominator *= keep * d ** (count - 1)
         maps.append((p, keep, shrink))
-    atoms = marginals.numerators
+    atoms = family.numerators
     for site, (p, keep, shrink) in enumerate(maps, start=1):
         atoms = _apply_site_map(atoms, scenario.n_parties - site + 1, p, keep, shrink)
     measure = SignedMeasure.from_numerators(scenario, atoms, denominator, family.mode,
@@ -312,6 +310,30 @@ def _tuple_marginals(atoms: np.ndarray, scenario: Scenario) -> np.ndarray:
         rows = [out.sum(axis=tuple(t for t in range(s) if t != j)) for j in range(s)]
         out = np.moveaxis(np.stack(rows), [0, 1], [-2, -1])
     return interleaved_to_stacked(out)
+
+
+def _tuple_marginals_adjoint(values: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Transpose of `_tuple_marginals`: the atom tensor whose entry at a
+    joint point sums `values` at every setting tuple t and the point's
+    outcomes on t's coordinates.
+
+    `values` is laid out like a stacked family, axes (s_1..s_N, a_1..a_N),
+    and any trailing axes it has lead in the result. Site by site, each
+    setting's (outcome) slice is broadcast along its own coordinate axis
+    and the S_n slices are added; nothing is multiplied.
+    """
+    n = scenario.n_parties
+    lead = values.ndim - 2 * n
+    out = values.transpose([*range(2 * n, values.ndim),
+                            *(ax for m in range(n) for ax in (m, n + m))])
+    for s in scenario.settings_per_site:
+        # axes (trailing..., setting, later sites..., coordinates so far..., outcome)
+        moved = np.moveaxis(out, lead + 1, -1)
+        rest, k = moved.shape[:lead] + moved.shape[lead + 1:-1], moved.shape[-1]
+        out = reduce(np.add, [moved[(slice(None),) * lead + (j,)]
+                              .reshape(rest + (1,) * j + (k,) + (1,) * (s - 1 - j))
+                              for j in range(s)])
+    return out
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,7 @@ def verdict_to_json(verdict: LhvVerdict) -> dict:
     mode = None if verdict.measure is None else verdict.measure.mode
     if verdict.certificate is not None:
         mode = numeric.RATIONAL if verdict.certificate.dtype == object else numeric.FLOAT
-        certificate = numeric.format_array(verdict.certificate, mode)
+        certificate = [numeric.format_scalar(v, mode) for v in verdict.certificate.tolist()]
     return {
         "row_order": ROW_ORDER,
         "feasible": verdict.feasible,

@@ -64,7 +64,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric
-from .construct import DEFAULT_ATOM_BUDGET, SignedMeasure, _tuple_marginals
+from .construct import (
+    DEFAULT_ATOM_BUDGET,
+    SignedMeasure,
+    _tuple_marginals,
+    _tuple_marginals_adjoint,
+)
 from .errors import AtomBudgetError, InputError, RepresentationError, SignalingError
 from .numeric import Scalar
 from .scenario import DistributionFamily, Scenario, check_nonsignaling
@@ -79,34 +84,18 @@ ROW_ORDER = ("rows: setting tuples lexicographic, outcomes row-major within each
              "columns: joint points row-major")
 
 
-def marginal_rows(scenario: Scenario) -> np.ndarray:
-    """Constraint row that each atom feeds, one line per setting tuple.
-
-    Entry (t, col) is the row of tuple t's outcome cell onto which the
-    joint point behind `col` projects, so the marginal matrix holds a 1
-    at (rows[t, col], col) for every t and nothing else.
-    """
-    offsets = np.cumsum((0,) + scenario.settings_per_site[:-1])
-    axes = np.array(scenario.setting_tuples()) - 1 + offsets
-    points = np.indices(scenario.joint_shape).reshape(len(scenario.joint_shape), -1)
-    cells = np.ravel_multi_index(tuple(points[axes[:, n]] for n in range(scenario.n_parties)),
-                                 scenario.table_shape)
-    table_size = math.prod(scenario.table_shape)
-    return cells + table_size * np.arange(scenario.n_tuples)[:, None]
-
-
 def marginal_matrix(scenario: Scenario) -> np.ndarray:
     """0/1 matrix mapping atom vectors to stacked full-tuple marginals.
 
     Entry (row, col) is 1 when the joint point behind `col` projects, on
     the coordinates selected by the row's setting tuple, onto the row's
-    outcome combination.
+    outcome combination. It is `_tuple_marginals_adjoint` of the int8
+    identity over the rows, so row r is the adjoint of the r-th unit vector.
     """
-    rows = marginal_rows(scenario)
-    matrix = np.zeros((scenario.n_tuples * math.prod(scenario.table_shape),
-                       scenario.joint_size), dtype=np.int8)
-    matrix[rows, np.arange(scenario.joint_size)] = 1
-    return matrix
+    rows = scenario.n_tuples * math.prod(scenario.table_shape)
+    identity = np.eye(rows, dtype=np.int8).reshape(
+        scenario.settings_per_site + scenario.table_shape + (rows,))
+    return _tuple_marginals_adjoint(identity, scenario).reshape(rows, scenario.joint_size)
 
 
 @dataclass(frozen=True)
@@ -279,15 +268,15 @@ def _checked_witness(x: np.ndarray, denominator: int, family: DistributionFamily
 
 
 def _check_certificate(y: np.ndarray, denominator: int, residual: Scalar,
-                       family: DistributionFamily, rows: np.ndarray) -> None:
+                       family: DistributionFamily) -> None:
     """Require y.A <= 0 on every atom column, y.b > 0 and y.b == residual,
     each within the family's tolerance, for y = `y` / `denominator`.
 
-    y.A and y.b are taken on the numerators. A failed check raises
-    RepresentationError.
+    y.A and y.b are taken on the numerators, y.A by the adjoint of the
+    tuple marginals. A failed check raises RepresentationError.
     """
     tol = family.tol
-    products = y[rows].sum(axis=0)
+    products = _tuple_marginals_adjoint(y.reshape(family.numerators.shape), family.scenario)
     if products.max() > tol:
         raise RepresentationError(
             f"certificate is positive on atom column {np.argmax(products > tol)}")
@@ -331,7 +320,7 @@ def lhv_feasible(family: DistributionFamily, *, budget: int = DEFAULT_ATOM_BUDGE
         measure = SignedMeasure.from_numerators(scenario, _checked_witness(x, den, family), den,
                                                 family.mode, tol=numeric.mass_tolerance(family.tol))
         return LhvVerdict(True, measure, None, objective)
-    _check_certificate(y, basis_det, objective, family, marginal_rows(scenario))
+    _check_certificate(y, basis_det, objective, family)
     certificate = numeric.ratio_array(y, basis_det)
     certificate.setflags(write=False)
     return LhvVerdict(False, None, certificate, objective)

@@ -17,9 +17,8 @@ read with two `int` calls; ``fractions.Fraction`` is built only for an
 entry outside that form (through `coerce_scalar`, which also reads a
 single number), for returned scalars (`ratio`) and for the public
 rational arrays, which `ratio_array` builds from the numerators. Every
-computation in between runs on the numerators. `common_denominator`
-splits a Fraction array into numerators for `format_array` to print.
-`format_entries` and `format_scalar` write numbers as text and refuse,
+computation in between runs on the numerators. `format_entries` writes a
+numerator array and `format_scalar` one number as text; both refuse,
 with AtomBudgetError, an integer past the interpreter's digit limit.
 
 There is one comparison rule for both modes: two values agree when they
@@ -152,8 +151,8 @@ def numerators(data, mode: str, shape: tuple[int, ...] | None = None) -> tuple[n
 
     This is the one input coercion. Rational mode gives an object array
     of Python ints over the lcm of the entries' reduced denominators,
-    exactly what `coerce_scalar` on each entry and `common_denominator`
-    give. A string in the strict form "p" or "p/q" (ASCII digits, an
+    exactly the numerators of `coerce_scalar` on each entry over their
+    lcm. A string in the strict form "p" or "p/q" (ASCII digits, an
     optional leading minus, q nonzero) is read with two `int` calls and
     reduced by `math.gcd`; every other entry goes through `coerce_scalar`, so it is accepted or
     refused as there. The lcm is refused once it has more decimal digits
@@ -265,22 +264,6 @@ def _holds_bool(data) -> bool:
 _PLAIN_NUMBERS = frozenset((int, float))
 
 
-def common_denominator(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Numerators over one denominator, the array's shape kept.
-
-    An object array of Fractions (or ints) gives Python-int numerators
-    over the lcm of its denominators; a float array is its own numerators
-    over 1.
-    """
-    if values.dtype != object:
-        return values, 1
-    flat = values.reshape(-1).tolist()
-    den = math.lcm(*(v.denominator for v in flat))
-    nums = np.empty(len(flat), dtype=object)
-    nums[:] = [v.numerator * (den // v.denominator) for v in flat]
-    return nums.reshape(values.shape), den
-
-
 def ratio(numerator, denominator: int, mode: str) -> Scalar:
     """One numerator over its denominator as the mode's scalar."""
     return Fraction(numerator, denominator) if mode == RATIONAL else numerator
@@ -339,8 +322,3 @@ def format_scalar(value: Scalar, mode: str):
         except ValueError as exc:  # an int past the digit limit
             raise _too_long_to_write() from exc
     return float(value)
-
-
-def format_array(arr: np.ndarray, mode: str) -> list:
-    typed = np.asarray(arr, dtype=float if mode == FLOAT else object)
-    return format_entries(*common_denominator(typed))

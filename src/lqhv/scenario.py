@@ -9,8 +9,11 @@ common-setting site subset to coincide across all compatible tuples. The
 check walks the subset lattice depth first: each subset's outcome-summed
 tensor is its parent's, which has one site more, with that site's
 outcome axis summed, and the check takes max - min over the other sites'
-setting axes. Marginal extraction reduces the tensor once per subset,
-with the other sites' settings flattened into a group axis.
+setting axes. A `MarginalFamily` is a family that passed that check:
+each of its constructors runs it and raises SignalingError on failure.
+It reduces the tensor once per subset, with the other sites' settings
+flattened into a group axis, and divides each group sum by the group
+size.
 
 A family is built from a {tuple: table} mapping (the file format) or,
 by producers that compute all tables at once, from the tensor itself with
@@ -20,7 +23,8 @@ validation over the stacked tensor, which fixes the family's tolerance
 `tol` (0 in rational mode) that every later comparison reads. The tensor
 is held as numerators over one denominator (see `lqhv.numeric`); the
 check, the marginal means and the cross-family comparison run on those
-numerators, and `MarginalFamily` takes them as they are.
+numerators. `extract_marginal_family` builds the `MarginalFamily` of a
+family on the family's own numerators, mode and tolerance.
 """
 
 from __future__ import annotations
@@ -374,34 +378,32 @@ def check_nonsignaling(family: DistributionFamily) -> Witness | None:
                    numeric.ratio(worst, family.denominator, family.mode))
 
 
-class MarginalFamily:
-    """The common sub-tuple marginals of a nonsignaling family.
+class MarginalFamily(DistributionFamily):
+    """A family that passed the consistency check, read as its common
+    sub-tuple marginals.
 
-    Computed on demand from the stacked tensor as the average over all
-    compatible full tuples, which a passed consistency check makes equal to
-    each of them (exactly in rational mode). The tensor is given and held
-    as `numerators` over `denominator`, like `DistributionFamily`'s, and
-    taken over, not copied.
+    Every constructor of `DistributionFamily` builds one, and each runs
+    `check_nonsignaling` after the table validation and raises
+    SignalingError on a signaling family, so no inconsistent
+    `MarginalFamily` exists. A marginal is computed on demand as the mean
+    over all compatible full tuples, which the passed check makes equal
+    to each of them (exactly in rational mode).
     """
 
-    def __init__(self, scenario: Scenario, mode: str, numerators: np.ndarray, denominator: int):
-        self.scenario = scenario
-        self.mode = mode
-        self.numerators = numerators
-        self.denominator = denominator
+    def _adopt(self, scenario: Scenario, numerators: np.ndarray, denominator: int, mode: str,
+               tol: float | None) -> None:
+        super()._adopt(scenario, numerators, denominator, mode, tol)
+        witness = check_nonsignaling(self)
+        if witness is not None:
+            raise SignalingError(witness)
         self._public: dict[tuple[int, ...], np.ndarray] = {}
-
-    @cached_property
-    def stacked(self) -> np.ndarray:
-        return numeric.ratio_array(self.numerators, self.denominator)
 
     def marginal_numerators(self, sites: tuple[int, ...]) -> tuple[np.ndarray, int]:
         """Averaged marginals on increasing `sites` as (numerators,
         denominator), a row per setting assignment (row-major).
 
-        The group sum of G compatible tuples is divided by G only when
-        every entry is a multiple of G (always so after a passed check);
-        otherwise the denominator carries G, so no mean is ever floored.
+        The group sum of G compatible tuples is divided by G exactly in
+        rational mode: the passed check makes every entry a multiple of G.
         """
         if validate_sites(self.scenario, sites) != tuple(sites):
             raise InputError(f"site subset {sites} is not increasing")
@@ -409,9 +411,7 @@ class MarginalFamily:
         total, count = grid.sum(axis=1), grid.shape[1]
         if self.mode == numeric.FLOAT:
             return total / count, 1
-        if not (total % count).any():
-            return total // count, self.denominator
-        return total, self.denominator * count
+        return total // count, self.denominator
 
     def stacked_marginal(self, sites: tuple[int, ...]) -> np.ndarray:
         """Averaged marginals on increasing `sites`, a row per setting
@@ -436,10 +436,8 @@ class MarginalFamily:
 
 def extract_marginal_family(family: DistributionFamily) -> MarginalFamily:
     """Collect the common marginals; raises SignalingError if inconsistent."""
-    witness = check_nonsignaling(family)
-    if witness is not None:
-        raise SignalingError(witness)
-    return MarginalFamily(family.scenario, family.mode, family.numerators, family.denominator)
+    return MarginalFamily.from_numerators(family.scenario, family.numerators, family.denominator,
+                                          family.mode, family.tol)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lqhv as L
-from lqhv import io, lp
+from lqhv import cli, io, lp, scenario
 from lqhv.cli import main
 
 
@@ -180,6 +180,37 @@ class TestLhv:
         assert err.startswith("resource limit: simplex reached 0 pivots")
         assert "Traceback" not in err
         assert not verdict_path.exists()
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap `module.name` so that every call through the binding is counted."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestLayerCalls:
+    """Each command reaches each layer once, through the bindings a tracer wraps."""
+
+    def test_build_checks_once(self, pr_file, tmp_path, monkeypatch, capsys):
+        calls = [count_calls(monkeypatch, cli, "extract_marginal_family"),
+                 count_calls(monkeypatch, cli, "build_deterministic_measure"),
+                 count_calls(monkeypatch, scenario, "check_nonsignaling")]
+        assert main(["build", pr_file, "-o", str(tmp_path / "measure.json")]) == 0
+        assert [len(c) for c in calls] == [1, 1, 1]
+
+    @pytest.mark.parametrize("feasible", [False, True])
+    def test_lhv_assembles_once(self, feasible, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "family.json"
+        io.save_family(L.uniform_family(L.CHSH_SCENARIO) if feasible else L.pr_box(), str(path))
+        calls = count_calls(monkeypatch, lp, "marginal_matrix")
+        assert main(["lhv", str(path)]) == 0
+        assert len(calls) == 1
 
 
 class TestExpect:

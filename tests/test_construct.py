@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import lqhv as L
 from lqhv.errors import AtomBudgetError, InputError, RepresentationError
+from lqhv.construct import _tuple_marginals_adjoint
 from oracles import (
+    brute_marginal_matrix,
     brute_stochastic_table,
     brute_tuple_marginal,
     literal_three_party_measure,
@@ -146,21 +148,6 @@ class TestBuild:
         with pytest.raises(AtomBudgetError):
             L.build_deterministic_measure(L.pr_box(), budget=15)
 
-    def test_supplied_marginals_drive_the_build(self):
-        # The marginal family argument is authoritative: handing the
-        # marginals of another same-shape family builds that family's
-        # measure (its full-set entries are the tables used).
-        iso = L.isotropic_box(Fraction(1, 2))
-        model = L.build_deterministic_measure(L.pr_box(), L.extract_marginal_family(iso))
-        report = L.verify_marginals(model, iso)
-        assert report.max_error == 0
-
-    def test_mismatched_marginals_refused(self):
-        wrong_shape = L.extract_marginal_family(L.pr_box())
-        fam3 = L.uniform_family(L.Scenario((2, 2, 2), (2, 2, 2)))
-        with pytest.raises(InputError):
-            L.build_deterministic_measure(fam3, wrong_shape)
-
     def test_literal_two_party_equivalence(self):
         for seed in range(8):
             fam = L.random_nonsignaling_family(seed)
@@ -224,7 +211,7 @@ class TestBuild:
         joint_bytes = sc.joint_size * 8
         tracemalloc.start()
         try:
-            mu = L.build_deterministic_measure(fam, marginals).measure
+            mu = L.build_deterministic_measure(marginals).measure
             build_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
@@ -543,3 +530,26 @@ class TestExpectations:
         pr = L.pr_box()
         with pytest.raises(InputError):
             L.product_expectation_family(pr, (1, 1), [[1, -1, 0], [1, -1]])
+
+
+class TestTupleMarginalsAdjoint:
+    """The adjoint prices y.A column by column: it is A^T y for the 0/1
+    constraint matrix built one joint point at a time."""
+
+    @pytest.mark.parametrize("settings,outcomes", [
+        ((2, 2), (2, 2)), ((3, 1), (2, 3)), ((2, 1, 2), (2, 3, 2)), ((1, 1), (3, 2)),
+        ((1,), (4,)), ((2, 3), (1, 2)), ((2, 2), (1, 1)), ((1, 2, 1), (2, 1, 3))], ids=str)
+    def test_matches_brute_transpose(self, settings, outcomes):
+        sc = L.Scenario(settings, outcomes)
+        a = np.array(brute_marginal_matrix(settings, outcomes), dtype=object)
+        stacked = sc.settings_per_site + sc.table_shape
+        rng = random.Random(hash((settings, outcomes)))
+        y = np.array([rng.randrange(-10**20, 10**20) for _ in range(a.shape[0])], dtype=object)
+        got = _tuple_marginals_adjoint(y.reshape(stacked), sc)
+        assert got.shape == sc.joint_shape
+        assert np.array_equal(got.reshape(-1), a.T.dot(y))
+        floats = np.array([rng.uniform(-1, 1) for _ in range(2 * a.shape[0])]).reshape(-1, 2)
+        got = _tuple_marginals_adjoint(floats.reshape(stacked + (2,)), sc)
+        assert got.shape == (2,) + sc.joint_shape
+        expected = a.T.astype(float) @ floats
+        assert np.abs(got.reshape(2, -1) - expected.T).max() <= 1e-12

@@ -94,19 +94,24 @@ def signaling_family(shape, seed):
 
 
 class TestExactEdges:
-    def test_marginal_means_are_never_floored(self):
+    def test_signaling_family_is_no_marginal_family(self):
         # Site 2 reports 0, 0, 1 under site 1's three settings: its group of
-        # three compatible tuples sums to (4, 2) halves, which 3 does not divide.
+        # three compatible tuples sums to (4, 2) halves, which 3 does not
+        # divide. No constructor makes a MarginalFamily of it.
         scenario = L.Scenario((3, 1), (2, 2))
         s1, _, _, b = np.indices((3, 1, 2, 2))
         stacked = np.where(b == (s1 == 2), Fraction(1, 2), Fraction(0))
         family = L.DistributionFamily.from_stacked(scenario, stacked)
-        assert L.check_nonsignaling(family) is not None
-        marginals = L.MarginalFamily(scenario, L.RATIONAL, family.numerators, family.denominator)
-        assert list(marginals.get((2,), (1,))) == [Fraction(2, 3), Fraction(1, 3)]
-        assert list(marginals.stacked_marginal((1,)).reshape(-1)) == [Fraction(1, 2)] * 6
-        numerators, denominator = marginals.marginal_numerators((2,))
-        assert [Fraction(v, denominator) for v in numerators[0]] == [Fraction(2, 3), Fraction(1, 3)]
+        witness = L.check_nonsignaling(family)
+        assert witness is not None
+        builds = [lambda: L.MarginalFamily(scenario, family.tables),
+                  lambda: L.MarginalFamily.from_stacked(scenario, stacked),
+                  lambda: L.MarginalFamily.from_numerators(scenario, family.numerators,
+                                                           family.denominator)]
+        for build in builds:
+            with pytest.raises(L.SignalingError) as err:
+                build()
+            assert err.value.witness == witness
 
     # Witnesses as the Fraction-array check reported them.
     @pytest.mark.parametrize("shape,seed,expected", [
