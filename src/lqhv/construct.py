@@ -46,6 +46,13 @@ from .scenario import (
 DEFAULT_ATOM_BUDGET = 10_000_000
 
 
+def _check_atom_budget(scenario: Scenario, budget: int) -> None:
+    """Refuse a joint space of more than `budget` atoms before any is allocated."""
+    if scenario.joint_size > budget:
+        raise AtomBudgetError(
+            f"joint space holds {scenario.joint_size} atoms, over the budget {budget}")
+
+
 class SignedMeasure:
     """Normalized real-valued measure on the joint coordinate space.
 
@@ -280,9 +287,7 @@ def build_deterministic_measure(family: DistributionFamily, *,
         reproduce every input table; mass exactly 1 in rational mode.
     """
     scenario = family.scenario
-    if scenario.joint_size > budget:
-        raise AtomBudgetError(
-            f"joint space holds {scenario.joint_size} atoms, over the budget {budget}")
+    _check_atom_budget(scenario, budget)
     if not isinstance(family, MarginalFamily):
         family = extract_marginal_family(family)
 
@@ -485,9 +490,7 @@ def determinize(model: StochasticLqHVModel, scenario: Scenario) -> Deterministic
             f"conditionals cover {inferred.settings_per_site} settings / "
             f"{inferred.outcomes_per_site} outcomes, scenario wants "
             f"{scenario.settings_per_site} / {scenario.outcomes_per_site}")
-    if scenario.joint_size > DEFAULT_ATOM_BUDGET:
-        raise AtomBudgetError(f"joint space holds {scenario.joint_size} atoms, "
-                              f"over the budget {DEFAULT_ATOM_BUDGET}")
+    _check_atom_budget(scenario, DEFAULT_ATOM_BUDGET)
     atoms, denominator = model._integrate(
         (n, s) for n in scenario.sites for s in range(1, scenario.settings_per_site[n - 1] + 1))
     measure = SignedMeasure.from_numerators(scenario, atoms, denominator, model.mode,

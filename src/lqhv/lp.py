@@ -67,6 +67,7 @@ from . import numeric
 from .construct import (
     DEFAULT_ATOM_BUDGET,
     SignedMeasure,
+    _check_atom_budget,
     _tuple_marginals,
     _tuple_marginals_adjoint,
 )
@@ -301,9 +302,7 @@ def lhv_feasible(family: DistributionFamily, *, budget: int = DEFAULT_ATOM_BUDGE
     RepresentationError.
     """
     scenario = family.scenario
-    if scenario.joint_size > budget:
-        raise AtomBudgetError(
-            f"joint space holds {scenario.joint_size} atoms, over the budget {budget}")
+    _check_atom_budget(scenario, budget)
     n_rows = scenario.n_tuples * math.prod(scenario.table_shape)
     cells = n_rows * (scenario.joint_size + n_rows + 1)
     if cells > budget:

@@ -11,9 +11,9 @@ tensor is its parent's, which has one site more, with that site's
 outcome axis summed, and the check takes max - min over the other sites'
 setting axes. A `MarginalFamily` is a family that passed that check:
 each of its constructors runs it and raises SignalingError on failure.
-It reduces the tensor once per subset, with the other sites' settings
-flattened into a group axis, and divides each group sum by the group
-size.
+Its marginal on a subset is the mean, over the other sites' settings, of
+the very outcome sums the walk judged there: outcomes are only ever
+summed out one axis at a time, along the walk's path.
 
 A family is built from a {tuple: table} mapping (the file format) or,
 by producers that compute all tables at once, from the tensor itself with
@@ -24,7 +24,7 @@ validation over the stacked tensor, which fixes the family's tolerance
 is held as numerators over one denominator (see `lqhv.numeric`); the
 check, the marginal means and the cross-family comparison run on those
 numerators. `extract_marginal_family` builds the `MarginalFamily` of a
-family on the family's own numerators, mode and tolerance.
+family on its validated numerators, mode and tolerance.
 """
 
 from __future__ import annotations
@@ -94,10 +94,7 @@ class Scenario:
     def joint_size(self) -> int:
         # Python ints are unbounded, so this never overflows; budget checks
         # against it happen where tensors are actually allocated.
-        n = 1
-        for s, k in zip(self.settings_per_site, self.outcomes_per_site):
-            n *= k**s
-        return n
+        return math.prod(k**s for s, k in zip(self.settings_per_site, self.outcomes_per_site))
 
     def axis_index(self, site: int, setting: int) -> int:
         """Joint-space axis of coordinate (site, setting), both 1-based."""
@@ -248,23 +245,26 @@ class DistributionFamily:
 
     def _adopt(self, scenario: Scenario, numerators: np.ndarray, denominator: int, mode: str,
                tol: float | None) -> None:
-        self.scenario = scenario
-        self.mode = mode
-        self.tol = numeric.tolerance(mode, tol)
+        tol = numeric.tolerance(mode, tol)
         order = scenario.setting_tuples()
         rows = numerators.reshape(len(order), -1)
         low, sums = rows.min(axis=1), rows.sum(axis=1)
-        bad = (low < -self.tol) | ~numeric.is_close(sums, denominator, self.tol)
+        bad = (low < -tol) | ~numeric.is_close(sums, denominator, tol)
         if bad.any():
             i = int(np.argmax(bad))
-            if low[i] < -self.tol:
+            if low[i] < -tol:
                 raise InputError(f"negative probability in table {order[i]}: "
                                  f"min entry {numeric.ratio(low[i], denominator, mode)}")
             raise InputError(f"table {order[i]} sums to {numeric.ratio(sums[i], denominator, mode)}, "
                              "not 1 (tables are never renormalized)")
         numerators.setflags(write=False)
-        self.numerators = numerators
-        self.denominator = denominator
+        self._take(scenario, numerators, denominator, mode, tol)
+
+    def _take(self, scenario: Scenario, numerators: np.ndarray, denominator: int, mode: str,
+              tol: float) -> None:
+        """Hold validated tables: read-only numerators, a resolved tolerance."""
+        self.scenario, self.numerators, self.denominator = scenario, numerators, denominator
+        self.mode, self.tol = mode, tol
 
     @cached_property
     def stacked(self) -> np.ndarray:
@@ -294,36 +294,22 @@ def convert_family(family: DistributionFamily, mode: str,
     return DistributionFamily.from_stacked(family.scenario, family.stacked, mode, tol=tol)
 
 
-def _subset_groups(stacked: np.ndarray, scenario: Scenario, sites: tuple[int, ...]) -> np.ndarray:
-    """Every tuple's marginal on `sites`: entry [c, g] is that of the g-th full
-    tuple with the c-th setting assignment on `sites` (all axes row-major)."""
-    n = scenario.n_parties
-    kept = [m - 1 for m in sites]
-    rest = [m for m in range(n) if m + 1 not in sites]
-    summed = stacked.sum(axis=tuple(n + m for m in rest))
-    grid = summed.transpose(kept + rest + list(range(n, n + len(kept))))
-    return grid.reshape(math.prod(grid.shape[:len(kept)]), math.prod(grid.shape[len(kept):n]), -1)
+def _drop_outcome(tensor: np.ndarray, n: int, pos: int) -> np.ndarray:
+    """`tensor` with its `pos`-th outcome axis (after N setting axes) summed out, slice by slice."""
+    # adding the axis' slices beats numpy's reduction over a short axis
+    lead = (slice(None),) * (n + pos)
+    return functools.reduce(np.add, [tensor[lead + (k,)] for k in range(tensor.shape[n + pos])])
 
 
-def _full_tuple(scenario: Scenario, sites: tuple[int, ...], index: int) -> SettingTuple:
-    """Full tuple at a row-major index over (settings on `sites`, the others)."""
-    order = list(sites) + [n for n in scenario.sites if n not in sites]
-    values = np.unravel_index(index, [scenario.settings_per_site[n - 1] for n in order])
-    return tuple(int(v) + 1 for _, v in sorted(zip(order, values)))
+def _lattice_sums(tensor: np.ndarray, n: int, kept: tuple[int, ...] | None = None,
+                  last: int = 0) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """(sites, sums) for every nonempty proper site subset, depth first.
 
-
-def _lattice_spreads(tensor: np.ndarray, n: int, kept: tuple[int, ...] | None = None,
-                     last: int = 0) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """(sites, spread) for every nonempty proper site subset, depth first.
-
-    `tensor` holds the numerators summed over the outcomes of every site
-    not in `kept` (axes s_1..s_N, then the kept sites' outcomes). A child
-    drops one kept site larger than `last`, the last site dropped on this
-    path, so each subset is reached once, and its tensor is this one with
-    that site's outcome axis summed. Only the chain from the family to the
-    current subset is held. `spread` is flat, row-major over (setting
-    assignment on `sites`, outcome cell), and holds the max - min over the
-    other sites' settings.
+    `tensor` (axes s_1..s_N, then the outcomes of the sites in `kept`) is
+    the family summed over the other sites' outcomes. A child drops a kept
+    site after `last`, the last one dropped on this path, so each subset is
+    reached once, by dropping its complement in increasing site order. Only
+    the chain from the family to the current subset is held.
     """
     kept = tuple(range(1, n + 1)) if kept is None else kept
     if len(kept) == 1:
@@ -331,13 +317,17 @@ def _lattice_spreads(tensor: np.ndarray, n: int, kept: tuple[int, ...] | None = 
     for pos, site in enumerate(kept):
         if site <= last:
             continue
-        # adding the axis' slices beats numpy's reduction over a short axis
-        lead = (slice(None),) * (n + pos)
-        child = functools.reduce(np.add, [tensor[lead + (k,)] for k in range(tensor.shape[n + pos])])
+        child = _drop_outcome(tensor, n, pos)
         sites = kept[:pos] + kept[pos + 1:]
-        other = tuple(m - 1 for m in range(1, n + 1) if m not in sites)
-        yield sites, (child.max(axis=other) - child.min(axis=other)).reshape(-1)
-        yield from _lattice_spreads(child, n, sites, site)
+        yield sites, child
+        yield from _lattice_sums(child, n, sites, site)
+
+
+def _subset_sums(numerators: np.ndarray, n: int, sites: tuple[int, ...]) -> np.ndarray:
+    """`_lattice_sums`' sums for increasing `sites`, bit for bit: the walk's own path to them."""
+    for i, site in enumerate(m for m in range(1, n + 1) if m not in sites):
+        numerators = _drop_outcome(numerators, n, site - 1 - i)
+    return numerators
 
 
 def check_nonsignaling(family: DistributionFamily) -> Witness | None:
@@ -351,30 +341,33 @@ def check_nonsignaling(family: DistributionFamily) -> Witness | None:
     lattice, each from its parent with one site more, not from the full
     tensor. The witness carries the largest spread at its first occurrence
     (subsets in `site_subsets` order, then common settings
-    lexicographically); its tuples are the argmax and argmin at the
-    group's first worst outcome cell, in lexicographic order. Rational
-    families are judged on their integer numerators against their
-    tolerance 0. Float sums run in lattice order, so where several subsets
-    tie within rounding the witness may name a different one of them than
-    a per-subset reduction would; its discrepancy is equally maximal.
-    Vacuously true for single-site scenarios or a single setting tuple.
+    lexicographically); its tuples are the argmax and argmin of the walk's
+    sums at the group's first worst outcome cell, in lexicographic order.
+    Rational families are judged on their integer numerators against their
+    tolerance 0. Float sums run in lattice order, so where subsets or tuples
+    tie within rounding the witness may name others than a per-subset
+    reduction would; its discrepancy is equally maximal. Vacuously true
+    for single-site scenarios or a single setting tuple.
     """
     scenario = family.scenario
-    peaks = {}
-    for sites, spread in _lattice_spreads(family.numerators, scenario.n_parties):
+    n = scenario.n_parties
+    worst, best = family.tol, None
+    for sites, sums in _lattice_sums(family.numerators, n):
+        other = tuple(m - 1 for m in range(1, n + 1) if m not in sites)
+        spread = sums.max(axis=other) - sums.min(axis=other)
         i = int(np.argmax(spread))
-        peaks[sites] = (spread[i], i)
-    worst = max((value for value, _ in peaks.values()), default=family.tol)
-    if not worst > family.tol:
+        # a tie goes to the subset first in `site_subsets` order
+        if spread.flat[i] > worst or (best is not None and spread.flat[i] == worst
+                                      and (len(sites), sites) < (len(best[0]), best[0])):
+            worst, best = spread.flat[i], (sites, sums, np.unravel_index(i, spread.shape))
+    if best is None:
         return None
-    sites = next(t for t in scenario.site_subsets(proper=True) if peaks[t][0] == worst)
-    c, cell = np.unravel_index(peaks[sites][1], (
-        math.prod(scenario.settings_per_site[m - 1] for m in sites),
-        math.prod(scenario.outcomes_per_site[m - 1] for m in sites)))
-    column = _subset_groups(family.numerators, scenario, sites)[c, :, cell]
-    a, b = (_full_tuple(scenario, sites, c * column.size + g)
-            for g in sorted((np.argmax(column), np.argmin(column))))
-    return Witness(sites, tuple(a[n - 1] for n in sites), a, b,
+    sites, sums, peak = best
+    group = tuple(peak[sites.index(m)] if m in sites else slice(None) for m in scenario.sites)
+    column = sums[group + peak[len(sites):]].reshape(-1)
+    members = np.indices(scenario.settings_per_site)[(slice(None),) + group].reshape(n, -1) + 1
+    a, b = (tuple(map(int, members[:, g])) for g in sorted((np.argmax(column), np.argmin(column))))
+    return Witness(sites, tuple(int(s) + 1 for s in peak[:len(sites)]), a, b,
                    numeric.ratio(worst, family.denominator, family.mode))
 
 
@@ -385,14 +378,14 @@ class MarginalFamily(DistributionFamily):
     Every constructor of `DistributionFamily` builds one, and each runs
     `check_nonsignaling` after the table validation and raises
     SignalingError on a signaling family, so no inconsistent
-    `MarginalFamily` exists. A marginal is computed on demand as the mean
+    `MarginalFamily` exists. A marginal is the mean of the walk's sums
     over all compatible full tuples, which the passed check makes equal
     to each of them (exactly in rational mode).
     """
 
-    def _adopt(self, scenario: Scenario, numerators: np.ndarray, denominator: int, mode: str,
-               tol: float | None) -> None:
-        super()._adopt(scenario, numerators, denominator, mode, tol)
+    def _take(self, scenario: Scenario, numerators: np.ndarray, denominator: int, mode: str,
+              tol: float) -> None:
+        super()._take(scenario, numerators, denominator, mode, tol)
         witness = check_nonsignaling(self)
         if witness is not None:
             raise SignalingError(witness)
@@ -407,8 +400,10 @@ class MarginalFamily(DistributionFamily):
         """
         if validate_sites(self.scenario, sites) != tuple(sites):
             raise InputError(f"site subset {sites} is not increasing")
-        grid = _subset_groups(self.numerators, self.scenario, sites)
-        total, count = grid.sum(axis=1), grid.shape[1]
+        other = tuple(m - 1 for m in self.scenario.sites if m not in sites)
+        total = _subset_sums(self.numerators, self.scenario.n_parties, sites).sum(axis=other)
+        total = total.reshape(math.prod(total.shape[:len(sites)]), -1)
+        count = math.prod(self.scenario.settings_per_site[m] for m in other)
         if self.mode == numeric.FLOAT:
             return total / count, 1
         return total // count, self.denominator
@@ -435,9 +430,11 @@ class MarginalFamily(DistributionFamily):
 
 
 def extract_marginal_family(family: DistributionFamily) -> MarginalFamily:
-    """Collect the common marginals; raises SignalingError if inconsistent."""
-    return MarginalFamily.from_numerators(family.scenario, family.numerators, family.denominator,
-                                          family.mode, family.tol)
+    """Collect the common marginals; raises SignalingError if inconsistent.
+    The family's tables are already validated, so only the check runs."""
+    marginals = MarginalFamily.__new__(MarginalFamily)
+    marginals._take(family.scenario, family.numerators, family.denominator, family.mode, family.tol)
+    return marginals
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,12 @@ class TestLayerCalls:
         assert main(["build", pr_file, "-o", str(tmp_path / "measure.json")]) == 0
         assert [len(c) for c in calls] == [1, 1, 1]
 
+    def test_build_validates_tables_once(self, pr_file, tmp_path, monkeypatch, capsys):
+        # the marginal family takes over the loaded family's checked tables
+        calls = count_calls(monkeypatch, scenario.DistributionFamily, "_adopt")
+        assert main(["build", pr_file, "-o", str(tmp_path / "measure.json")]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("feasible", [False, True])
     def test_lhv_assembles_once(self, feasible, tmp_path, monkeypatch, capsys):
         path = tmp_path / "family.json"

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lqhv as L
+from lqhv import scenario as S
 from lqhv.errors import InputError, SignalingError
 from oracles import all_pairs_check, loop_marginal, marginalize, subset_reduction_check
 
@@ -381,6 +382,67 @@ class TestLatticeCheckAgainstSubsetReduction:
                 tracemalloc.stop()
             assert (witness is None) == passes
             assert peak <= 3 * fam.numerators.nbytes
+
+
+def mean_marginals(family, sites):
+    """Per setting assignment on `sites` (row-major), the mean of the
+    `marginalize` oracle over the compatible full tuples, flattened."""
+    scenario = family.scenario
+    rows = []
+    for common in itertools.product(*(range(1, scenario.settings_per_site[m - 1] + 1)
+                                      for m in sites)):
+        group = [t for t in scenario.setting_tuples() if tuple(t[m - 1] for m in sites) == common]
+        rows.append(sum(marginalize(family, t, sites) for t in group).reshape(-1) / len(group))
+    return np.array(rows)
+
+
+class TestOneSummationPath:
+    """The check, its witness and the marginals all sum outcomes along the walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_SHAPES, st.integers(0, 2**32 - 1), st.sampled_from([L.RATIONAL, L.FLOAT]))
+    def test_marginal_numerators_match_the_oracle(self, shape, seed, mode):
+        scenario = L.Scenario(*zip(*shape))
+        family = L.extract_marginal_family(L.random_scenario_family(scenario, seed, mode))
+        for sites in scenario.site_subsets(proper=True):
+            numerators, denominator = family.marginal_numerators(sites)
+            expected = mean_marginals(family, sites)
+            if mode == L.RATIONAL:
+                got = [[Fraction(v, denominator) for v in row] for row in numerators.tolist()]
+                assert got == expected.tolist()
+            else:
+                assert denominator == 1 and numerators.shape == expected.shape
+                assert np.abs(numerators - expected).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_SHAPES, st.integers(0, 2**32 - 1))
+    def test_subset_sums_are_the_walks_bit_for_bit(self, shape, seed):
+        scenario = L.Scenario(*zip(*shape))
+        numerators = L.random_scenario_family(scenario, seed, L.FLOAT).numerators
+        n = scenario.n_parties
+        reached = []
+        for sites, sums in S._lattice_sums(numerators, n):
+            reached.append(sites)
+            direct = S._subset_sums(numerators, n, sites)
+            assert direct.shape == sums.shape and direct.tobytes() == sums.tobytes()
+        assert sorted(reached) == sorted(scenario.site_subsets(proper=True))
+
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_SHAPES, st.integers(0, 2**32 - 1))
+    def test_float_witness_tuples_differ_by_the_discrepancy(self, shape, seed):
+        scenario = L.Scenario(*zip(*shape))
+        assume(max(scenario.outcomes_per_site) > 1)
+        bent = float_signaling(L.random_scenario_family(scenario, seed, L.FLOAT),
+                               random.Random(seed))
+        witness = L.check_nonsignaling(bent)
+        assume(witness is not None)
+        sites = witness.site_subset
+        assert witness.tuple_a < witness.tuple_b
+        for t in (witness.tuple_a, witness.tuple_b):
+            assert tuple(t[m - 1] for m in sites) == witness.common_settings
+        sums = S._subset_sums(bent.numerators, scenario.n_parties, sites)
+        a, b = (sums[tuple(s - 1 for s in t)].reshape(-1) for t in (witness.tuple_a, witness.tuple_b))
+        assert np.abs(a - b).max() == witness.max_discrepancy
 
 
 class TestExtractMarginalFamily:
