@@ -20,7 +20,7 @@ from lqhv import numeric
 pr = L.pr_box()
 print("PR box tables:")
 for t in pr.scenario.setting_tuples():
-    print(f"  settings {t}: {[numeric.format_scalar(v, pr.mode) for v in pr.tables[t].flat]}")
+    print(f"  settings {t}: {[numeric.format_scalar(v) for v in pr.tables[t].flat]}")
 
 witness = L.check_nonsignaling(pr)
 print("PR box passes the consistency check:", witness is None)
@@ -30,9 +30,9 @@ print("PR box passes the consistency check:", witness is None)
 # site picked.
 marginals = L.extract_marginal_family(pr)
 print("site-1 marginal at setting 1:",
-      [numeric.format_scalar(v, pr.mode) for v in marginals.get((1,), (1,))])
+      [numeric.format_scalar(v) for v in marginals.get((1,), (1,))])
 print("site-2 marginal at setting 2:",
-      [numeric.format_scalar(v, pr.mode) for v in marginals.get((2,), (2,))])
+      [numeric.format_scalar(v) for v in marginals.get((2,), (2,))])
 
 # A small counterexample: site 2 copies site 1's setting into its
 # output. Then the site-2 marginal depends on what site 1 chose, and

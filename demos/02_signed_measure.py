@@ -46,7 +46,7 @@ print("total variation:", jordan.total_variation)
 report = L.verify_marginals(model, pr)
 print("\nlargest marginal error:", report.max_error)
 print("marginal at settings (2, 2):")
-print(" ", [numeric.format_scalar(v, measure.mode) for v in measure.marginal((2, 2)).flat])
+print(" ", [numeric.format_scalar(v) for v in measure.marginal((2, 2)).flat])
 
 # The construction is a signed inclusion-exclusion over site subsets.
 # Its integer coefficients depend only on the setting counts. The empty

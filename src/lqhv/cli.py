@@ -74,13 +74,13 @@ def _digest(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _witness_json(witness: Witness, mode: str) -> dict:
+def _witness_json(witness: Witness) -> dict:
     return {
         "site_subset": list(witness.site_subset),
         "common_settings": list(witness.common_settings),
         "tuple_a": list(witness.tuple_a),
         "tuple_b": list(witness.tuple_b),
-        "max_discrepancy": numeric.format_scalar(witness.max_discrepancy, mode),
+        "max_discrepancy": numeric.format_scalar(witness.max_discrepancy),
     }
 
 
@@ -108,7 +108,7 @@ def cmd_check(args) -> int:
     passed = witness is None
     report["consistency"] = {
         "passed": passed,
-        "witness": None if passed else _witness_json(witness, family.mode),
+        "witness": None if passed else _witness_json(witness),
     }
     if passed:
         _emit(report, ["consistency: pass"], args)
@@ -117,7 +117,7 @@ def cmd_check(args) -> int:
         "consistency: FAIL",
         f"  site subset {witness.site_subset} at settings {witness.common_settings}: "
         f"tuples {witness.tuple_a} vs {witness.tuple_b} "
-        f"disagree by {numeric.format_scalar(witness.max_discrepancy, family.mode)}",
+        f"disagree by {numeric.format_scalar(witness.max_discrepancy)}",
     ]
     _emit(report, lines, args)
     if args.json:
@@ -137,19 +137,18 @@ def cmd_build(args) -> int:
     model = build_deterministic_measure(marginals, budget=args.budget)
     report["timings"]["build"] = time.perf_counter() - t0
     measure = model.measure
-    fmt = lambda v: numeric.format_scalar(v, family.mode)
     construction = {
         "atom_count": int(measure.numerators.size),
-        "normalization": fmt(measure.total_mass),
-        "min_atom": fmt(measure.min_atom),
-        "total_variation": fmt(jordan_decompose(measure).total_variation),
+        "normalization": numeric.format_scalar(measure.total_mass),
+        "min_atom": numeric.format_scalar(measure.min_atom),
+        "total_variation": numeric.format_scalar(jordan_decompose(measure).total_variation),
     }
     report["construction"] = construction
 
     t0 = time.perf_counter()
     check = verify_marginals(model, family)
     report["timings"]["verify"] = time.perf_counter() - t0
-    report["verification"] = {"max_error": fmt(check.max_error)}
+    report["verification"] = {"max_error": numeric.format_scalar(check.max_error)}
 
     save_measure(measure, args.out)
     report["output"] = args.out
@@ -159,7 +158,7 @@ def cmd_build(args) -> int:
         f"normalization: {construction['normalization']}",
         f"min atom: {construction['min_atom']}",
         f"total variation: {construction['total_variation']}",
-        f"max marginal error: {fmt(check.max_error)}",
+        f"max marginal error: {numeric.format_scalar(check.max_error)}",
         f"wrote measure to {args.out}",
     ]
     _emit(report, lines, args)
@@ -192,10 +191,9 @@ def cmd_lhv(args) -> int:
     t0 = time.perf_counter()
     verdict = lhv_feasible(family, budget=args.budget)
     report["timings"]["lhv"] = time.perf_counter() - t0
-    mode = family.mode
     report["lhv"] = {
         "feasible": verdict.feasible,
-        "residual": numeric.format_scalar(verdict.residual, mode),
+        "residual": numeric.format_scalar(verdict.residual),
     }
     lines = [f"verdict: {'feasible' if verdict.feasible else 'infeasible'}"]
     if args.out:
@@ -219,16 +217,15 @@ def cmd_expect(args) -> int:
     t0 = time.perf_counter()
     value = product_expectation_family(family, setting_tuple, observables)
     report["timings"]["expect"] = time.perf_counter() - t0
-    fmt = lambda v: numeric.format_scalar(v, family.mode)
-    report["expectation"] = {"tuple": list(setting_tuple), "value": fmt(value)}
-    lines = [f"expectation at {args.tuple}: {fmt(value)}"]
+    report["expectation"] = {"tuple": list(setting_tuple), "value": numeric.format_scalar(value)}
+    lines = [f"expectation at {args.tuple}: {numeric.format_scalar(value)}"]
     if args.compare_model:
         t0 = time.perf_counter()
         model = build_deterministic_measure(family, budget=args.budget)
         model_value = product_expectation_model(model, setting_tuple, observables)
         report["timings"]["model"] = time.perf_counter() - t0
-        report["expectation"]["model_value"] = fmt(model_value)
-        lines.append(f"measure-side value: {fmt(model_value)}")
+        report["expectation"]["model_value"] = numeric.format_scalar(model_value)
+        lines.append(f"measure-side value: {numeric.format_scalar(model_value)}")
     _emit(report, lines, args)
     return EXIT_OK
 

@@ -491,8 +491,7 @@ def determinize(model: StochasticLqHVModel, scenario: Scenario) -> Deterministic
             f"{inferred.outcomes_per_site} outcomes, scenario wants "
             f"{scenario.settings_per_site} / {scenario.outcomes_per_site}")
     _check_atom_budget(scenario, DEFAULT_ATOM_BUDGET)
-    atoms, denominator = model._integrate(
-        (n, s) for n in scenario.sites for s in range(1, scenario.settings_per_site[n - 1] + 1))
+    atoms, denominator = model._integrate(scenario.coordinates)
     measure = SignedMeasure.from_numerators(scenario, atoms, denominator, model.mode,
                                             tol=numeric.mass_tolerance(model.tol))
     return DeterministicLqHVModel(measure)

@@ -176,8 +176,7 @@ class Entries(Sequence):
 def measure_to_json(measure: SignedMeasure) -> dict:
     scenario = measure.scenario
     axes = [{"site": n, "setting": s, "outcomes": scenario.outcomes_per_site[n - 1]}
-            for n in scenario.sites
-            for s in range(1, scenario.settings_per_site[n - 1] + 1)]
+            for n, s in scenario.coordinates]
     return {
         "axes": axes,
         "mode": measure.mode,
@@ -215,9 +214,7 @@ def measure_from_json(data: Any) -> SignedMeasure:
         settings.append(len(ss))
         outcomes.append(ks.pop())
     scenario = Scenario(tuple(settings), tuple(outcomes))
-    expected_order = [(n, s) for n in scenario.sites
-                      for s in range(1, scenario.settings_per_site[n - 1] + 1)]
-    if given_order != expected_order:
+    if tuple(given_order) != scenario.coordinates:
         raise InputError("axes must appear in the fixed order (1,1)..(1,S_1)..(N,S_N)")
     mode = _read_mode(data, "measure file")
     atoms = _require(data, "atoms", "measure file")
@@ -225,18 +222,13 @@ def measure_from_json(data: Any) -> SignedMeasure:
 
 
 def verdict_to_json(verdict: LhvVerdict) -> dict:
-    witness = None if verdict.measure is None else measure_to_json(verdict.measure)
-    certificate = None
-    mode = None if verdict.measure is None else verdict.measure.mode
-    if verdict.certificate is not None:
-        mode = numeric.RATIONAL if verdict.certificate.dtype == object else numeric.FLOAT
-        certificate = [numeric.format_scalar(v, mode) for v in verdict.certificate.tolist()]
     return {
         "row_order": ROW_ORDER,
         "feasible": verdict.feasible,
-        "witness": witness,
-        "certificate": certificate,
-        "residual": numeric.format_scalar(verdict.residual, mode) if mode else verdict.residual,
+        "witness": None if verdict.measure is None else measure_to_json(verdict.measure),
+        "certificate": (None if verdict.certificate is None
+                        else [numeric.format_scalar(v) for v in verdict.certificate.tolist()]),
+        "residual": numeric.format_scalar(verdict.residual),
     }
 
 

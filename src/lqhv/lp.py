@@ -47,7 +47,10 @@ floats over 1. Its ratio test divides all candidate rows at once and
 takes the first of a lexsort on (ratio, basis index), the same IEEE
 quotients and tie-break as a candidate-by-candidate minimum. Every
 verdict is checked before it is returned, exactly in rational mode and
-within `family.tol` in float mode. A simplex that passes `PIVOT_BUDGET`
+within `family.tol` in float mode: a witness, the nonnegative case of a
+deterministic LqHV measure, as a built measure is (its mass, then
+`construct.verify_marginals`), a certificate by y.A and y.b. Any failed
+check raises RepresentationError. A simplex that passes `PIVOT_BUDGET`
 pivots per constraint row and atom raises AtomBudgetError.
 
 Row order is fixed and documented: setting tuples in lexicographic order,
@@ -68,8 +71,8 @@ from .construct import (
     DEFAULT_ATOM_BUDGET,
     SignedMeasure,
     _check_atom_budget,
-    _tuple_marginals,
     _tuple_marginals_adjoint,
+    verify_marginals,
 )
 from .errors import AtomBudgetError, InputError, RepresentationError, SignalingError
 from .numeric import Scalar
@@ -248,9 +251,9 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
     return numeric.ratio(mass, basis_det * scale, mode), x, y, basis_det
 
 
-def _checked_witness(x: np.ndarray, denominator: int, family: DistributionFamily) -> np.ndarray:
-    """Witness atom numerators over `denominator`, checked nonnegative and
-    reproducing every table of the family within its tolerance.
+def _checked_witness(x: np.ndarray, denominator: int, family: DistributionFamily) -> SignedMeasure:
+    """The witness measure of atom numerators `x` over `denominator`, its
+    atoms checked against the floor and the measure as a built one is.
 
     Float atoms within tol below zero are clipped to zero first. A failed
     check raises RepresentationError.
@@ -259,13 +262,15 @@ def _checked_witness(x: np.ndarray, denominator: int, family: DistributionFamily
     if x.min() < -tol:
         raise RepresentationError(f"simplex returned atom "
                                   f"{numeric.ratio(x.min(), denominator, family.mode)} below the floor")
-    atoms = np.maximum(x, 0).reshape(family.scenario.joint_shape)
-    reproduced = _tuple_marginals(atoms, family.scenario)
-    missed = abs(reproduced * family.denominator - family.numerators * denominator) > tol
-    if missed.any():
-        raise RepresentationError(
-            f"witness misses the table entry in constraint row {np.flatnonzero(missed)[0]}")
-    return atoms
+    try:
+        measure = SignedMeasure.from_numerators(family.scenario, np.maximum(x, 0), denominator,
+                                                family.mode, tol=numeric.mass_tolerance(tol))
+    except InputError as exc:
+        raise RepresentationError(f"witness is no measure: {exc}") from exc
+    error = verify_marginals(measure, family).max_error
+    if error > tol:
+        raise RepresentationError(f"witness misses a table entry by {error}")
+    return measure
 
 
 def _check_certificate(y: np.ndarray, denominator: int, residual: Scalar,
@@ -298,8 +303,8 @@ def lhv_feasible(family: DistributionFamily, *, budget: int = DEFAULT_ATOM_BUDGE
     pivots per constraint row and atom.
     Feasible instances return the witness measure; infeasible ones return
     the separating certificate in the documented row order. Both are
-    checked before they are returned, and a failed check raises
-    RepresentationError.
+    checked before they are returned, the witness as a measure, and any
+    failed check raises RepresentationError.
     """
     scenario = family.scenario
     _check_atom_budget(scenario, budget)
@@ -315,9 +320,7 @@ def lhv_feasible(family: DistributionFamily, *, budget: int = DEFAULT_ATOM_BUDGE
         marginal_matrix(scenario), family.numerators.reshape(-1), family.denominator,
         family.mode, family.tol)
     if objective <= family.tol:
-        den = basis_det * family.denominator
-        measure = SignedMeasure.from_numerators(scenario, _checked_witness(x, den, family), den,
-                                                family.mode, tol=numeric.mass_tolerance(family.tol))
+        measure = _checked_witness(x, basis_det * family.denominator, family)
         return LhvVerdict(True, measure, None, objective)
     _check_certificate(y, basis_det, objective, family)
     certificate = numeric.ratio_array(y, basis_det)

@@ -18,7 +18,7 @@ entry outside that form (through `coerce_scalar`, which also reads a
 single number), for returned scalars (`ratio`) and for the public
 rational arrays, which `ratio_array` builds from the numerators. Every
 computation in between runs on the numerators. `format_entries` writes a
-numerator array and `format_scalar` one number as text; both refuse,
+numerator array and `format_scalar` one result by its type; both refuse,
 with AtomBudgetError, an integer past the interpreter's digit limit.
 
 There is one comparison rule for both modes: two values agree when they
@@ -313,10 +313,11 @@ def is_close(a: Scalar, b: Scalar, tol: float) -> bool:
     return abs(a - b) <= tol
 
 
-def format_scalar(value: Scalar, mode: str):
-    """JSON-ready form of one entry: "p/q" strings in rational mode, where
-    a numerator or denominator past the digit limit raises AtomBudgetError."""
-    if mode == RATIONAL:
+def format_scalar(value: Scalar):
+    """JSON-ready form of one result, which carries its mode: "p/q" text
+    for a Fraction, where a numerator or denominator past the digit limit
+    raises AtomBudgetError, and a float otherwise."""
+    if isinstance(value, Fraction):
         try:
             return str(value)
         except ValueError as exc:  # an int past the digit limit

@@ -83,12 +83,16 @@ class Scenario:
         return math.prod(self.settings_per_site)
 
     @property
+    def coordinates(self) -> tuple[tuple[int, int], ...]:
+        """The (site, setting) pairs, both 1-based, in joint-axis order
+        (1,1)..(1,S_1)..(N,S_N): one random variable of the joint space each."""
+        return tuple((n, s) for n, s_n in zip(self.sites, self.settings_per_site)
+                     for s in range(1, s_n + 1))
+
+    @property
     def joint_shape(self) -> tuple[int, ...]:
-        """One axis per (site, setting) pair, ordered (1,1)..(1,S_1)..(N,S_N)."""
-        shape: list[int] = []
-        for s, k in zip(self.settings_per_site, self.outcomes_per_site):
-            shape.extend([k] * s)
-        return tuple(shape)
+        """The outcome count of each coordinate, in `coordinates` order."""
+        return tuple(self.outcomes_per_site[n - 1] for n, _ in self.coordinates)
 
     @property
     def joint_size(self) -> int:
@@ -101,7 +105,7 @@ class Scenario:
         self.validate_site(site)
         if not 1 <= setting <= self.settings_per_site[site - 1]:
             raise InputError(f"setting {setting} out of range for site {site}")
-        return sum(self.settings_per_site[: site - 1]) + setting - 1
+        return self.coordinates.index((site, setting))
 
     def validate_site(self, site: int) -> None:
         if not 1 <= site <= self.n_parties:

@@ -241,11 +241,11 @@ class TestWriteLimit:
         with pytest.raises(AtomBudgetError, match=f"more than {DIGIT_LIMIT} digits"):
             numeric.format_entries(np.array([numerator, 1], dtype=object), denominator)
         with pytest.raises(AtomBudgetError, match=f"more than {DIGIT_LIMIT} digits"):
-            numeric.format_scalar(Fraction(numerator, denominator), L.RATIONAL)
+            numeric.format_scalar(Fraction(numerator, denominator))
 
     def test_at_the_limit_is_written(self):
         # 10^(limit - 1) has `limit` digits; the entries reduce below it
         big = 10 ** (DIGIT_LIMIT - 1)
         assert numeric.format_entries(np.array([1, 2 * big], dtype=object), 2 * big) == \
             [f"1/{2 * big}", "1"]
-        assert numeric.format_scalar(Fraction(1, big), L.RATIONAL) == f"1/{big}"
+        assert numeric.format_scalar(Fraction(1, big)) == f"1/{big}"

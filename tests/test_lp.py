@@ -341,6 +341,17 @@ class TestVerdictCheck:
         with pytest.raises(RepresentationError, match="below"):
             L.lhv_feasible(L.uniform_family(L.CHSH_SCENARIO))
 
+    def test_witness_off_its_mass_exits_two(self, corrupt, tmp_path, capsys):
+        # every table is met within tol = 1e-9, but the mass is 1 + 2e-9
+        corrupt(lambda objective, x, y, det: (objective, x * (1 + 2e-9), y, det))
+        fam = L.convert_family(L.uniform_family(L.CHSH_SCENARIO), L.FLOAT)
+        with pytest.raises(RepresentationError, match="witness is no measure: measure mass"):
+            L.lhv_feasible(fam)
+        path = tmp_path / "uniform.json"
+        io.save_family(fam, str(path))
+        assert main(["lhv", str(path)]) == 2
+        assert "precondition failed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", [L.RATIONAL, L.FLOAT])
     def test_certificate_positive_on_an_atom(self, corrupt, mode):
         corrupt(lambda objective, x, y, det: (objective, x, abs(y), det))

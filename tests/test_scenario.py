@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lqhv as L
+from lqhv import io
 from lqhv import scenario as S
 from lqhv.errors import InputError, SignalingError
 from oracles import all_pairs_check, loop_marginal, marginalize, subset_reduction_check
@@ -72,12 +73,20 @@ def product_family(p_rows, q_rows):
 class TestScenario:
     def test_axis_layout(self):
         sc = L.Scenario((2, 3), (2, 4))
+        assert sc.coordinates == ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3))
         assert sc.joint_shape == (2, 2, 4, 4, 4)
         assert sc.axis_index(1, 1) == 0
         assert sc.axis_index(1, 2) == 1
         assert sc.axis_index(2, 1) == 2
         assert sc.axis_index(2, 3) == 4
         assert sc.joint_size == 2 * 2 * 4 * 4 * 4
+        # the joint axes, their indices and the exported axes all follow `coordinates`
+        assert sc.joint_shape == tuple(sc.outcomes_per_site[n - 1] for n, _ in sc.coordinates)
+        assert [sc.axis_index(n, s) for n, s in sc.coordinates] == list(range(5))
+        measure = L.SignedMeasure(sc, np.full(sc.joint_shape, 1 / sc.joint_size), L.FLOAT)
+        axes = io.measure_to_json(measure)["axes"]
+        assert [(ax["site"], ax["setting"]) for ax in axes] == list(sc.coordinates)
+        assert [ax["outcomes"] for ax in axes] == list(sc.joint_shape)
 
     def test_setting_tuples_lexicographic(self):
         sc = L.Scenario((2, 2), (2, 2))
