@@ -6,6 +6,7 @@ with perfect setting-dependent (anti)correlation, their mixtures, and the
 isotropic line between the maximally nonlocal box and white noise. A
 one-setting signaling counterexample and generic-scenario mixture
 generators round out the inputs the rest of the package is exercised on.
+Each is built from integer numerators over one denominator, never parsed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
@@ -33,7 +33,7 @@ def uniform_family(scenario: Scenario, mode: str = numeric.RATIONAL) -> Distribu
     """White noise: every table uniform over the joint outcomes."""
     size = math.prod(scenario.outcomes_per_site)
     shape = scenario.settings_per_site + scenario.table_shape
-    return DistributionFamily.from_stacked(scenario, np.full(shape, Fraction(1, size)), mode)
+    return DistributionFamily.from_numerators(scenario, np.ones(shape, dtype=int), size, mode)
 
 
 def local_deterministic_vertex(scenario: Scenario, assignment: Sequence[Sequence[int]],
@@ -57,7 +57,7 @@ def local_deterministic_vertex(scenario: Scenario, assignment: Sequence[Sequence
                 raise InputError(f"outcome {a} out of range for site {n}")
         one_hot.append(np.eye(k, dtype=int)[list(outcomes)])
     stacked = interleaved_to_stacked(reduce(np.multiply.outer, one_hot))
-    return DistributionFamily.from_stacked(scenario, stacked, mode)
+    return DistributionFamily.from_numerators(scenario, stacked, 1, mode)
 
 
 def pr_type_vertex(alpha: int, beta: int, gamma: int,
@@ -71,8 +71,8 @@ def pr_type_vertex(alpha: int, beta: int, gamma: int,
         raise InputError("alpha, beta, gamma must be bits")
     x, y, a, b = np.indices((2, 2, 2, 2))
     target = (x * y + alpha * x + beta * y + gamma) % 2
-    stacked = np.where((a + b) % 2 == target, Fraction(1, 2), 0)
-    return DistributionFamily.from_stacked(CHSH_SCENARIO, stacked, mode)
+    stacked = np.where((a + b) % 2 == target, 1, 0)
+    return DistributionFamily.from_numerators(CHSH_SCENARIO, stacked, 2, mode)
 
 
 def pr_box(mode: str = numeric.RATIONAL) -> DistributionFamily:
@@ -80,13 +80,12 @@ def pr_box(mode: str = numeric.RATIONAL) -> DistributionFamily:
     return pr_type_vertex(0, 0, 0, mode)
 
 
-def mix_families(families: Sequence[DistributionFamily], weights,
-                 mode: str | None = None) -> DistributionFamily:
-    """Convex mixture of same-scenario families with normalized weights."""
+def mix_families(families: Sequence[DistributionFamily], weights) -> DistributionFamily:
+    """Convex mixture of same-scenario, same-mode families with normalized
+    weights, read in the families' mode."""
     if not families:
         raise InputError("nothing to mix")
-    mode = families[0].mode if mode is None else numeric.check_mode(mode)
-    scenario = families[0].scenario
+    scenario, mode = families[0].scenario, families[0].mode
     for f in families[1:]:
         if f.scenario != scenario or f.mode != mode:
             raise InputError("mixture components must share scenario and mode")
@@ -110,8 +109,7 @@ def isotropic_box(p, mode: str = numeric.RATIONAL) -> DistributionFamily:
     weight = numeric.coerce_scalar(p, mode)
     if not 0 <= weight <= 1:
         raise InputError(f"mixing weight must lie in [0, 1], got {p}")
-    return mix_families([pr_box(mode), uniform_family(CHSH_SCENARIO, mode)],
-                        [weight, 1 - weight], mode)
+    return mix_families([pr_box(mode), uniform_family(CHSH_SCENARIO, mode)], [weight, 1 - weight])
 
 
 def signaling_example(mode: str = numeric.RATIONAL) -> DistributionFamily:
@@ -123,8 +121,8 @@ def signaling_example(mode: str = numeric.RATIONAL) -> DistributionFamily:
     """
     scenario = Scenario((2, 1), (2, 2))
     s1, _, _, b = np.indices((2, 1, 2, 2))
-    stacked = np.where(b == s1, Fraction(1, 2), 0)
-    return DistributionFamily.from_stacked(scenario, stacked, mode)
+    stacked = np.where(b == s1, 1, 0)
+    return DistributionFamily.from_numerators(scenario, stacked, 2, mode)
 
 
 def chsh_local_vertices(mode: str = numeric.RATIONAL) -> list[DistributionFamily]:
@@ -163,7 +161,7 @@ def random_nonsignaling_family(seed: int, weights=None,
         if not any(raw):
             raw[rng.randrange(len(raw))] = 1
         weights = raw
-    return mix_families(vertices, weights, mode)
+    return mix_families(vertices, weights)
 
 
 def random_local_assignment(scenario: Scenario, rng: random.Random) -> list[tuple[int, ...]]:
@@ -217,7 +215,7 @@ def random_scenario_family(scenario: Scenario, seed: int,
             tail = local_deterministic_vertex(rest, random_local_assignment(rest, rng), mode)
             pool.append(tensor_family(box, tail))
     weights = [rng.randrange(1, 10) for _ in pool]
-    return mix_families(pool, weights, mode)
+    return mix_families(pool, weights)
 
 
 def chsh_value(family: DistributionFamily) -> object:

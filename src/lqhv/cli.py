@@ -74,6 +74,19 @@ def _digest(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _report(path: str) -> dict:
+    """The run report of a command on the input file `path`."""
+    return {"input": path, "digest": _digest(path), "timings": {}}
+
+
+def _timed(report: dict, stage: str, call, *args, **kwargs):
+    """`call(*args, **kwargs)`, its wall time recorded as the report's `stage` timing."""
+    t0 = time.perf_counter()
+    out = call(*args, **kwargs)
+    report["timings"][stage] = time.perf_counter() - t0
+    return out
+
+
 def _witness_json(witness: Witness) -> dict:
     return {
         "site_subset": list(witness.site_subset),
@@ -100,16 +113,10 @@ def _family_for(args):
 
 
 def cmd_check(args) -> int:
-    report = {"input": args.family, "digest": _digest(args.family), "timings": {}}
-    family = load_family(args.family, tol=args.tol)
-    t0 = time.perf_counter()
-    witness = check_nonsignaling(family)
-    report["timings"]["check"] = time.perf_counter() - t0
+    report = _report(args.family)
+    witness = _timed(report, "check", check_nonsignaling, _family_for(args))
     passed = witness is None
-    report["consistency"] = {
-        "passed": passed,
-        "witness": None if passed else _witness_json(witness),
-    }
+    report["consistency"] = {"passed": passed, "witness": None if passed else _witness_json(witness)}
     if passed:
         _emit(report, ["consistency: pass"], args)
         return EXIT_OK
@@ -126,16 +133,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_build(args) -> int:
-    report = {"input": args.family, "digest": _digest(args.family), "timings": {}}
+    report = _report(args.family)
     family = _family_for(args)
-    t0 = time.perf_counter()
-    marginals = extract_marginal_family(family)
-    report["timings"]["check"] = time.perf_counter() - t0
+    marginals = _timed(report, "check", extract_marginal_family, family)
     report["consistency"] = {"passed": True, "witness": None}
 
-    t0 = time.perf_counter()
-    model = build_deterministic_measure(marginals, budget=args.budget)
-    report["timings"]["build"] = time.perf_counter() - t0
+    model = _timed(report, "build", build_deterministic_measure, marginals, budget=args.budget)
     measure = model.measure
     construction = {
         "atom_count": int(measure.numerators.size),
@@ -145,9 +148,7 @@ def cmd_build(args) -> int:
     }
     report["construction"] = construction
 
-    t0 = time.perf_counter()
-    check = verify_marginals(model, family)
-    report["timings"]["verify"] = time.perf_counter() - t0
+    check = _timed(report, "verify", verify_marginals, model, family)
     report["verification"] = {"max_error": numeric.format_scalar(check.max_error)}
 
     save_measure(measure, args.out)
@@ -166,17 +167,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_quantum(args) -> int:
-    report = {"input": args.scenario, "digest": _digest(args.scenario), "timings": {}}
-    q = load_quantum(args.scenario)
-    t0 = time.perf_counter()
-    family = born_family(q)
-    report["timings"]["born"] = time.perf_counter() - t0
+    report = _report(args.scenario)
+    family = _timed(report, "born", born_family, load_quantum(args.scenario))
     save_family(family, args.out)
     report["output"] = args.out
-    report["family"] = {
-        "parties": family.scenario.n_parties,
-        "tables": family.scenario.n_tuples,
-    }
+    report["family"] = {"parties": family.scenario.n_parties, "tables": family.scenario.n_tuples}
     _emit(report, [
         f"generated {family.scenario.n_tuples} tables for "
         f"{family.scenario.n_parties} sites",
@@ -186,15 +181,9 @@ def cmd_quantum(args) -> int:
 
 
 def cmd_lhv(args) -> int:
-    report = {"input": args.family, "digest": _digest(args.family), "timings": {}}
-    family = _family_for(args)
-    t0 = time.perf_counter()
-    verdict = lhv_feasible(family, budget=args.budget)
-    report["timings"]["lhv"] = time.perf_counter() - t0
-    report["lhv"] = {
-        "feasible": verdict.feasible,
-        "residual": numeric.format_scalar(verdict.residual),
-    }
+    report = _report(args.family)
+    verdict = _timed(report, "lhv", lhv_feasible, _family_for(args), budget=args.budget)
+    report["lhv"] = {"feasible": verdict.feasible, "residual": numeric.format_scalar(verdict.residual)}
     lines = [f"verdict: {'feasible' if verdict.feasible else 'infeasible'}"]
     if args.out:
         save_verdict(verdict, args.out)
@@ -207,23 +196,19 @@ def cmd_lhv(args) -> int:
 
 
 def cmd_expect(args) -> int:
-    report = {"input": args.family, "digest": _digest(args.family), "timings": {}}
+    report = _report(args.family)
     family = _family_for(args)
     setting_tuple = parse_tuple_key(args.tuple)
     try:
         observables = json.loads(args.observables)
     except json.JSONDecodeError as exc:
         raise InputError(f"--observables is not valid JSON: {exc}") from exc
-    t0 = time.perf_counter()
-    value = product_expectation_family(family, setting_tuple, observables)
-    report["timings"]["expect"] = time.perf_counter() - t0
+    value = _timed(report, "expect", product_expectation_family, family, setting_tuple, observables)
     report["expectation"] = {"tuple": list(setting_tuple), "value": numeric.format_scalar(value)}
     lines = [f"expectation at {args.tuple}: {numeric.format_scalar(value)}"]
     if args.compare_model:
-        t0 = time.perf_counter()
-        model = build_deterministic_measure(family, budget=args.budget)
-        model_value = product_expectation_model(model, setting_tuple, observables)
-        report["timings"]["model"] = time.perf_counter() - t0
+        model_value = _timed(report, "model", lambda: product_expectation_model(
+            build_deterministic_measure(family, budget=args.budget), setting_tuple, observables))
         report["expectation"]["model_value"] = numeric.format_scalar(model_value)
         lines.append(f"measure-side value: {numeric.format_scalar(model_value)}")
     _emit(report, lines, args)
@@ -235,10 +220,8 @@ def cmd_random(args) -> int:
     weights = None
     if args.weights:
         weights = [w.strip() for w in args.weights.split(",")]
-    t0 = time.perf_counter()
-    family = random_nonsignaling_family(args.seed, weights=weights,
-                                        mode=args.mode or numeric.RATIONAL)
-    report["timings"]["random"] = time.perf_counter() - t0
+    family = _timed(report, "random", random_nonsignaling_family, args.seed, weights=weights,
+                    mode=args.mode or numeric.RATIONAL)
     save_family(family, args.out)
     report["output"] = args.out
     _emit(report, [f"wrote seeded family to {args.out}"], args)
@@ -323,10 +306,7 @@ def main(argv=None) -> int:
     except AtomBudgetError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except SignalingError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except RepresentationError as exc:
+    except (SignalingError, RepresentationError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except InputError as exc:

@@ -74,8 +74,8 @@ class SignedMeasure:
     def from_numerators(cls, scenario: Scenario, numerators: np.ndarray, denominator: int,
                         mode: str = numeric.RATIONAL,
                         tol: float | None = None) -> "SignedMeasure":
-        """Measure from its atom numerators over one denominator, with the
-        mass checked as for atoms. The array is taken over, not copied."""
+        """Measure from its atom numerators over one positive denominator, held
+        by `numeric.held_numerators`, with the mass checked as for atoms."""
         measure = cls.__new__(cls)
         measure._adopt(scenario, numerators.reshape(scenario.joint_shape), denominator,
                        numeric.check_mode(mode), tol)
@@ -83,15 +83,16 @@ class SignedMeasure:
 
     def _adopt(self, scenario: Scenario, numerators: np.ndarray, denominator: int, mode: str,
                tol: float | None) -> None:
+        numerators, denominator = numeric.held_numerators(numerators, denominator, mode)
         self.scenario = scenario
         self.mode = mode
         self.tol = numeric.tolerance(mode, tol)
         numerators.setflags(write=False)
         self.numerators = numerators
         self.denominator = denominator
-        total = numerators.sum()
-        if not numeric.is_close(total, denominator, self.tol):
-            raise InputError(f"measure mass is {numeric.ratio(total, denominator, mode)}, not 1")
+        self._mass = numerators.sum()
+        if not numeric.is_close(self._mass, denominator, self.tol):
+            raise InputError(f"measure mass is {self.total_mass}, not 1")
 
     @cached_property
     def atoms(self) -> np.ndarray:
@@ -99,7 +100,7 @@ class SignedMeasure:
 
     @property
     def total_mass(self) -> Scalar:
-        return numeric.ratio(self.numerators.sum(), self.denominator, self.mode)
+        return numeric.ratio(self._mass, self.denominator, self.mode)
 
     @property
     def min_atom(self) -> Scalar:

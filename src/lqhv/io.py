@@ -305,7 +305,6 @@ def load_json(path: str) -> Any:
 # Entries per C-encoded piece of a scalar list: large enough that the
 # per-call cost vanishes, small enough that a piece's text stays small.
 _CHUNK = 4096
-_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 @functools.cache
@@ -335,7 +334,7 @@ def _write(value: Any, fh, newline: str) -> None:
             fh.write("[]")
             return
         inner, sep = newline + "  ", "["
-        if isinstance(value, Entries) or set(map(type, value)) <= _SCALARS:
+        if isinstance(value, Entries) or set(map(type, value)) <= numeric.JSON_SCALARS:
             encode = _list_encoder(inner)
             for start in range(0, len(value), _CHUNK):
                 fh.write(sep + inner)

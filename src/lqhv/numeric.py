@@ -17,7 +17,8 @@ read with two `int` calls; ``fractions.Fraction`` is built only for an
 entry outside that form (through `coerce_scalar`, which also reads a
 single number), for returned scalars (`ratio`) and for the public
 rational arrays, which `ratio_array` builds from the numerators. Every
-computation in between runs on the numerators. `format_entries` writes a
+computation in between runs on the numerators, which enter a family or
+a measure through `held_numerators`. `format_entries` writes a
 numerator array and `format_scalar` one result by its type; both refuse,
 with AtomBudgetError, an integer past the interpreter's digit limit.
 
@@ -233,14 +234,14 @@ def _rational_pair(value) -> tuple[int, int]:
     return exact.numerator, exact.denominator
 
 
-_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 def flat_entries(data) -> tuple[list, tuple[int, ...]]:
     """The entries of nested data in row-major order, and its shape, as
     `np.asarray(data, dtype=object)` holds them; a flat list of JSON
     scalars, the form of a parsed table, is taken as it is."""
-    if type(data) is list and set(map(type, data)) <= _JSON_SCALARS:
+    if type(data) is list and set(map(type, data)) <= JSON_SCALARS:
         return data, (len(data),)
     arr = np.asarray(data, dtype=object)
     return arr.reshape(-1).tolist(), arr.shape
@@ -281,6 +282,25 @@ def ratio_array(numerators: np.ndarray, denominator: int) -> np.ndarray:
     return out
 
 
+def held_numerators(numerators: np.ndarray, denominator: int, mode: str) -> tuple[np.ndarray, int]:
+    """Numerators over a positive denominator as a family or measure holds
+    them, the inverse of `ratio_array`. Rational mode holds integers of any
+    dtype as Python ints (an object array is taken over) and refuses other
+    dtypes with InputError. Float mode holds the correctly rounded quotients
+    over 1 (floats over 1 are taken over); past 2^53 it divides Python ints."""
+    kind = numerators.dtype.kind
+    if mode == RATIONAL:
+        if kind not in "iuO":
+            raise InputError(f"rational numerators must be integers, not {numerators.dtype}")
+        return (numerators if kind == "O" else numerators.astype(object)), denominator
+    if kind == "f" and denominator == 1:
+        return numerators.astype(float, copy=False), 1
+    if kind in "iu" and max(denominator, abs(numerators).max()) <= 2**53:
+        return numerators / denominator, 1  # exact operands, so one rounding
+    quotients = [p / denominator for p in numerators.reshape(-1).tolist()]
+    return np.array(quotients, dtype=float).reshape(numerators.shape), 1
+
+
 def format_entries(numerators: np.ndarray, denominator: int) -> list:
     """JSON entries of a numerator array, flattened row-major.
 
@@ -302,10 +322,6 @@ def format_entries(numerators: np.ndarray, denominator: int) -> list:
 
 def _too_long_to_write() -> AtomBudgetError:
     return AtomBudgetError(f"an entry to write has more than {_digit_limit()} digits")
-
-
-def zero(mode: str) -> Scalar:
-    return 0.0 if mode == FLOAT else Fraction(0)
 
 
 def is_close(a: Scalar, b: Scalar, tol: float) -> bool:

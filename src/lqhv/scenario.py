@@ -238,9 +238,8 @@ class DistributionFamily:
     def from_numerators(cls, scenario: Scenario, numerators: np.ndarray, denominator: int,
                         mode: str = numeric.RATIONAL,
                         tol: float | None = None) -> "DistributionFamily":
-        """Family from its stacked numerators over one denominator (Python
-        ints over a positive int in rational mode, floats over 1 in float
-        mode), validated like a mapping. The array is taken over, not copied."""
+        """Family from its stacked numerators over one positive denominator,
+        held by `numeric.held_numerators` and validated like a mapping."""
         mode = numeric.check_mode(mode)
         family = cls.__new__(cls)
         family._adopt(scenario, numerators.reshape(scenario.settings_per_site + scenario.table_shape),
@@ -249,6 +248,7 @@ class DistributionFamily:
 
     def _adopt(self, scenario: Scenario, numerators: np.ndarray, denominator: int, mode: str,
                tol: float | None) -> None:
+        numerators, denominator = numeric.held_numerators(numerators, denominator, mode)
         tol = numeric.tolerance(mode, tol)
         order = scenario.setting_tuples()
         rows = numerators.reshape(len(order), -1)
@@ -290,12 +290,15 @@ def convert_family(family: DistributionFamily, mode: str,
 
     Float values become their shortest decimal literal when promoted to
     rationals, so a file holding 0.45 converts to 9/20 rather than the
-    exact binary expansion.
+    exact binary expansion; every other conversion holds the numerators.
     """
     mode = numeric.check_mode(mode)
     if mode == family.mode and tol is None:
         return family
-    return DistributionFamily.from_stacked(family.scenario, family.stacked, mode, tol=tol)
+    if family.mode == numeric.FLOAT and mode == numeric.RATIONAL:
+        return DistributionFamily.from_stacked(family.scenario, family.numerators, mode, tol=tol)
+    return DistributionFamily.from_numerators(family.scenario, family.numerators, family.denominator,
+                                              mode, tol)
 
 
 def _drop_outcome(tensor: np.ndarray, n: int, pos: int) -> np.ndarray:
@@ -456,26 +459,27 @@ def compare_scenarios_epr(family_a: DistributionFamily, family_b: DistributionFa
 
     Both families must have the same shape and pass the consistency check,
     each within its own tolerance; the comparison, within `family_a.tol`,
-    runs over every proper site subset and setting assignment.
+    runs on numerators over the two families' denominators, over every
+    proper site subset and setting assignment.
     """
     if family_a.scenario != family_b.scenario:
         raise InputError("families describe different scenario shapes")
     if family_a.mode != family_b.mode:
         raise InputError("families use different arithmetic modes")
     scenario = family_a.scenario
-    mode = family_a.mode
     marg_a = extract_marginal_family(family_a)
     marg_b = extract_marginal_family(family_b)
-    worst = numeric.zero(mode)
-    worst_key: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    den_a, den_b = family_a.denominator, family_b.denominator
+    # from a zero of the numerators' type, so a float family reports a float
+    top, key = family_a.numerators.dtype.type(0), None
     for sites in scenario.site_subsets(proper=True):
-        (a, den_a), (b, den_b) = marg_a.marginal_numerators(sites), marg_b.marginal_numerators(sites)
+        a, b = marg_a.marginal_numerators(sites)[0], marg_b.marginal_numerators(sites)[0]
         diff = abs(a * den_b - b * den_a).max(axis=1)
         i = int(np.argmax(diff))
-        value = numeric.ratio(diff[i], den_a * den_b, mode)
-        if value > worst:
+        if diff[i] > top:
             settings = np.unravel_index(i, [scenario.settings_per_site[n - 1] for n in sites])
-            worst, worst_key = value, (sites, tuple(int(s) + 1 for s in settings))
+            top, key = diff[i], (sites, tuple(int(s) + 1 for s in settings))
+    worst = numeric.ratio(top, den_a * den_b, family_a.mode)
     if worst > family_a.tol:
-        return EprReport(False, worst, worst_key[0], worst_key[1])
+        return EprReport(False, worst, *key)
     return EprReport(True, worst)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqhv as L
+from lqhv import numeric
 from lqhv.errors import InputError
 from oracles import (
     loop_local_vertex,
@@ -119,6 +120,10 @@ class TestMixing:
         with pytest.raises(InputError):
             L.mix_families([L.pr_box(), L.pr_box()], [0, 0])
 
+    def test_mode_is_the_components_own(self):
+        with pytest.raises(TypeError):
+            L.mix_families([L.pr_box()], [1], mode=L.FLOAT)
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(0, 9), min_size=2, max_size=2).filter(any),
            st.integers(0, 2**16))
@@ -190,22 +195,41 @@ def assert_same_tables(fam, tables):
         assert np.array_equal(fam.table(t), table)
 
 
+def assert_held_as_parsed(fam):
+    """The generator holds what parsing its public tables holds."""
+    parsed = L.DistributionFamily.from_stacked(fam.scenario, fam.stacked, fam.mode)
+    assert (fam.numerators.dtype, fam.denominator) == (parsed.numerators.dtype, parsed.denominator)
+    assert fam.numerators.tolist() == parsed.numerators.tolist()
+
+
 @pytest.mark.parametrize("mode,zero,one,half", MODE_SCALARS)
 class TestStackedProducersMatchLoops:
-    """Each generator equals its tuple-by-tuple loop exactly, in both modes."""
+    """Each generator equals its tuple-by-tuple loop exactly, in both modes,
+    and holds what parsing its tables would."""
+
+    def test_uniform_family(self, mode, zero, one, half):
+        sc = L.Scenario((2, 3, 1), (3, 2, 2))
+        fam = L.uniform_family(sc, mode)
+        assert_same_tables(fam, {t: np.full(sc.table_shape, one / 12) for t in sc.setting_tuples()})
+        assert_held_as_parsed(fam)
 
     def test_local_vertex(self, mode, zero, one, half):
         sc = L.Scenario((2, 3, 1), (3, 2, 2))
         assignment = [(2, 0), (1, 1, 0), (1,)]
         fam = L.local_deterministic_vertex(sc, assignment, mode)
         assert_same_tables(fam, loop_local_vertex((2, 3, 1), (3, 2, 2), assignment, zero, one))
+        assert_held_as_parsed(fam)
 
     def test_pr_type_vertices(self, mode, zero, one, half):
         for bits in itertools.product(range(2), repeat=3):
-            assert_same_tables(L.pr_type_vertex(*bits, mode), loop_pr_type_vertex(*bits, zero, half))
+            fam = L.pr_type_vertex(*bits, mode)
+            assert_same_tables(fam, loop_pr_type_vertex(*bits, zero, half))
+            assert_held_as_parsed(fam)
 
     def test_signaling_example(self, mode, zero, one, half):
-        assert_same_tables(L.signaling_example(mode), loop_signaling_example(zero, half))
+        fam = L.signaling_example(mode)
+        assert_same_tables(fam, loop_signaling_example(zero, half))
+        assert_held_as_parsed(fam)
 
     def test_tensor_family(self, mode, zero, one, half):
         right = L.local_deterministic_vertex(L.Scenario((3, 1), (2, 3)), [(1, 0, 1), (2,)], mode)
@@ -227,3 +251,15 @@ class TestStackedProducersMatchLoops:
         weights = [3, 1, 4, 7]
         fam = L.mix_families(parts, weights)
         assert_same_tables(fam, loop_mix(oracles, [zero + w for w in weights], zero))
+
+
+@pytest.mark.parametrize("mode", numeric.MODES)
+def test_generators_parse_no_entries(mode, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator parsed its own tables")
+
+    monkeypatch.setattr(numeric, "numerators", refuse)
+    sc = L.Scenario((2, 1), (3, 2))
+    families = [L.uniform_family(sc, mode), L.local_deterministic_vertex(sc, [(2, 0), (1,)], mode),
+                L.pr_type_vertex(1, 0, 1, mode), L.signaling_example(mode)]
+    assert [f.mode for f in families] == [mode] * 4

@@ -146,6 +146,50 @@ class TestExactEdges:
             assert type(value) is Fraction
 
 
+# A local CHSH family as int64 numerators over 2^40: 1/2 on the outcomes
+# (0, 0) and (1, 1) in every table
+CORRELATED = np.tile(np.eye(2, dtype=np.int64), (2, 2, 1, 1)) * 2**39
+
+
+class TestHeldNumerators:
+    """Both `from_numerators` hold their input by `numeric.held_numerators`."""
+
+    def test_int64_family_is_held_as_python_ints(self):
+        family = L.DistributionFamily.from_numerators(L.CHSH_SCENARIO, CORRELATED, 2**40)
+        assert all(type(v) is int for v in family.numerators.reshape(-1).tolist())
+        model = L.build_deterministic_measure(family)
+        assert L.verify_marginals(model, family).max_error == 0
+        assert L.lhv_feasible(family).feasible
+
+    def test_int64_measure_is_held_as_python_ints(self):
+        # the two atoms' sum, 2^63, is past int64
+        atoms = np.zeros(L.CHSH_SCENARIO.joint_shape, dtype=np.int64)
+        atoms[0, 0, 0, 0] = atoms[1, 1, 1, 1] = 2**62
+        measure = L.SignedMeasure.from_numerators(L.CHSH_SCENARIO, atoms, 2**63)
+        assert measure.numerators.dtype == object
+        assert measure.total_mass == 1
+
+    @pytest.mark.parametrize("dtype", [object, np.int64])
+    def test_float_quotients_of_big_ints_are_rounded_once(self, dtype):
+        q = 3**39
+        p = 440374696592680607
+        expected = [float(Fraction(p, q)), float(Fraction(q - p, q))]
+        assert float(p) / float(q) != expected[0]  # rounding p and q first misses
+        scenario = L.Scenario((1,), (2,))
+        numerators = np.array([p, q - p], dtype=dtype)
+        for held in (L.DistributionFamily.from_numerators(scenario, numerators, q, L.FLOAT),
+                     L.SignedMeasure.from_numerators(scenario, numerators, q, L.FLOAT)):
+            assert held.numerators.dtype == float and held.denominator == 1
+            assert held.numerators.reshape(-1).tolist() == expected
+
+    @pytest.mark.parametrize("build,entry", [(L.DistributionFamily.from_numerators, 1 / 4),
+                                             (L.SignedMeasure.from_numerators, 1 / 16)],
+                             ids=["family", "measure"])
+    def test_float_array_in_rational_mode_is_refused(self, build, entry):
+        with pytest.raises(InputError, match="rational numerators must be integers, not float64"):
+            build(L.CHSH_SCENARIO, np.full(16, entry), 1, L.RATIONAL)
+
+
 class TestBooleansAreNotNumbers:
     @pytest.mark.parametrize("mode", [L.RATIONAL, L.FLOAT])
     @pytest.mark.parametrize("value", [True, False, np.bool_(True)])

@@ -536,6 +536,14 @@ class TestConvertFamily:
         fam = L.pr_box()
         assert L.convert_family(fam, L.RATIONAL) is fam
 
+    def test_rational_to_float_reads_the_numerators(self):
+        # weights over the prime 2^61 - 1 put the mixture over 4 (2^61 - 1)
+        source = L.mix_families([L.pr_box(), L.uniform_family(L.CHSH_SCENARIO)], [1, 2**61 - 2])
+        assert source.denominator == 4 * (2**61 - 1)
+        as_float = L.convert_family(source, L.FLOAT)
+        assert "stacked" not in vars(source)
+        assert as_float.numerators.tobytes() == np.array(source.stacked, dtype=float).tobytes()
+
 
 class TestCompareScenariosEpr:
     def test_reflexive(self):
