@@ -4,8 +4,9 @@ Family files:
     {"parties": [{"settings": S_n, "outcomes": K_n}, ...],
      "mode": "rational" | "float",
      "tables": {"s1,s2,...,sN": [row-major entries], ...}}
-Setting keys are 1-based and comma-joined; rational entries are "p/q"
-strings, float entries JSON numbers.
+Setting keys are 1-based and comma-joined, one key per tuple: keys that
+read as one tuple, such as "1,1" and "01,1", are refused. Rational
+entries are "p/q" strings, float entries JSON numbers.
 
 Accepted entries, in tables and in measure atoms alike: in rational mode,
 "p" or "p/q" text in ASCII digits with an optional leading minus (read
@@ -24,8 +25,12 @@ Measure files:
     {"axes": [{"site": n, "setting": s, "outcomes": K_n}, ...],
      "mode": "rational" | "float",
      "atoms": [row-major entries in the axis order shown]}
-Axes follow the fixed coordinate order (1,1)..(1,S_1)..(N,S_N); import
-revalidates normalization, within LQHV_TOL or 1e-9 in float mode.
+The scenario read has sites 1..N, N the number of distinct site labels;
+site n has one setting per axis labelled n and the outcome count of its
+first such axis. The axes must equal that scenario's `coordinates` with
+their `joint_shape`: each (site, setting) once, in the order
+(1,1)..(1,S_1)..(N,S_N). Import revalidates normalization, within
+LQHV_TOL or 1e-9 in float mode.
 
 Verdict files:
     {"row_order": <description>, "feasible": bool,
@@ -36,7 +41,9 @@ Quantum scenario files:
     {"site_dims": [d_n, ...], "rho": [[[re, im], ...], ...],
      "povms": [[[effect, ...] per setting] per site]}
 with every complex entry a two-element [re, im] array and every effect a
-d_n x d_n nested matrix, checked within `lqhv.quantum.TOL`. A family's
+nested matrix. `DensityMatrix`, `POVM` and `QuantumScenario` hold every
+other rule, within `lqhv.quantum.TOL`, and "site_dims" must equal the
+`site_dims` that `QuantumScenario` computes from the POVMs. A family's
 tolerance is fixed when it is read: the `tol` given to `load_family` (the
 CLI's `--tol`), else LQHV_TOL, else 1e-9; a rational family's is 0.
 
@@ -60,6 +67,7 @@ writing on any failure, so a failed write leaves no file at the path.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import json
@@ -99,13 +107,6 @@ def _require_int(data: Any, key: str, what: str) -> int:
     return _as_int(_require(data, key, what), f"{what} field {key!r}")
 
 
-def _read_mode(data: dict, what: str) -> str:
-    mode = _require(data, "mode", what)
-    if mode not in numeric.MODES:
-        raise InputError(f"{what} mode must be 'rational' or 'float', got {mode!r}")
-    return mode
-
-
 def tuple_key(setting_tuple) -> str:
     return ",".join(str(s) for s in setting_tuple)
 
@@ -130,19 +131,21 @@ def family_to_json(family: DistributionFamily) -> dict:
 
 def family_from_json(data: Any, tol: float | None = None) -> DistributionFamily:
     parties = _require(data, "parties", "family file")
-    if not isinstance(parties, list) or not parties:
-        raise InputError("'parties' must be a nonempty list")
-    settings = []
-    outcomes = []
-    for i, p in enumerate(parties, start=1):
-        settings.append(_require_int(p, "settings", f"party {i}"))
-        outcomes.append(_require_int(p, "outcomes", f"party {i}"))
-    scenario = Scenario(tuple(settings), tuple(outcomes))
-    mode = _read_mode(data, "family file")
+    if not isinstance(parties, list):
+        raise InputError("'parties' must be a list")
+    shape = [(_require_int(p, "settings", f"party {i}"), _require_int(p, "outcomes", f"party {i}"))
+             for i, p in enumerate(parties, start=1)]
+    scenario = Scenario(tuple(s for s, _ in shape), tuple(k for _, k in shape))
+    mode = _require(data, "mode", "family file")
     raw_tables = _require(data, "tables", "family file")
     if not isinstance(raw_tables, dict):
         raise InputError("'tables' must map setting tuples to entry lists")
     tables = {parse_tuple_key(k): v for k, v in raw_tables.items()}
+    if len(tables) != len(raw_tables):
+        keys = sorted(raw_tables, key=parse_tuple_key)  # stable: colliding keys in file order
+        a, b = next(pair for pair in zip(keys, keys[1:])
+                    if parse_tuple_key(pair[0]) == parse_tuple_key(pair[1]))
+        raise InputError(f"table keys {a!r} and {b!r} name one setting tuple")
     return DistributionFamily(scenario, tables, mode, tol=tol)
 
 
@@ -173,52 +176,38 @@ class Entries(Sequence):
             yield from self[start:start + _CHUNK]
 
 
+_AXIS_KEYS = ("site", "setting", "outcomes")
+
+
+def _axes(scenario: Scenario) -> list[tuple[int, int, int]]:
+    """The (site, setting, outcomes) of each joint axis, in axis order."""
+    return [(n, s, k) for (n, s), k in zip(scenario.coordinates, scenario.joint_shape)]
+
+
 def measure_to_json(measure: SignedMeasure) -> dict:
-    scenario = measure.scenario
-    axes = [{"site": n, "setting": s, "outcomes": scenario.outcomes_per_site[n - 1]}
-            for n, s in scenario.coordinates]
     return {
-        "axes": axes,
+        "axes": [dict(zip(_AXIS_KEYS, axis)) for axis in _axes(measure.scenario)],
         "mode": measure.mode,
         "atoms": Entries(measure.numerators, measure.denominator),
     }
 
 
 def measure_from_json(data: Any) -> SignedMeasure:
-    axes = _require(data, "axes", "measure file")
-    if not isinstance(axes, list) or not axes:
-        raise InputError("'axes' must be a nonempty list")
-    per_site: dict[int, dict[int, int]] = {}
-    given_order = []
-    for i, ax in enumerate(axes):
-        site = _require_int(ax, "site", f"axis {i}")
-        setting = _require_int(ax, "setting", f"axis {i}")
-        k = _require_int(ax, "outcomes", f"axis {i}")
-        given_order.append((site, setting))
-        per_site.setdefault(site, {})
-        if setting in per_site[site]:
-            raise InputError(f"duplicate axis for site {site}, setting {setting}")
-        per_site[site][setting] = k
-    sites = sorted(per_site)
-    if sites != list(range(1, len(sites) + 1)):
-        raise InputError(f"axis sites must be 1..N, got {sites}")
-    settings = []
-    outcomes = []
-    for n in sites:
-        ss = sorted(per_site[n])
-        if ss != list(range(1, len(ss) + 1)):
-            raise InputError(f"site {n} axis settings must be 1..S_n, got {ss}")
-        ks = {per_site[n][s] for s in ss}
-        if len(ks) != 1:
-            raise InputError(f"site {n} axes disagree on the outcome count")
-        settings.append(len(ss))
-        outcomes.append(ks.pop())
-    scenario = Scenario(tuple(settings), tuple(outcomes))
-    if tuple(given_order) != scenario.coordinates:
-        raise InputError("axes must appear in the fixed order (1,1)..(1,S_1)..(N,S_N)")
-    mode = _read_mode(data, "measure file")
-    atoms = _require(data, "atoms", "measure file")
-    return SignedMeasure(scenario, atoms, mode)
+    raw_axes = _require(data, "axes", "measure file")
+    if not isinstance(raw_axes, list):
+        raise InputError("'axes' must be a list")
+    axes = [tuple(_require_int(ax, key, f"axis {i}") for key in _AXIS_KEYS)
+            for i, ax in enumerate(raw_axes)]
+    # sites 1..(distinct labels), each with its axis count and first outcome count
+    counts = collections.Counter(n for n, _, _ in axes)
+    first = {n: k for n, _, k in reversed(axes)}
+    sites = range(1, len(counts) + 1)
+    scenario = Scenario(tuple(counts[n] for n in sites), tuple(first.get(n, 0) for n in sites))
+    if axes != _axes(scenario):
+        raise InputError("axes must list each (site, setting) in the fixed order (1,1).."
+                         "(1,S_1)..(N,S_N), with no duplicates and one outcome count per site")
+    mode = _require(data, "mode", "measure file")
+    return SignedMeasure(scenario, _require(data, "atoms", "measure file"), mode)
 
 
 def verdict_to_json(verdict: LhvVerdict) -> dict:
@@ -242,11 +231,10 @@ def _complex_entry(value: Any, where: str) -> complex:
 
 
 def _complex_matrix(rows: Any, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows or not all(
+    if not isinstance(rows, list) or not all(
             isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
-        raise InputError(f"{where}: expected a nonempty matrix of equal-length rows")
-    out = [[_complex_entry(v, where) for v in row] for row in rows]
-    return np.array(out, dtype=complex)
+        raise InputError(f"{where}: expected a matrix of equal-length rows")
+    return np.array([[_complex_entry(v, where) for v in row] for row in rows], dtype=complex)
 
 
 def _matrix_json(matrix: np.ndarray) -> list:
@@ -264,30 +252,29 @@ def quantum_to_json(q: QuantumScenario) -> dict:
 
 def quantum_from_json(data: Any) -> QuantumScenario:
     dims = _require(data, "site_dims", "quantum file")
-    if not isinstance(dims, list) or not dims:
-        raise InputError("'site_dims' must be a nonempty list")
-    dims = [_as_int(d, f"site_dims entry {n}") for n, d in enumerate(dims, start=1)]
+    if not isinstance(dims, list):
+        raise InputError("'site_dims' must be a list")
+    dims = tuple(_as_int(d, f"site_dims entry {n}") for n, d in enumerate(dims, start=1))
     rho = DensityMatrix(_complex_matrix(_require(data, "rho", "quantum file"), "rho"))
     raw_povms = _require(data, "povms", "quantum file")
-    if not isinstance(raw_povms, list) or len(raw_povms) != len(dims):
+    if not isinstance(raw_povms, list):
         raise InputError("'povms' must hold one setting list per site")
     povms = []
     for n, site in enumerate(raw_povms, start=1):
-        if not isinstance(site, list) or not site:
-            raise InputError(f"site {n} needs a nonempty list of POVMs")
+        if not isinstance(site, list):
+            raise InputError(f"site {n} needs a list of POVMs")
         site_povms = []
         for s, effects in enumerate(site, start=1):
-            if not isinstance(effects, list) or not effects:
+            if not isinstance(effects, list):
                 raise InputError(f"site {n} setting {s}: expected a list of effects")
-            mats = [_complex_matrix(e, f"site {n} setting {s} effect {i}")
-                    for i, e in enumerate(effects)]
-            site_povms.append(POVM(tuple(mats)))
-        for p in site_povms:
-            if p.dim != dims[n - 1]:
-                raise InputError(f"site {n} POVM dimension {p.dim} does not match "
-                                 f"declared d_n = {dims[n - 1]}")
+            site_povms.append(POVM(tuple(_complex_matrix(e, f"site {n} setting {s} effect {i}")
+                                         for i, e in enumerate(effects))))
         povms.append(site_povms)
-    return QuantumScenario(rho, povms)
+    q = QuantumScenario(rho, povms)
+    if q.site_dims != dims:
+        raise InputError(f"declared site_dims {list(dims)} do not match the POVMs' "
+                         f"dimensions {list(q.site_dims)}")
+    return q
 
 
 def load_json(path: str) -> Any:

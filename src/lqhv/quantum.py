@@ -14,6 +14,7 @@ combination) lives here as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -122,10 +123,7 @@ class QuantumScenario:
             if len({p.n_outcomes for p in site}) != 1:
                 raise InputError(f"site {n} POVMs disagree on the outcome count")
         self.site_dims = tuple(site[0].dim for site in povms)
-        total = 1
-        for d in self.site_dims:
-            total *= d
-        if rho.dim != total:
+        if rho.dim != math.prod(self.site_dims):
             raise InputError(
                 f"state dimension {rho.dim} does not match the product of site "
                 f"dimensions {self.site_dims}")

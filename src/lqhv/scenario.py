@@ -132,10 +132,9 @@ class Scenario:
         """All full setting tuples in lexicographic order."""
         return list(itertools.product(*(range(1, s + 1) for s in self.settings_per_site)))
 
-    def site_subsets(self, *, proper: bool = False) -> Iterator[tuple[int, ...]]:
-        """Nonempty site subsets, smallest first, lexicographic within size."""
-        top = self.n_parties - 1 if proper else self.n_parties
-        for size in range(1, top + 1):
+    def site_subsets(self) -> Iterator[tuple[int, ...]]:
+        """Nonempty proper site subsets, smallest first, lexicographic within size."""
+        for size in range(1, self.n_parties):
             yield from itertools.combinations(self.sites, size)
 
 
@@ -472,7 +471,7 @@ def compare_scenarios_epr(family_a: DistributionFamily, family_b: DistributionFa
     den_a, den_b = family_a.denominator, family_b.denominator
     # from a zero of the numerators' type, so a float family reports a float
     top, key = family_a.numerators.dtype.type(0), None
-    for sites in scenario.site_subsets(proper=True):
+    for sites in scenario.site_subsets():
         a, b = marg_a.marginal_numerators(sites)[0], marg_b.marginal_numerators(sites)[0]
         diff = abs(a * den_b - b * den_a).max(axis=1)
         i = int(np.argmax(diff))

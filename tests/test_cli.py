@@ -71,6 +71,14 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         assert "input error" in capsys.readouterr().err
 
+    def test_keys_naming_one_tuple_exit_one(self, tmp_path, capsys):
+        data = io.family_to_json(L.pr_box())
+        data["tables"]["01,1"] = ["1/4"] * 4
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 1
+        assert "'1,1' and '01,1'" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["check", "/no/such/file.json"]) == 1
 

@@ -1,10 +1,14 @@
 """JSON round trips and file validation."""
 
 import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqhv as L
 from lqhv import io
@@ -59,11 +63,58 @@ class TestFamilyFiles:
         with pytest.raises(InputError, match="never renormalized"):
             io.family_from_json(data)
 
+    @pytest.mark.parametrize("first,second", [("1,1", "01,1"), ("1,1", " 1,1"), ("2,1", "2,+1")])
+    def test_keys_naming_one_tuple_rejected(self, first, second):
+        data = io.family_to_json(L.pr_box())
+        data["tables"][second] = ["1/4"] * 4
+        with pytest.raises(InputError, match=re.escape(f"{first!r} and {second!r} name one")):
+            io.family_from_json(data)
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "family.json"
         io.save_family(L.pr_box(), str(path))
         fam = io.load_family(str(path))
         assert L.chsh_value(fam) == 4
+
+
+def canonical_shape(axes):
+    """(settings, outcomes) per site of the scenario whose joint axes are
+    exactly `axes`, or None: site labels must run 1, 2, ..., each site's
+    settings 1, 2, ..., and all of a site's axes share one positive
+    outcome count."""
+    counts, outcomes = [], []
+    for n, s, k in axes:
+        if counts and n == len(counts) and s == counts[-1] + 1 and k == outcomes[-1]:
+            counts[-1] += 1
+        elif n == len(counts) + 1 and s == 1 and k >= 1:
+            counts.append(1)
+            outcomes.append(k)
+        else:
+            return None
+    return (tuple(counts), tuple(outcomes)) if counts else None
+
+
+@st.composite
+def mutated_axes(draw):
+    """A valid (site, setting, outcomes) axes list with at most one mutation."""
+    shape = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=3))
+    axes = [(n, s, k) for n, (s_n, k) in enumerate(shape, start=1) for s in range(1, s_n + 1)]
+    i, j = (draw(st.integers(0, len(axes) - 1)) for _ in range(2))
+    n, s, k = axes[i]
+    kind = draw(st.sampled_from(["none", "swap", "repeat", "drop", "outcomes", "site", "huge"]))
+    if kind == "swap":
+        axes[i], axes[j] = axes[j], axes[i]
+    elif kind == "repeat":
+        axes.insert(j, axes[i])
+    elif kind == "drop":
+        del axes[i]
+    elif kind == "outcomes":
+        axes[i] = (n, s, k + draw(st.sampled_from([-k, -1, 1])))
+    elif kind == "site":
+        axes[i] = (n + draw(st.sampled_from([-1, 1])), s, k)
+    elif kind == "huge":
+        axes[i] = draw(st.sampled_from([(10**9, s, k), (n, 10**9, k)]))
+    return axes
 
 
 class TestMeasureFiles:
@@ -114,6 +165,22 @@ class TestMeasureFiles:
         with pytest.raises(InputError, match="duplicate"):
             io.measure_from_json(data)
 
+    @settings(max_examples=400, deadline=2000)
+    @given(mutated_axes())
+    def test_axes_are_exactly_the_scenario_coordinates(self, axes):
+        doc = {"axes": [{"site": n, "setting": s, "outcomes": k} for n, s, k in axes]}
+        shape = canonical_shape(axes)
+        if shape is None:
+            # refused on the axes alone, before the missing mode and atoms are read
+            with pytest.raises(InputError) as refused:
+                io.measure_from_json(doc)
+            assert "missing" not in str(refused.value)
+            return
+        size = math.prod(k**s for s, k in zip(*shape))
+        mu = io.measure_from_json(dict(doc, mode="rational", atoms=[1] + [0] * (size - 1)))
+        assert mu.scenario == L.Scenario(*shape)
+        assert io.measure_to_json(mu)["axes"] == doc["axes"]
+
 
 class TestVerdictFiles:
     def test_feasible_verdict(self, tmp_path):
@@ -163,6 +230,14 @@ class TestQuantumFiles:
         data = io.quantum_to_json(L.chsh_optimal_scenario())
         data["site_dims"] = [2, 3]
         with pytest.raises(InputError):
+            io.quantum_from_json(data)
+
+
+    @pytest.mark.parametrize("dims", [[], [2], [2, 2, 2], [3, 2], [2, 4]])
+    def test_declared_dims_must_be_the_povms(self, dims):
+        data = io.quantum_to_json(L.chsh_optimal_scenario())
+        data["site_dims"] = dims
+        with pytest.raises(InputError, match="site_dims"):
             io.quantum_from_json(data)
 
 

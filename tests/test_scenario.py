@@ -413,7 +413,7 @@ class TestOneSummationPath:
     def test_marginal_numerators_match_the_oracle(self, shape, seed, mode):
         scenario = L.Scenario(*zip(*shape))
         family = L.extract_marginal_family(L.random_scenario_family(scenario, seed, mode))
-        for sites in scenario.site_subsets(proper=True):
+        for sites in scenario.site_subsets():
             numerators, denominator = family.marginal_numerators(sites)
             expected = mean_marginals(family, sites)
             if mode == L.RATIONAL:
@@ -434,7 +434,7 @@ class TestOneSummationPath:
             reached.append(sites)
             direct = S._subset_sums(numerators, n, sites)
             assert direct.shape == sums.shape and direct.tobytes() == sums.tobytes()
-        assert sorted(reached) == sorted(scenario.site_subsets(proper=True))
+        assert sorted(reached) == sorted(scenario.site_subsets())
 
     @settings(max_examples=60, deadline=None)
     @given(SMALL_SHAPES, st.integers(0, 2**32 - 1))
