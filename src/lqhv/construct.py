@@ -12,12 +12,15 @@ gets every full-tuple marginal at once from per-site 0/1 projections,
 whose transpose builds and prices the LHV constraint matrix in `lqhv.lp`.
 Every comparison against a family is made within the family's own
 tolerance `family.tol`, and a computed measure's mass within
-`numeric.mass_tolerance` of its source's.
+`numeric.mass_tolerance` of its source's. Each site map allocates its
+output once and fills it block by block, so a build holds one output
+array (beside its input) plus one block of temporaries.
 
 Also here: the Jordan split of a signed measure into positive and negative
-parts, conversion of a stochastic one-measure-space model into the
-deterministic coordinate form, and product expectations evaluated on
-either side of the representation. All of it runs on integer numerators
+parts, whose total variation is summed leaf by leaf through one small
+buffer beside the measure, conversion of a stochastic one-measure-space
+model into the deterministic coordinate form, and product expectations
+evaluated on either side of the representation. All of it runs on integer numerators
 over one denominator in rational mode (floats over 1 in float mode), so
 no `Fraction` is formed until a result is read.
 """
@@ -151,16 +154,36 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# Most atoms `jordan_decompose` reads into its buffer at a time; at least
+# numpy's pairwise block of 128, so each leaf is summed as numpy sums it.
+_LEAF = 2**14
+
+
+def _part_sums(x: np.ndarray, buf: np.ndarray) -> tuple:
+    """Sums of max(x, 0) and max(-x, 0) over the 1-D `x`, each leaf
+    computed in `buf`. Longer runs are halved where numpy's pairwise sum
+    halves them, so float sums keep the bits of `np.maximum(x, 0).sum()`."""
+    n = x.shape[0]
+    if n > buf.shape[0]:
+        half = n // 2 - n // 2 % 8
+        (p1, n1), (p2, n2) = _part_sums(x[:half], buf), _part_sums(x[half:], buf)
+        return p1 + p2, n1 + n2
+    leaf = buf[:n]
+    positive = np.maximum(x, 0, out=leaf).sum()
+    np.negative(x, out=leaf)
+    return positive, np.maximum(leaf, 0, out=leaf).sum()
+
+
 def jordan_decompose(measure: SignedMeasure) -> JordanPair:
-    """Atomwise Jordan split; total variation is the combined mass,
-    summed through one buffer of the measure's size."""
-    x = measure.numerators
-    buf = np.maximum(x, 0)
-    positive = buf.sum()
-    np.negative(x, out=buf)
-    np.maximum(buf, 0, out=buf)
-    total = numeric.ratio(positive + buf.sum(), measure.denominator, measure.mode)
-    return JordanPair(x, measure.denominator, total)
+    """Atomwise Jordan split; total variation is the combined mass.
+
+    The call holds the measure plus one leaf buffer of at most `_LEAF`
+    atoms, through which both parts are summed; the parts themselves are
+    built only when read from the pair."""
+    x = measure.numerators.reshape(-1)
+    positive, negative = _part_sums(x, np.empty(min(x.size, _LEAF), dtype=x.dtype))
+    total = numeric.ratio(positive + negative, measure.denominator, measure.mode)
+    return JordanPair(measure.numerators, measure.denominator, total)
 
 
 @dataclass(frozen=True)
@@ -232,27 +255,56 @@ def coefficient_identity_sum(settings_per_site: Sequence[int], kept_sites: Itera
     return total
 
 
+# Most output entries one block of `_apply_site_map` computes at a time
+# (a block is at least one whole row, whatever its length).
+_BLOCK = 2**14
+
+
 def _apply_site_map(atoms: np.ndarray, axis: int, p: np.ndarray, keep, shrink) -> np.ndarray:
     """Apply M_n to a site's setting (axis 0) and outcome (`axis`) axes and
-    append its coordinate axes, last to first, with `prod` holding
-    `keep` p_n^s (x) ... (x) p_n^{S_n - 1}: no temporary exceeds the output.
+    append its coordinate axes, last to first, setting s's coordinate term
+    multiplied by `keep` p_n^{s+1} (x) ... (x) p_n^{S_n - 1}, built once in
+    `prods`.
+
+    The output is allocated once and filled in blocks of whole rows of
+    the other axes, at most `_BLOCK` entries unless one row is longer, so
+    the call holds its input and output plus one block of temporaries.
+    Each entry gets the same operations in the same order whatever the
+    blocking, and the B_n 1^T term's outcome sums are taken once over the
+    whole input.
 
     `keep` multiplies the coordinate terms and `shrink` the B_n 1^T term.
     On integer numerators p over d these are S_n d and S_n - 1, and the
     result is over the atoms' denominator times S_n d^{S_n}; on floats
     they are 1 and (S_n - 1)/S_n.
     """
-    last = p.shape[0] - 1
-    lifted = np.moveaxis(atoms, axis, -1)  # (setting, rest..., outcome)
-    total = np.expand_dims(atoms.sum(axis=(0, axis)), -1)
-    prod = keep * p[last]
-    out = lifted[last] * keep - shrink * total * p[last]
-    for s in range(last - 1, -1, -1):
-        block = tuple(range(-prod.ndim, 0))
-        out = np.expand_dims(out, -prod.ndim - 1) * np.expand_dims(p[s], block)
-        out += np.expand_dims(lifted[s], block) * prod
-        prod = np.multiply.outer(p[s], prod)
-    return out
+    count, k = p.shape
+    before, after = atoms.shape[1:axis], atoms.shape[axis + 1:]
+    width = k ** count
+    # rows are (a, b) pairs, a over the axes before the outcome and b after
+    rows_a, rows_b = math.prod(before), math.prod(after)
+    step = max(1, _BLOCK // width)
+    step_b = min(step, rows_b)
+    step_a = max(1, step // rows_b)
+    prods = [keep * p[-1]]
+    for s in range(count - 2, 0, -1):
+        prods.append(np.multiply.outer(p[s], prods[-1]))
+    grid = atoms.reshape(count, rows_a, k, rows_b)
+    # one site sums to a scalar, kept in the atoms' dtype (no int64 overflow)
+    totals = np.asarray(atoms.sum(axis=(0, axis)), atoms.dtype).reshape(rows_a, rows_b, 1)
+    result = np.empty(before + after + (k,) * count, dtype=atoms.dtype)
+    rows = result.reshape(rows_a, rows_b, width)
+    for a in range(0, rows_a, step_a):
+        for b in range(0, rows_b, step_b):
+            ra, rb = slice(a, a + step_a), slice(b, b + step_b)
+            lifted = np.moveaxis(grid[:, ra, :, rb], 2, -1)  # (setting, a, b, outcome)
+            out = lifted[-1] * keep - shrink * totals[ra, rb] * p[-1]
+            for s, prod in zip(range(count - 2, -1, -1), prods):
+                block = tuple(range(-prod.ndim, 0))
+                out = np.expand_dims(out, -prod.ndim - 1) * np.expand_dims(p[s], block)
+                out += np.expand_dims(lifted[s], block) * prod
+            rows[ra, rb] = out.reshape(out.shape[:2] + (width,))
+    return result
 
 
 def build_deterministic_measure(family: DistributionFamily, *,

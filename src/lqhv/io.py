@@ -5,8 +5,9 @@ Family files:
      "mode": "rational" | "float",
      "tables": {"s1,s2,...,sN": [row-major entries], ...}}
 Setting keys are 1-based and comma-joined, one key per tuple: keys that
-read as one tuple, such as "1,1" and "01,1", are refused. Rational
-entries are "p/q" strings, float entries JSON numbers.
+read as one tuple, such as "1,1" and "01,1", are refused, as is a key
+repeated in any object of any file. Rational entries are "p/q" strings,
+float entries JSON numbers.
 
 Accepted entries, in tables and in measure atoms alike: in rational mode,
 "p" or "p/q" text in ASCII digits with an optional leading minus (read
@@ -277,10 +278,21 @@ def quantum_from_json(data: Any) -> QuantumScenario:
     return q
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object; one that names a key twice is refused, since
+    the decoder would keep only the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"key {key!r} appears twice in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

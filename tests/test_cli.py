@@ -79,6 +79,17 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         assert "'1,1' and '01,1'" in capsys.readouterr().err
 
+    def test_repeated_key_exits_one(self, tmp_path, capsys):
+        # json.load alone keeps the last "1,1" table and the check passes
+        tables = json.dumps(io.family_to_json(L.pr_box())["tables"])
+        uniform = json.dumps(["1/4"] * 4)
+        path = tmp_path / "twice.json"
+        path.write_text('{"parties": [{"settings": 2, "outcomes": 2}, '
+                        '{"settings": 2, "outcomes": 2}], "mode": "rational", '
+                        f'"tables": {{"1,1": {uniform}, {tables[1:]}}}')
+        assert main(["check", str(path)]) == 1
+        assert "input error: key '1,1' appears twice" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["check", "/no/such/file.json"]) == 1
 
@@ -545,7 +556,7 @@ def test_float_build_peaks_near_the_measure(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * family.scenario.joint_size * 8
+    assert peak <= 1.15 * family.scenario.joint_size * 8
 
 
 class TestBuiltMassTolerance:

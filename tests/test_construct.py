@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqhv as L
+from lqhv import construct
 from lqhv.errors import AtomBudgetError, InputError, RepresentationError
 from lqhv.construct import _tuple_marginals_adjoint
 from oracles import (
@@ -31,6 +32,15 @@ def rational_rows(rng, count, width):
         total = sum(raw)
         rows.append([Fraction(v, total) for v in raw])
     return rows
+
+
+def random_float_measure(shape):
+    """Float measure of mass 1 (within rounding) on a joint space of `shape`,
+    its atoms of both signs and many magnitudes."""
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 1, shape)
+    x += (1 - x.sum()) / x.size
+    return L.SignedMeasure.from_numerators(L.Scenario((1,) * len(shape), shape), x, 1, L.FLOAT)
 
 
 def random_stochastic_model(rng, settings_per_site, outcomes_per_site, omega):
@@ -222,6 +232,41 @@ class TestBuild:
         assert build_peak <= 8 * joint_bytes
         assert verify_peak <= 4 * joint_bytes
 
+    @pytest.mark.parametrize("mode", [L.RATIONAL, L.FLOAT])
+    @pytest.mark.parametrize("shape", [((2, 2), (2, 2)), ((1, 3), (3, 2)), ((3,), (4,)),
+                                       ((2,) * 5, (2,) * 5), ((3, 2, 2), (2, 3, 2)),
+                                       ((4, 1, 2), (2, 3, 5)), ((5, 4), (4, 4))], ids=str)
+    def test_same_numerators_from_any_blocking(self, shape, mode, monkeypatch):
+        family = L.extract_marginal_family(L.random_scenario_family(L.Scenario(*shape), 3, mode))
+        default = L.build_deterministic_measure(family).measure
+        monkeypatch.setattr(construct, "_BLOCK", 1)
+        one_row = L.build_deterministic_measure(family).measure
+        assert one_row.denominator == default.denominator
+        assert one_row.numerators.dtype == default.numerators.dtype
+        assert np.array_equal(one_row.numerators, default.numerators)
+
+    def test_single_site_past_int64_builds(self):
+        # one site sums to one Python int, which must not become an int64
+        q = 2**61 + 1
+        family = L.DistributionFamily(
+            L.Scenario((3,), (2,)), {(s,): [Fraction(1, q), 1 - Fraction(1, q)] for s in (1, 2, 3)})
+        mu = L.build_deterministic_measure(family).measure
+        assert mu.total_mass == 1
+        assert L.verify_marginals(mu, family).max_error == 0
+
+    def test_rational_build_peaks_near_the_measure(self):
+        # (5,4)/(4,4): 262,144 atoms, about 3 MiB held as Python ints, and
+        # one block of temporaries beside them
+        family = L.extract_marginal_family(
+            L.random_scenario_family(L.Scenario((5, 4), (4, 4)), 3, L.RATIONAL))
+        tracemalloc.start()
+        try:
+            mu = L.build_deterministic_measure(family).measure
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * held
+
     def test_float_mode_build(self):
         fam = L.convert_family(L.random_nonsignaling_family(11), L.FLOAT, tol=1e-9)
         mu = L.build_deterministic_measure(fam).measure
@@ -345,16 +390,40 @@ class TestJordan:
 
 
     def test_total_variation_peak_stays_near_the_measure(self):
-        # (4,4)/(4,4): 65,536 atoms; the parts are not built for the sum
-        family = L.random_scenario_family(L.Scenario((4, 4), (4, 4)), 3, L.FLOAT)
-        mu = L.build_deterministic_measure(family).measure
+        # 2^20 atoms, 64 leaves; the parts are not built for the sum
+        mu = random_float_measure(L.Scenario((5, 5), (4, 4)).joint_shape)
         tracemalloc.start()
         try:
             L.jordan_decompose(mu).total_variation
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * mu.numerators.nbytes
+        assert peak <= 0.05 * mu.numerators.nbytes
+
+    def test_rational_split_peak_stays_near_the_measure(self):
+        family = L.extract_marginal_family(
+            L.random_scenario_family(L.Scenario((5, 4), (4, 4)), 3, L.RATIONAL))
+        tracemalloc.start()
+        try:
+            mu = L.build_deterministic_measure(family).measure
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            L.jordan_decompose(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the measure, about 3 MiB of Python ints, plus one leaf
+        assert peak <= 1.1 * held
+
+    @pytest.mark.parametrize("leaf", [128, None], ids=["leaf128", "default"])
+    @pytest.mark.parametrize("size", [1, 127, 128, 129, 2**14 + 1, 2**16 + 13, 1_000_003])
+    def test_total_variation_has_the_bits_of_numpys_sum(self, size, leaf, monkeypatch):
+        mu = random_float_measure((size,))
+        x = mu.numerators
+        if leaf is not None:
+            monkeypatch.setattr(construct, "_LEAF", leaf)
+        total = L.jordan_decompose(mu).total_variation
+        assert total == np.maximum(x, 0).sum() + np.maximum(-x, 0).sum()
 
     def test_parts_are_built_on_first_access(self):
         mu = L.build_deterministic_measure(L.pr_box(L.FLOAT)).measure

@@ -246,6 +246,17 @@ class TestPaths:
         with pytest.raises(InputError, match="cannot read"):
             io.load_family("/nonexistent/family.json")
 
+    @pytest.mark.parametrize("loader,text,key", [
+        (io.load_family, '{"mode": "rational", "mode": "float"}', "mode"),
+        (io.load_family, '{"tables": {"1,1": [1], "1,2": [0], "1,1": [0]}}', "1,1"),
+        (io.load_measure, '{"axes": [{"site": 1, "setting": 1, "site": 2}]}', "site"),
+    ])
+    def test_repeated_key_rejected(self, tmp_path, loader, text, key):
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        with pytest.raises(InputError, match=re.escape(f"key {key!r} appears twice")):
+            loader(str(path))
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")
