@@ -20,7 +20,8 @@ integer digit limit (`sys.get_int_max_str_digits()`, 4300 by default),
 the limit `int` already puts on a literal, so "1e4299" reads and
 "1e4300" does not. In float mode, JSON numbers and text `float` reads.
 Both modes refuse true/false, null, zero denominators and non-finite
-values. Files are read as UTF-8; any other bytes are malformed input.
+values. Files are read as UTF-8; any other bytes are malformed input, and
+so is a JSON integer with more digits than the digit limit.
 
 Measure files:
     {"axes": [{"site": n, "setting": s, "outcomes": K_n}, ...],
@@ -58,6 +59,18 @@ walks dicts and lists as that encoder does, but a list of plain scalars
 `_CHUNK` entries, so the text of a large list is never held whole and
 never formatted entry by entry in Python.
 
+A scalar list of at least 2·`_PIECE` entries is formatted by one process
+per CPU (`os.sched_getaffinity`), each with at least `_PIECE` entries:
+the writer forks the others and deals the `_CHUNK`-entry chunks out in
+turn, so every process gets a share of each part of the list, however
+its cost is spread. The writer formats its own chunks straight to the
+stream and copies each worker's chunk, sent whole down a pipe, in its
+place. Every chunk is formatted by the same code as in the serial write,
+so the bytes do not change, and without `os.fork` the list is written
+serially. A chunk that no worker sent whole is formatted by the writer,
+so an error is the one a serial write raises, and every worker is
+killed and reaped before the writer returns.
+
 A measure document's "atoms" is such an `Entries` sequence: a read-only
 view of the measure's numerators that formats its entries only when
 they are read. The writer streams it `_CHUNK` entries at a time, so no
@@ -73,7 +86,9 @@ import contextlib
 import functools
 import json
 import os
+import signal
 import stat
+import warnings
 from collections.abc import Sequence
 from typing import Any
 
@@ -299,6 +314,10 @@ def load_json(path: str) -> Any:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
+    except InputError:  # a repeated key, refused by `_unique_keys`
+        raise
+    except ValueError as exc:  # a JSON integer past the interpreter's digit limit
+        raise InputError(f"{path} holds a number too long to read: {exc}") from exc
 
 
 # Entries per C-encoded piece of a scalar list: large enough that the
@@ -311,6 +330,104 @@ def _list_encoder(indent: str):
     """C-encoder of a scalar list whose items sit on lines at `indent`;
     one is cached per nesting depth."""
     return json.JSONEncoder(separators=("," + indent, ": ")).encode
+
+
+# Fewest entries a process formats once a scalar list is split, so a list
+# of twice as many is the shortest split: a fork's few milliseconds stay
+# small beside the ~0.1 s that formatting 2^17 floats takes.
+_PIECE = 2**17
+
+# Bytes a worker's pipe holds where the OS lets it be widened (Linux's
+# limit for an unprivileged process), so a worker can run many chunks
+# ahead of the writer rather than one.
+_PIPE_BYTES = 2**20
+
+
+def _chunk_text(value, start: int, inner: str) -> str:
+    """The text of the `_CHUNK` entries of a scalar list from `start`, led
+    by the list's "[" or by the "," that ends the entries before them."""
+    entries = _list_encoder(inner)(value[start:start + _CHUNK])[1:-1]
+    return ("," if start else "[") + inner + entries
+
+
+def _processes(n: int) -> int:
+    """How many processes format an n-entry scalar list: one per CPU, each
+    with at least `_PIECE` entries, and one alone without `os.fork`."""
+    if n < 2 * _PIECE or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n // _PIECE)
+
+
+def _fork_worker(value, first: int, step: int, inner: str):
+    """Fork a worker that formats chunks first, first + step, ... of a
+    scalar list and sends each whole down a pipe, its byte length first;
+    its pid and the pipe's read end as a file, or None when no process
+    can be forked."""
+    read_end, write_end = os.pipe()
+    with contextlib.suppress(ImportError, AttributeError, OSError):
+        import fcntl
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns on forking beside other threads (numpy's
+            # BLAS pool); the worker only formats text, writes and exits.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:  # the worker: a chunk it fails on is formatted by the parent
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as pipe:
+                for start in range(first * _CHUNK, len(value), step * _CHUNK):
+                    text = _chunk_text(value, start, inner).encode("ascii")
+                    pipe.write(len(text).to_bytes(8, "little"))
+                    pipe.write(text)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    return pid, os.fdopen(read_end, "rb")
+
+
+def _receive(pipe) -> str | None:
+    """The next chunk text a worker sent whole, or None if it sent no more."""
+    size = int.from_bytes(pipe.read(8), "little")
+    text = pipe.read(size)
+    return text.decode("ascii") if text and len(text) == size else None
+
+
+def _write_scalars(value, fh, inner: str) -> None:
+    """Write a scalar list from its "[" to its last entry, `_CHUNK` entries
+    at a time. With p `_processes`, the writer forks p - 1 workers and
+    deals the chunks out in turn: it formats chunks 0, p, 2p, ... itself
+    and takes worker i's chunks i, p + i, ... from its pipe, so each
+    process gets a share of every part of the list. A chunk no worker sent
+    whole is formatted here, so an error is the one the serial write
+    raises. Every worker is killed and reaped before this returns."""
+    count = _processes(len(value))
+    senders = [None]  # (pid, pipe) of each process's worker; None for this one and once it stops
+    try:
+        for first in range(1, count):
+            senders.append(_fork_worker(value, first, count, inner))
+        for index, start in enumerate(range(0, len(value), _CHUNK)):
+            sender = senders[index % count]
+            text = _receive(sender[1]) if sender else None
+            if sender and text is None:
+                _reap(*sender)
+                senders[index % count] = None
+            fh.write(_chunk_text(value, start, inner) if text is None else text)
+    finally:
+        for sender in filter(None, senders):
+            _reap(*sender)
+
+
+def _reap(pid: int, pipe) -> None:
+    """Stop a worker, whether or not it is done, and wait for it."""
+    pipe.close()
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
 
 
 def _write(value: Any, fh, newline: str) -> None:
@@ -334,11 +451,7 @@ def _write(value: Any, fh, newline: str) -> None:
             return
         inner, sep = newline + "  ", "["
         if isinstance(value, Entries) or set(map(type, value)) <= numeric.JSON_SCALARS:
-            encode = _list_encoder(inner)
-            for start in range(0, len(value), _CHUNK):
-                fh.write(sep + inner)
-                fh.write(encode(value[start:start + _CHUNK])[1:-1])
-                sep = ","
+            _write_scalars(value, fh, inner)
         else:
             for item in value:
                 fh.write(sep + inner)

@@ -90,6 +90,15 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         assert "input error: key '1,1' appears twice" in capsys.readouterr().err
 
+    def test_integer_past_the_digit_limit_exits_one(self, tmp_path, capsys):
+        # a 5,000-digit JSON integer in a table: json.load raises ValueError
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(PR_BOX_JSON).replace('"1/2"', "1" + "0" * 4999, 1))
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "too long to read" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["check", "/no/such/file.json"]) == 1
 

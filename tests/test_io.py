@@ -257,6 +257,14 @@ class TestPaths:
         with pytest.raises(InputError, match=re.escape(f"key {key!r} appears twice")):
             loader(str(path))
 
+    @pytest.mark.parametrize("loader", [io.load_family, io.load_measure, io.load_quantum])
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path, loader):
+        # json.load alone raises a bare ValueError for the 5,000-digit literal
+        path = tmp_path / "long.json"
+        path.write_text('{"tables": {"1,1": [' + "7" * 5000 + "]}}")
+        with pytest.raises(InputError, match="holds a number too long to read"):
+            loader(str(path))
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")
