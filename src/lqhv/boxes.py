@@ -6,15 +6,24 @@ with perfect setting-dependent (anti)correlation, their mixtures, and the
 isotropic line between the maximally nonlocal box and white noise. A
 one-setting signaling counterexample and generic-scenario mixture
 generators round out the inputs the rest of the package is exercised on.
-Each is built from integer numerators over one denominator, never parsed.
+
+Every generator works on integer vertex tensors in the stacked layout,
+each over its denominator: a point mass for an assignment (over 1), the
+XOR table (over 2) and their block products. Their entries are 0 or 1,
+held as int8, so the components of a large scenario's mixture stay
+small. One mixing routine sums such (tensor, denominator) pairs, and the
+family a generator returns is the only one it validates, through one
+`DistributionFamily.from_numerators` call; nothing is parsed. The 24
+extremal CHSH boxes are one cached read-only int8 stack, so a random
+CHSH mixture builds no family per vertex.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +31,7 @@ import numpy as np
 from . import numeric
 from .construct import product_expectation_family
 from .errors import InputError
-from .scenario import DistributionFamily, Scenario, interleaved_to_stacked
+from .scenario import DistributionFamily, Scenario
 
 CHSH_SCENARIO = Scenario((2, 2), (2, 2))
 # Local deterministic vertices mixed by `random_scenario_family`
@@ -36,6 +45,81 @@ def uniform_family(scenario: Scenario, mode: str = numeric.RATIONAL) -> Distribu
     return DistributionFamily.from_numerators(scenario, np.ones(shape, dtype=int), size, mode)
 
 
+def _point_mass(scenario: Scenario, assignment: Sequence[Sequence[int]]) -> np.ndarray:
+    """Stacked 0/1 int8 tensor, over denominator 1, of the point-mass product
+    family in which site n reports `assignment[n-1][s-1]` under setting s."""
+    if len(assignment) != scenario.n_parties:
+        raise InputError(f"assignment must cover {scenario.n_parties} sites")
+    points = []
+    for n, (site, s, k) in enumerate(zip(assignment, scenario.settings_per_site,
+                                         scenario.outcomes_per_site), start=1):
+        outcomes = [int(a) for a in site]
+        if len(outcomes) != s:
+            raise InputError(f"site {n} assignment must cover {s} settings")
+        for a in outcomes:
+            if not 0 <= a < k:
+                raise InputError(f"outcome {a} out of range for site {n}")
+        points.append(np.array(outcomes))
+    grids = np.ix_(*map(np.arange, scenario.settings_per_site))
+    out = np.zeros(scenario.settings_per_site + scenario.outcomes_per_site, dtype=np.int8)
+    out[(*grids, *(point[g] for point, g in zip(points, grids)))] = 1
+    return out
+
+
+def _xor_table(alpha: int, beta: int, gamma: int) -> np.ndarray:
+    """Stacked 0/1 int8 tensor, over denominator 2, of the box with
+    a XOR b = xy + ax + by + g (mod 2), x = s1 - 1 and y = s2 - 1."""
+    if alpha not in (0, 1) or beta not in (0, 1) or gamma not in (0, 1):
+        raise InputError("alpha, beta, gamma must be bits")
+    x, y, a, b = np.indices((2, 2, 2, 2))
+    target = (x * y + alpha * x + beta * y + gamma) % 2
+    return ((a + b) % 2 == target).astype(np.int8)
+
+
+def _block_product(left: np.ndarray, right: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Stacked tensor of the outer product of an n-site and an m-site
+    stacked tensor, left sites first; the denominators multiply."""
+    outer = np.multiply.outer(left, right)  # axes (sL, aL, sR, aR)
+    return outer.transpose([*range(n), *range(2 * n, 2 * n + m),
+                            *range(n, 2 * n), *range(2 * n + m, 2 * (n + m))])
+
+
+def _mix(scenario: Scenario, tensors: Sequence[np.ndarray], denominators: Sequence[int],
+         weights, mode: str) -> DistributionFamily:
+    """Convex mixture of the stacked tensors `tensors[i]` over
+    `denominators[i]`, with the weights read in `mode` and normalized.
+
+    Float mode divides each weight by the weights' float total and adds
+    weight_i * (tensors[i] / denominators[i]) in component order, from 0,
+    one component's quotients at a time.
+    Rational mode reads the weights as integers over one denominator,
+    which normalizing cancels: divided by their gcd g, they are the
+    normalized weights over their least common denominator, total / g.
+    """
+    mode = numeric.check_mode(mode)
+    if mode == numeric.FLOAT:
+        w = [numeric.coerce_scalar(v, mode) for v in weights]
+    else:
+        w = numeric.numerators(list(weights), mode)[0].tolist()
+    if any(v < 0 for v in w):
+        raise InputError("weights must be nonnegative")
+    total = sum(w)
+    if total == math.inf:  # finite float weights can still overflow their sum
+        raise InputError(f"weights sum to {total}, past the float range")
+    if total == 0:
+        raise InputError("weights must not all be zero")
+    if len(w) != len(tensors):
+        raise InputError(f"need {len(tensors)} weights, got {len(w)}")
+    if mode == numeric.FLOAT:
+        acc = sum(v / total * (t / d) for v, t, d in zip(w, tensors, denominators))
+        return DistributionFamily.from_numerators(scenario, acc, 1, mode)
+    common, den = math.gcd(*w), math.lcm(*denominators)
+    coefficients = np.array([v // common * (den // d) for v, d in zip(w, denominators)],
+                            dtype=object)
+    return DistributionFamily.from_numerators(scenario, np.tensordot(coefficients, tensors, 1),
+                                              den * (total // common), mode)
+
+
 def local_deterministic_vertex(scenario: Scenario, assignment: Sequence[Sequence[int]],
                                mode: str = numeric.RATIONAL) -> DistributionFamily:
     """Point-mass product family from per-(site, setting) fixed outcomes.
@@ -43,21 +127,7 @@ def local_deterministic_vertex(scenario: Scenario, assignment: Sequence[Sequence
     `assignment[n-1][s-1]` is the outcome site n reports under setting s;
     each table is the product of the corresponding indicator vectors.
     """
-    if len(assignment) != scenario.n_parties:
-        raise InputError(f"assignment must cover {scenario.n_parties} sites")
-    one_hot = []
-    for n, site in enumerate(assignment, start=1):
-        outcomes = tuple(int(a) for a in site)
-        if len(outcomes) != scenario.settings_per_site[n - 1]:
-            raise InputError(f"site {n} assignment must cover "
-                             f"{scenario.settings_per_site[n - 1]} settings")
-        k = scenario.outcomes_per_site[n - 1]
-        for a in outcomes:
-            if not 0 <= a < k:
-                raise InputError(f"outcome {a} out of range for site {n}")
-        one_hot.append(np.eye(k, dtype=int)[list(outcomes)])
-    stacked = interleaved_to_stacked(reduce(np.multiply.outer, one_hot))
-    return DistributionFamily.from_numerators(scenario, stacked, 1, mode)
+    return DistributionFamily.from_numerators(scenario, _point_mass(scenario, assignment), 1, mode)
 
 
 def pr_type_vertex(alpha: int, beta: int, gamma: int,
@@ -67,12 +137,8 @@ def pr_type_vertex(alpha: int, beta: int, gamma: int,
     Settings map to x = s1 - 1 and y = s2 - 1; the half weight sits on
     the outcome pairs satisfying the XOR relation.
     """
-    if alpha not in (0, 1) or beta not in (0, 1) or gamma not in (0, 1):
-        raise InputError("alpha, beta, gamma must be bits")
-    x, y, a, b = np.indices((2, 2, 2, 2))
-    target = (x * y + alpha * x + beta * y + gamma) % 2
-    stacked = np.where((a + b) % 2 == target, 1, 0)
-    return DistributionFamily.from_numerators(CHSH_SCENARIO, stacked, 2, mode)
+    return DistributionFamily.from_numerators(CHSH_SCENARIO, _xor_table(alpha, beta, gamma), 2,
+                                              mode)
 
 
 def pr_box(mode: str = numeric.RATIONAL) -> DistributionFamily:
@@ -89,19 +155,8 @@ def mix_families(families: Sequence[DistributionFamily], weights) -> Distributio
     for f in families[1:]:
         if f.scenario != scenario or f.mode != mode:
             raise InputError("mixture components must share scenario and mode")
-    w = [numeric.coerce_scalar(v, mode) for v in weights]
-    if any(v < 0 for v in w):
-        raise InputError("weights must be nonnegative")
-    total = sum(w)
-    if total == 0:
-        raise InputError("weights must not all be zero")
-    if len(w) != len(families):
-        raise InputError(f"need {len(families)} weights, got {len(w)}")
-    # sum_i w_i F_i / D_i over the normalized weights' and the families' common denominators
-    w, w_den = numeric.numerators([v / total for v in w], mode)
-    den = math.lcm(*(f.denominator for f in families))
-    acc = sum(weight * (den // f.denominator) * f.numerators for weight, f in zip(w, families))
-    return DistributionFamily.from_numerators(scenario, acc, den * w_den, mode)
+    return _mix(scenario, [f.numerators for f in families], [f.denominator for f in families],
+                weights, mode)
 
 
 def isotropic_box(p, mode: str = numeric.RATIONAL) -> DistributionFamily:
@@ -109,7 +164,9 @@ def isotropic_box(p, mode: str = numeric.RATIONAL) -> DistributionFamily:
     weight = numeric.coerce_scalar(p, mode)
     if not 0 <= weight <= 1:
         raise InputError(f"mixing weight must lie in [0, 1], got {p}")
-    return mix_families([pr_box(mode), uniform_family(CHSH_SCENARIO, mode)], [weight, 1 - weight])
+    box = _xor_table(0, 0, 0)
+    noise = np.ones_like(box)  # over the 4 joint outcomes
+    return _mix(CHSH_SCENARIO, [box, noise], (2, 4), [weight, 1 - weight], mode)
 
 
 def signaling_example(mode: str = numeric.RATIONAL) -> DistributionFamily:
@@ -125,6 +182,13 @@ def signaling_example(mode: str = numeric.RATIONAL) -> DistributionFamily:
     return DistributionFamily.from_numerators(scenario, stacked, 2, mode)
 
 
+# Assignments (a1, a2), (b1, b2) of the 16 local CHSH vertices and bits
+# (alpha, beta, gamma) of the 8 XOR boxes, each in binary order
+_CHSH_LOCAL = [((a1, a2), (b1, b2)) for a1, a2, b1, b2 in itertools.product(range(2), repeat=4)]
+_CHSH_XOR = list(itertools.product(range(2), repeat=3))
+_CHSH_DENOMINATORS = (1,) * len(_CHSH_LOCAL) + (2,) * len(_CHSH_XOR)
+
+
 def chsh_local_vertices(mode: str = numeric.RATIONAL) -> list[DistributionFamily]:
     """All 16 local deterministic vertices of the two-site binary scenario.
 
@@ -132,16 +196,22 @@ def chsh_local_vertices(mode: str = numeric.RATIONAL) -> list[DistributionFamily
     number, a1 most significant: index 0 answers 0 everywhere, index 15
     answers 1 everywhere.
     """
-    out = []
-    for a1, a2, b1, b2 in itertools.product(range(2), repeat=4):
-        out.append(local_deterministic_vertex(CHSH_SCENARIO, [(a1, a2), (b1, b2)], mode))
-    return out
+    return [local_deterministic_vertex(CHSH_SCENARIO, a, mode) for a in _CHSH_LOCAL]
 
 
 def chsh_pr_vertices(mode: str = numeric.RATIONAL) -> list[DistributionFamily]:
     """The 8 extremal XOR boxes, ordered by (alpha, beta, gamma) bits."""
-    return [pr_type_vertex(a, b, g, mode)
-            for a, b, g in itertools.product(range(2), repeat=3)]
+    return [pr_type_vertex(*bits, mode) for bits in _CHSH_XOR]
+
+
+@functools.cache
+def _chsh_vertex_stack() -> np.ndarray:
+    """Read-only int8 stack of the 24 extremal CHSH boxes, in the order of
+    `chsh_local_vertices` then `chsh_pr_vertices`, over `_CHSH_DENOMINATORS`."""
+    stack = np.stack([_point_mass(CHSH_SCENARIO, a) for a in _CHSH_LOCAL]
+                     + [_xor_table(*bits) for bits in _CHSH_XOR])
+    stack.setflags(write=False)
+    return stack
 
 
 def random_nonsignaling_family(seed: int, weights=None,
@@ -154,14 +224,14 @@ def random_nonsignaling_family(seed: int, weights=None,
     then normalized; passing 24 nonnegative weights selects the mixture
     deterministically.
     """
-    vertices = chsh_local_vertices(mode) + chsh_pr_vertices(mode)
+    vertices = _chsh_vertex_stack()
     if weights is None:
         rng = random.Random(seed)
         raw = [rng.randrange(0, 10) for _ in vertices]
         if not any(raw):
             raw[rng.randrange(len(raw))] = 1
         weights = raw
-    return mix_families(vertices, weights)
+    return _mix(CHSH_SCENARIO, vertices, _CHSH_DENOMINATORS, weights, mode)
 
 
 def random_local_assignment(scenario: Scenario, rng: random.Random) -> list[tuple[int, ...]]:
@@ -182,10 +252,8 @@ def tensor_family(left: DistributionFamily, right: DistributionFamily) -> Distri
         left.scenario.settings_per_site + right.scenario.settings_per_site,
         left.scenario.outcomes_per_site + right.scenario.outcomes_per_site,
     )
-    n, m = left.scenario.n_parties, right.scenario.n_parties
-    outer = np.multiply.outer(left.numerators, right.numerators)  # axes (sL, aL, sR, aR)
-    stacked = outer.transpose([*range(n), *range(2 * n, 2 * n + m),
-                               *range(n, 2 * n), *range(2 * n + m, 2 * (n + m))])
+    stacked = _block_product(left.numerators, right.numerators,
+                             left.scenario.n_parties, right.scenario.n_parties)
     return DistributionFamily.from_numerators(scenario, stacked, left.denominator * right.denominator,
                                               left.mode)
 
@@ -201,21 +269,20 @@ def random_scenario_family(scenario: Scenario, seed: int,
     seeded integers, normalized.
     """
     rng = random.Random(seed)
-    pool: list[DistributionFamily] = []
-    for _ in range(RANDOM_COMPONENTS):
-        pool.append(local_deterministic_vertex(
-            scenario, random_local_assignment(scenario, rng), mode))
+    parts = [_point_mass(scenario, random_local_assignment(scenario, rng))
+             for _ in range(RANDOM_COMPONENTS)]
+    denominators = [1] * RANDOM_COMPONENTS
     head = (scenario.settings_per_site[:2], scenario.outcomes_per_site[:2])
     if scenario.n_parties >= 2 and head == ((2, 2), (2, 2)):
-        box = pr_type_vertex(rng.randrange(2), rng.randrange(2), rng.randrange(2), mode)
-        if scenario.n_parties == 2:
-            pool.append(box)
-        else:
+        box = _xor_table(rng.randrange(2), rng.randrange(2), rng.randrange(2))
+        if scenario.n_parties > 2:
             rest = Scenario(scenario.settings_per_site[2:], scenario.outcomes_per_site[2:])
-            tail = local_deterministic_vertex(rest, random_local_assignment(rest, rng), mode)
-            pool.append(tensor_family(box, tail))
-    weights = [rng.randrange(1, 10) for _ in pool]
-    return mix_families(pool, weights)
+            tail = _point_mass(rest, random_local_assignment(rest, rng))
+            box = _block_product(box, tail, 2, rest.n_parties)
+        parts.append(box)
+        denominators.append(2)
+    weights = [rng.randrange(1, 10) for _ in parts]
+    return _mix(scenario, parts, denominators, weights, mode)
 
 
 def chsh_value(family: DistributionFamily) -> object:

@@ -9,7 +9,13 @@ nonlocal box, analytic singlet tables, and a direct evaluation of the
 one-hidden-space joint tables, the all-pairs consistency check, the
 per-subset reduction check on a family's numerators, the N-party
 subset-sum measure, the Born rule by one Kronecker product and
-trace per table cell, and the canonical boxes built tuple by tuple. Construction tests compare the package
+trace per table cell, and the canonical boxes built tuple by tuple. The
+`family_*` functions are the random generators as they were built before
+they moved onto integer vertex tensors: every vertex a validated family
+read from its tuple-by-tuple tables, mixed on the families' numerators
+with weights normalized as Fractions (or floats), so a generated family
+must equal them in numerator types and values, denominator and file
+bytes. Construction tests compare the package
 output against these, atom by atom, in exact arithmetic. `fraction_build`
 is the per-site tensor build and full-tuple marginal verification run
 directly on `Fraction` arrays, as the package did before it moved to
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -42,8 +49,8 @@ from functools import reduce
 import numpy as np
 
 from lqhv.errors import InputError
-from lqhv.numeric import FLOAT, RATIONAL, coerce_scalar
-from lqhv.scenario import validate_sites
+from lqhv.numeric import FLOAT, RATIONAL, coerce_scalar, numerators
+from lqhv.scenario import DistributionFamily, Scenario, validate_sites
 
 
 def axis_offsets(settings_per_site):
@@ -588,6 +595,82 @@ def loop_mix(tables_list, weights, zero):
             acc = acc + weight * tables[t]
         out[t] = acc
     return out
+
+
+def _mode_scalars(mode):
+    """(zero, one, one half) in the mode's scalar type."""
+    return (0.0, 1.0, 0.5) if mode == FLOAT else (Fraction(0), Fraction(1), Fraction(1, 2))
+
+
+def family_local_vertex(scenario, assignment, mode):
+    zero, one, _ = _mode_scalars(mode)
+    tables = loop_local_vertex(scenario.settings_per_site, scenario.outcomes_per_site, assignment,
+                               zero, one)
+    return DistributionFamily(scenario, tables, mode)
+
+
+def family_xor_box(alpha, beta, gamma, mode):
+    zero, _, half = _mode_scalars(mode)
+    return DistributionFamily(Scenario((2, 2), (2, 2)),
+                              loop_pr_type_vertex(alpha, beta, gamma, zero, half), mode)
+
+
+def family_mix(families, weights):
+    """sum_i w_i F_i over the families' common denominator and the
+    normalized weights' one, the weights read in the families' mode and
+    divided by their total one by one; valid weights only."""
+    mode = families[0].mode
+    w = [coerce_scalar(v, mode) for v in weights]
+    total = sum(w)
+    w, w_den = numerators([v / total for v in w], mode)
+    den = math.lcm(*(f.denominator for f in families))
+    acc = sum(weight * (den // f.denominator) * f.numerators for weight, f in zip(w, families))
+    return DistributionFamily.from_numerators(families[0].scenario, acc, den * w_den, mode)
+
+
+def family_isotropic_box(p, mode):
+    _, one, _ = _mode_scalars(mode)
+    noise = {t: np.full((2, 2), one / 4, dtype=object) for t in _tuples((2, 2))}
+    weight = coerce_scalar(p, mode)
+    return family_mix([family_xor_box(0, 0, 0, mode),
+                       DistributionFamily(Scenario((2, 2), (2, 2)), noise, mode)],
+                      [weight, 1 - weight])
+
+
+def family_random_nonsignaling(seed, mode, weights=None):
+    """The 16 local vertices, a1 a2 b1 b2 in binary order, then the 8 XOR
+    boxes in (alpha, beta, gamma) order, mixed with seeded weights 0..9."""
+    vertices = [family_local_vertex(Scenario((2, 2), (2, 2)), [(a1, a2), (b1, b2)], mode)
+                for a1, a2, b1, b2 in itertools.product(range(2), repeat=4)]
+    vertices += [family_xor_box(*bits, mode) for bits in itertools.product(range(2), repeat=3)]
+    if weights is None:
+        rng = random.Random(seed)
+        weights = [rng.randrange(0, 10) for _ in vertices]
+        if not any(weights):
+            weights[rng.randrange(len(weights))] = 1
+    return family_mix(vertices, weights)
+
+
+def family_random_scenario(scenario, seed, mode):
+    """Six seeded local vertices, plus a seeded XOR box (times a
+    seeded vertex on the other sites) when the first two sites form a
+    (2,2)/(2,2) block, mixed with seeded weights 1..9."""
+    rng = random.Random(seed)
+
+    def vertex(sc):
+        assignment = [tuple(rng.randrange(k) for _ in range(s))
+                      for s, k in zip(sc.settings_per_site, sc.outcomes_per_site)]
+        return family_local_vertex(sc, assignment, mode)
+
+    pool = [vertex(scenario) for _ in range(6)]
+    head = (scenario.settings_per_site[:2], scenario.outcomes_per_site[:2])
+    if scenario.n_parties >= 2 and head == ((2, 2), (2, 2)):
+        box = family_xor_box(rng.randrange(2), rng.randrange(2), rng.randrange(2), mode)
+        if scenario.n_parties > 2:
+            tail = vertex(Scenario(scenario.settings_per_site[2:], scenario.outcomes_per_site[2:]))
+            box = DistributionFamily(scenario, loop_tensor(box.tables, tail.tables), mode)
+        pool.append(box)
+    return family_mix(pool, [rng.randrange(1, 10) for _ in pool])
 
 
 def _site_marginal(stacked, site):

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -10,9 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqhv as L
-from lqhv import numeric
+from lqhv import boxes, io, numeric
 from lqhv.errors import InputError
 from oracles import (
+    family_isotropic_box,
+    family_mix,
+    family_random_nonsignaling,
+    family_random_scenario,
     loop_local_vertex,
     loop_mix,
     loop_pr_type_vertex,
@@ -263,3 +268,138 @@ def test_generators_parse_no_entries(mode, monkeypatch):
     families = [L.uniform_family(sc, mode), L.local_deterministic_vertex(sc, [(2, 0), (1,)], mode),
                 L.pr_type_vertex(1, 0, 1, mode), L.signaling_example(mode)]
     assert [f.mode for f in families] == [mode] * 4
+
+
+def file_text(family):
+    buf = StringIO()
+    io.write_json(io.family_to_json(family), buf)
+    return buf.getvalue()
+
+
+def assert_same_family(fam, ref):
+    """Equal scenario, mode and tolerance, numerators of one dtype whose
+    entries have equal types and reprs (so float signs and bits agree), one
+    denominator of one type, and the same family file."""
+    assert (fam.scenario, fam.mode, fam.tol) == (ref.scenario, ref.mode, ref.tol)
+    assert (fam.numerators.dtype, fam.numerators.shape) == (ref.numerators.dtype,
+                                                             ref.numerators.shape)
+    held = [(type(v), repr(v)) for v in fam.numerators.reshape(-1).tolist()]
+    assert held == [(type(v), repr(v)) for v in ref.numerators.reshape(-1).tolist()]
+    assert (type(fam.denominator), fam.denominator) == (type(ref.denominator), ref.denominator)
+    assert file_text(fam) == file_text(ref)
+
+
+MODE = st.sampled_from(numeric.MODES)
+SEED = st.integers(0, 2**48)
+# (settings, outcomes) per site: any small scenario, or a (2,2)/(2,2) head
+# with one or two more sites, where a XOR box times a tail vertex joins
+SITES = st.one_of(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=2)
+    .map(lambda tail: [(2, 2), (2, 2)] + tail),
+)
+
+
+def scenario_of(sites):
+    return L.Scenario(*zip(*sites))
+
+
+def weights_in(mode, size):
+    """`size` weights, not all zero: floats, or exact text with up to
+    40-digit numerators and denominators."""
+    if mode == L.FLOAT:
+        entry = st.floats(0, 1e300)
+    else:
+        entry = st.fractions(0, 10**40, max_denominator=10**40).map(str)
+    return st.lists(entry, min_size=size, max_size=size).filter(
+        lambda w: any(numeric.coerce_scalar(v, mode) for v in w))
+
+
+class TestGeneratorsMatchFamilyConstruction:
+    """Each generator equals its construction from validated vertex
+    families (`tests/oracles.py`) bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(SEED, MODE)
+    def test_random_nonsignaling_family(self, seed, mode):
+        assert_same_family(L.random_nonsignaling_family(seed, mode=mode),
+                           family_random_nonsignaling(seed, mode))
+
+    @settings(max_examples=30, deadline=None)
+    @given(MODE.flatmap(lambda mode: st.tuples(st.just(mode), weights_in(mode, 24))))
+    def test_random_nonsignaling_family_with_weights(self, mode_weights):
+        mode, weights = mode_weights
+        assert_same_family(L.random_nonsignaling_family(0, weights=weights, mode=mode),
+                           family_random_nonsignaling(0, mode, weights))
+
+    @settings(max_examples=60, deadline=None)
+    @given(SITES, SEED, MODE)
+    def test_random_scenario_family(self, sites, seed, mode):
+        scenario = scenario_of(sites)
+        assert_same_family(L.random_scenario_family(scenario, seed, mode),
+                           family_random_scenario(scenario, seed, mode))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(st.fractions(0, 1, max_denominator=10**40), st.floats(0, 1)), MODE)
+    def test_isotropic_box(self, p, mode):
+        if mode == L.RATIONAL:
+            p = Fraction(p)
+        assert_same_family(L.isotropic_box(p, mode), family_isotropic_box(p, mode))
+
+    @settings(max_examples=30, deadline=None)
+    @given(SITES, SEED, MODE.flatmap(lambda mode: st.tuples(st.just(mode), weights_in(mode, 3))))
+    def test_mix_families(self, sites, seed, mode_weights):
+        mode, weights = mode_weights
+        families = [L.random_scenario_family(scenario_of(sites), seed + i, mode) for i in range(3)]
+        assert_same_family(L.mix_families(families, weights), family_mix(families, weights))
+
+
+def test_chsh_stack_is_the_vertex_list_read_only():
+    stack = boxes._chsh_vertex_stack()
+    assert stack is boxes._chsh_vertex_stack()
+    assert (stack.shape, stack.dtype.kind) == ((24, 2, 2, 2, 2), "i")
+    vertices = L.chsh_local_vertices() + L.chsh_pr_vertices()
+    for tensor, den, vertex in zip(stack, boxes._CHSH_DENOMINATORS, vertices, strict=True):
+        assert (tensor.tolist(), den) == (vertex.numerators.tolist(), vertex.denominator)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0, 0, 0] = 1
+
+
+@pytest.mark.parametrize("mode", numeric.MODES)
+def test_each_generator_validates_one_family(mode, monkeypatch):
+    adopted = []
+    adopt = L.DistributionFamily._adopt
+
+    def counted(self, *args):
+        adopted.append(self)
+        return adopt(self, *args)
+
+    monkeypatch.setattr(L.DistributionFamily, "_adopt", counted)
+    for make in (lambda: L.random_nonsignaling_family(5, mode=mode),
+                 lambda: L.random_scenario_family(L.Scenario((2, 2), (2, 2)), 5, mode),
+                 lambda: L.random_scenario_family(L.Scenario((2, 2, 3), (2, 2, 2)), 5, mode),
+                 lambda: L.random_scenario_family(L.Scenario((3, 1), (2, 3)), 5, mode),
+                 lambda: L.isotropic_box(Fraction(1, 3), mode)):
+        adopted.clear()
+        family = make()
+        assert adopted == [family]
+
+
+class TestWeightTotal:
+    def test_float_weights_whose_sum_overflows_are_refused(self):
+        with pytest.raises(InputError, match="weights sum to inf"):
+            L.random_nonsignaling_family(1, weights=[1e308] * 24, mode=L.FLOAT)
+        with pytest.raises(InputError, match="weights sum to inf"):
+            L.mix_families([L.pr_box(L.FLOAT), L.uniform_family(L.CHSH_SCENARIO, L.FLOAT)],
+                           ["1.7e308", 1.7e308])
+
+    def test_large_finite_float_total_is_normalized(self):
+        weights = [1e307] * 16 + [0] * 8  # total 1.6e308, below the float maximum
+        fam = L.random_nonsignaling_family(1, weights=weights, mode=L.FLOAT)
+        assert_same_family(fam, family_random_nonsignaling(1, L.FLOAT, weights))
+        assert L.check_nonsignaling(fam) is None
+
+    def test_rational_weights_past_the_float_range_mix_exactly(self):
+        fam = L.mix_families([L.pr_box(), L.uniform_family(L.CHSH_SCENARIO)], ["3e400", "1e400"])
+        assert_same_family(fam, L.isotropic_box(Fraction(3, 4)))

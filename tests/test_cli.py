@@ -283,6 +283,17 @@ class TestRandom:
         fam = io.load_family(str(out))
         assert L.chsh_value(fam) == 4
 
+    def test_float_weights_whose_sum_overflows_exit_one(self, tmp_path, capsys):
+        # each weight is finite, but their float total is inf
+        out = tmp_path / "w.json"
+        weights = ",".join(["1e308"] * 24)
+        argv = ["random", "--seed", "1", "--mode", "float", "--weights", weights, "-o", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: weights sum to inf")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestUsage:
     def test_no_command_exits_one(self, capsys):
