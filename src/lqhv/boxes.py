@@ -15,7 +15,8 @@ small. One mixing routine sums such (tensor, denominator) pairs, and the
 family a generator returns is the only one it validates, through one
 `DistributionFamily.from_numerators` call; nothing is parsed. The 24
 extremal CHSH boxes are one cached read-only int8 stack, so a random
-CHSH mixture builds no family per vertex.
+CHSH mixture builds no family per vertex. Outcomes, bits and seeds are
+read by `scenario.read_ints`, so a float, a bool or text is refused.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from . import numeric
 from .construct import product_expectation_family
 from .errors import InputError
-from .scenario import DistributionFamily, Scenario
+from .scenario import DistributionFamily, Scenario, read_int, read_ints
 
 CHSH_SCENARIO = Scenario((2, 2), (2, 2))
 # Local deterministic vertices mixed by `random_scenario_family`
@@ -53,7 +54,7 @@ def _point_mass(scenario: Scenario, assignment: Sequence[Sequence[int]]) -> np.n
     points = []
     for n, (site, s, k) in enumerate(zip(assignment, scenario.settings_per_site,
                                          scenario.outcomes_per_site), start=1):
-        outcomes = [int(a) for a in site]
+        outcomes = read_ints(site, f"site {n} assignment")
         if len(outcomes) != s:
             raise InputError(f"site {n} assignment must cover {s} settings")
         for a in outcomes:
@@ -69,7 +70,8 @@ def _point_mass(scenario: Scenario, assignment: Sequence[Sequence[int]]) -> np.n
 def _xor_table(alpha: int, beta: int, gamma: int) -> np.ndarray:
     """Stacked 0/1 int8 tensor, over denominator 2, of the box with
     a XOR b = xy + ax + by + g (mod 2), x = s1 - 1 and y = s2 - 1."""
-    if alpha not in (0, 1) or beta not in (0, 1) or gamma not in (0, 1):
+    alpha, beta, gamma = read_ints((alpha, beta, gamma), "alpha, beta, gamma")
+    if not {alpha, beta, gamma} <= {0, 1}:
         raise InputError("alpha, beta, gamma must be bits")
     x, y, a, b = np.indices((2, 2, 2, 2))
     target = (x * y + alpha * x + beta * y + gamma) % 2
@@ -226,7 +228,7 @@ def random_nonsignaling_family(seed: int, weights=None,
     """
     vertices = _chsh_vertex_stack()
     if weights is None:
-        rng = random.Random(seed)
+        rng = random.Random(read_int(seed, "seed"))
         raw = [rng.randrange(0, 10) for _ in vertices]
         if not any(raw):
             raw[rng.randrange(len(raw))] = 1
@@ -268,7 +270,7 @@ def random_scenario_family(scenario: Scenario, seed: int,
     so the mixture is not always locally reproducible. Weights are small
     seeded integers, normalized.
     """
-    rng = random.Random(seed)
+    rng = random.Random(read_int(seed, "seed"))
     parts = [_point_mass(scenario, random_local_assignment(scenario, rng))
              for _ in range(RANDOM_COMPONENTS)]
     denominators = [1] * RANDOM_COMPONENTS

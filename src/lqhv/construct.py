@@ -44,6 +44,7 @@ from .scenario import (
     Scenario,
     extract_marginal_family,
     interleaved_to_stacked,
+    read_ints,
 )
 
 DEFAULT_ATOM_BUDGET = 10_000_000
@@ -211,14 +212,9 @@ def coefficient(scenario: Scenario, sites: Iterable[int]) -> int:
     and three parties the sum collapses to the familiar closed forms after
     absorbing the size <= 1 subsets into the constant term.
     """
-    subset = frozenset(int(n) for n in sites)
-    for n in subset:
-        scenario.validate_site(n)
-    c = 1
-    for n in scenario.sites:
-        if n not in subset:
-            c *= -(scenario.settings_per_site[n - 1] - 1)
-    return c
+    subset = {scenario.validate_site(n) for n in read_ints(sites, "site subset")}
+    return math.prod(-(s - 1) for n, s in zip(scenario.sites, scenario.settings_per_site)
+                     if n not in subset)
 
 
 def coefficient_table(scenario: Scenario) -> dict[tuple[int, ...], int]:
@@ -239,20 +235,13 @@ def coefficient_identity_sum(settings_per_site: Sequence[int], kept_sites: Itera
     for the full set; this is exactly marginal correctness at the
     coefficient level.
     """
-    settings = tuple(int(s) for s in settings_per_site)
-    n_parties = len(settings)
-    scenario = Scenario(settings, (1,) * n_parties)
-    kept = frozenset(int(n) for n in kept_sites)
+    settings = read_ints(settings_per_site, "settings_per_site")
+    scenario = Scenario(settings, (1,) * len(settings))
+    kept = frozenset(read_ints(kept_sites, "kept sites"))
     rest = [n for n in scenario.sites if n not in kept]
-    total = 0
-    for size in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, size):
-            subset = kept | set(extra)
-            weight = 1
-            for n in extra:
-                weight *= settings[n - 1] - 1
-            total += coefficient(scenario, subset) * weight
-    return total
+    return sum(coefficient(scenario, kept.union(extra))
+               * math.prod(settings[n - 1] - 1 for n in extra)
+               for size in range(len(rest) + 1) for extra in itertools.combinations(rest, size))
 
 
 # Most output entries one block of `_apply_site_map` computes at a time

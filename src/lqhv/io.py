@@ -9,6 +9,13 @@ read as one tuple, such as "1,1" and "01,1", are refused, as is a key
 repeated in any object of any file. Rational entries are "p/q" strings,
 float entries JSON numbers.
 
+Every count and label in a file (a party's "settings" and "outcomes", a
+measure axis' "site", "setting" and "outcomes", the "site_dims" of a
+quantum file) is a JSON integer or an integral number such as 2.0, which
+reads as 2; text such as "2", true/false and any other number are
+refused. Past that one leniency it is read by `lqhv.scenario.read_int`,
+the rule every integer a caller hands the library is read by.
+
 Accepted entries, in tables and in measure atoms alike: in rational mode,
 "p" or "p/q" text in ASCII digits with an optional leading minus (read
 directly), and any other text `fractions.Fraction` reads (a sign or
@@ -99,7 +106,7 @@ from .construct import SignedMeasure
 from .errors import InputError
 from .lp import ROW_ORDER, LhvVerdict
 from .quantum import POVM, DensityMatrix, QuantumScenario
-from .scenario import DistributionFamily, Scenario
+from .scenario import DistributionFamily, Scenario, read_int
 
 
 def _require(data: Any, key: str, what: str):
@@ -111,12 +118,11 @@ def _require(data: Any, key: str, what: str):
 
 
 def _as_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InputError(f"{where} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where} must be an integer, got {value!r}") from exc
+    """A count or label read from a file by `read_int`, with one JSON
+    leniency: an integral number such as 2.0 reads as 2."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return read_int(value, where)
 
 
 def _require_int(data: Any, key: str, what: str) -> int:

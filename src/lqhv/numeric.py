@@ -13,9 +13,10 @@ are held as a numerator array over one denominator:
 `numerators` is the one input coercion: it reads nested table or atom
 data in one pass into numerators over one denominator. Strict "p" or
 "p/q" text, the form every rational file this package writes holds, is
-read with two `int` calls; ``fractions.Fraction`` is built only for an
-entry outside that form (through `coerce_scalar`, which also reads a
-single number), for returned scalars (`ratio`) and for the public
+read with two `int` calls and a Python or numpy integer is its own
+numerator over 1; ``fractions.Fraction`` is built only for an entry
+outside those forms (through `coerce_scalar`, which also reads a single
+number), for returned scalars (`ratio`) and for the public
 rational arrays, which `ratio_array` builds from the numerators. Every
 computation in between runs on the numerators, which enter a family or
 a measure through `held_numerators`. `format_entries` writes a
@@ -155,11 +156,13 @@ def numerators(data, mode: str, shape: tuple[int, ...] | None = None) -> tuple[n
     exactly the numerators of `coerce_scalar` on each entry over their
     lcm. A string in the strict form "p" or "p/q" (ASCII digits, an
     optional leading minus, q nonzero) is read with two `int` calls and
-    reduced by `math.gcd`; every other entry goes through `coerce_scalar`, so it is accepted or
-    refused as there. The lcm is refused once it has more decimal digits
-    than Python's integer string limit (4300 by default), the limit the
-    entries' own text is held to. Float mode gives a float64 copy over 1,
-    typed and checked for booleans and non-finite values in one pass each.
+    reduced by `math.gcd`, a Python or numpy integer (not a bool) is
+    itself over 1, and every other entry goes through `coerce_scalar`, so
+    it is accepted or refused as there. The lcm is refused once it has
+    more decimal digits than Python's integer string limit (4300 by
+    default), the limit the entries' own text is held to. Float mode
+    gives a float64 copy over 1, typed and checked for booleans and
+    non-finite values in one pass each.
 
     Entries are read in row-major order, so the first bad one is the one
     reported; `shape`, when given, is checked after they are read.
@@ -230,6 +233,8 @@ def _rational_pair(value) -> tuple[int, int]:
             else:
                 common = math.gcd(p, q)
                 return p // common, q // common
+    if type(value) is int or isinstance(value, np.integer):  # a bool is neither
+        return int(value), 1
     exact = coerce_scalar(value, RATIONAL)
     return exact.numerator, exact.denominator
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numeric
 from .errors import InputError
-from .scenario import DistributionFamily, Scenario, interleaved_to_stacked
+from .scenario import DistributionFamily, Scenario, interleaved_to_stacked, read_int
 
 TOL = 1e-9  # Hermitian asymmetry, trace, POVM closure and unit-direction checks
 EIGENVALUE_FLOOR = -1e-10
@@ -164,6 +164,7 @@ def born_family(q: QuantumScenario) -> DistributionFamily:
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
+    dim = read_int(dim, "dimension")
     if dim < 1:
         raise InputError("dimension must be positive")
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)

@@ -25,6 +25,11 @@ is held as numerators over one denominator (see `lqhv.numeric`); the
 check, the marginal means and the cross-family comparison run on those
 numerators. `extract_marginal_family` builds the `MarginalFamily` of a
 family on its validated numerators, mode and tolerance.
+
+Every integer a caller hands the library, here and in the other modules
+(counts, sites, settings, outcomes, bits, seeds), is read by one rule,
+`read_ints` or `read_int` for a single value: any integer type, numpy's
+included, never a bool, and an InputError naming the value otherwise.
 """
 
 from __future__ import annotations
@@ -46,6 +51,30 @@ from .numeric import Scalar
 SettingTuple = tuple[int, ...]
 
 
+def read_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """The one reader of the integers a caller hands the library: counts,
+    sites, settings, outcomes, bits and seeds. The entries of `values`,
+    each of any integer type (numpy's too) but never a bool, as Python
+    ints; anything else, or a `values` that is not iterable, raises
+    InputError "{what} {values!r} is not a sequence of integers"."""
+    try:
+        items = tuple(values)
+        if any(isinstance(v, (bool, np.bool_)) for v in items):
+            raise TypeError("a bool is not an integer")
+        return tuple(map(operator.index, items))
+    except TypeError as exc:
+        raise InputError(f"{what} {values!r} is not a sequence of integers") from exc
+
+
+def read_int(value, what: str) -> int:
+    """One integer read by `read_ints`; anything else raises InputError
+    "{what} must be an integer, got {value!r}"."""
+    try:
+        return read_ints((value,), what)[0]
+    except InputError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Shape of a correlation scenario: settings and outcomes per site."""
@@ -54,8 +83,10 @@ class Scenario:
     outcomes_per_site: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "settings_per_site", tuple(int(s) for s in self.settings_per_site))
-        object.__setattr__(self, "outcomes_per_site", tuple(int(k) for k in self.outcomes_per_site))
+        object.__setattr__(self, "settings_per_site",
+                           read_ints(self.settings_per_site, "settings_per_site"))
+        object.__setattr__(self, "outcomes_per_site",
+                           read_ints(self.outcomes_per_site, "outcomes_per_site"))
         if len(self.settings_per_site) != len(self.outcomes_per_site):
             raise InputError("settings_per_site and outcomes_per_site must have equal length")
         if self.n_parties < 1:
@@ -102,25 +133,22 @@ class Scenario:
 
     def axis_index(self, site: int, setting: int) -> int:
         """Joint-space axis of coordinate (site, setting), both 1-based."""
-        self.validate_site(site)
+        site, setting = self.validate_site(site), read_int(setting, "setting")
         if not 1 <= setting <= self.settings_per_site[site - 1]:
             raise InputError(f"setting {setting} out of range for site {site}")
         return self.coordinates.index((site, setting))
 
-    def validate_site(self, site: int) -> None:
+    def validate_site(self, site: int) -> int:
+        """The 1-based site label `site`, read by `read_int`, if in range."""
+        site = read_int(site, "site")
         if not 1 <= site <= self.n_parties:
             raise InputError(f"site {site} out of range 1..{self.n_parties}")
+        return site
 
     def validate_setting_tuple(self, s: Iterable[int]) -> SettingTuple:
-        """The tuple of 1-based settings `s`, each entry an integer (not a
-        bool) in range; anything else raises InputError naming `s`."""
-        try:
-            items = tuple(s)
-            if any(isinstance(v, (bool, np.bool_)) for v in items):
-                raise TypeError("a bool is not a setting")
-            st = tuple(map(operator.index, items))
-        except TypeError as exc:
-            raise InputError(f"setting tuple {s!r} is not a sequence of integers") from exc
+        """The tuple of 1-based settings `s`, read by `read_ints`, if each
+        is in range; anything else raises InputError naming `s`."""
+        st = read_ints(s, "setting tuple")
         if len(st) != self.n_parties:
             raise InputError(f"setting tuple {st} has {len(st)} entries, expected {self.n_parties}")
         for n, (v, s_max) in enumerate(zip(st, self.settings_per_site), start=1):
@@ -145,7 +173,7 @@ def interleaved_to_stacked(arr: np.ndarray) -> np.ndarray:
 
 
 def validate_sites(scenario: Scenario, sites: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(n) for n in sites)
+    out = read_ints(sites, "site subset")
     if len(out) == 0:
         raise InputError("site subset must be nonempty")
     if len(set(out)) != len(out):
@@ -404,7 +432,8 @@ class MarginalFamily(DistributionFamily):
         The group sum of G compatible tuples is divided by G exactly in
         rational mode: the passed check makes every entry a multiple of G.
         """
-        if validate_sites(self.scenario, sites) != tuple(sites):
+        sites = read_ints(sites, "site subset")
+        if validate_sites(self.scenario, sites) != sites:
             raise InputError(f"site subset {sites} is not increasing")
         other = tuple(m - 1 for m in self.scenario.sites if m not in sites)
         total = _subset_sums(self.numerators, self.scenario.n_parties, sites).sum(axis=other)
@@ -417,7 +446,7 @@ class MarginalFamily(DistributionFamily):
     def stacked_marginal(self, sites: tuple[int, ...]) -> np.ndarray:
         """Averaged marginals on increasing `sites`, a row per setting
         assignment (row-major); read-only, cached per subset."""
-        sites = tuple(sites)
+        sites = read_ints(sites, "site subset")
         if sites not in self._public:
             out = numeric.ratio_array(*self.marginal_numerators(sites))
             out.setflags(write=False)
@@ -425,13 +454,12 @@ class MarginalFamily(DistributionFamily):
         return self._public[sites]
 
     def get(self, sites: Iterable[int], settings: Iterable[int]) -> np.ndarray:
-        sites, settings = tuple(sites), tuple(settings)
+        sites, settings = read_ints(sites, "site subset"), read_ints(settings, "settings")
         marginals = self.stacked_marginal(sites)
         bounds = [self.scenario.settings_per_site[n - 1] for n in sites]
-        if len(settings) != len(sites) or not all(s in range(1, b + 1)
-                                                  for s, b in zip(settings, bounds)):
+        if len(settings) != len(sites) or not all(1 <= s <= b for s, b in zip(settings, bounds)):
             raise InputError(f"no marginal stored for sites {sites} at settings {settings}")
-        row = np.ravel_multi_index([int(s) - 1 for s in settings], bounds)
+        row = np.ravel_multi_index([s - 1 for s in settings], bounds)
         return marginals[row].reshape([self.scenario.outcomes_per_site[n - 1] for n in sites])
 
 

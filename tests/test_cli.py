@@ -102,6 +102,17 @@ class TestCheck:
     def test_missing_file_exits_one(self, capsys):
         assert main(["check", "/no/such/file.json"]) == 1
 
+    def test_signaling_json_report_carries_the_witness(self, signaling_file, capsys):
+        assert main(["check", signaling_file, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "consistency check failed\n"
+        consistency = json.loads(captured.out)["consistency"]
+        witness = L.check_nonsignaling(L.signaling_example())
+        assert consistency == {"passed": False, "witness": {
+            "site_subset": [2], "common_settings": list(witness.common_settings),
+            "tuple_a": list(witness.tuple_a), "tuple_b": list(witness.tuple_b),
+            "max_discrepancy": "1"}}
+
     def test_json_report(self, pr_file, capsys):
         assert main(["check", pr_file, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -196,6 +207,18 @@ class TestLhv:
         io.save_family(L.uniform_family(L.CHSH_SCENARIO), str(fam_path))
         assert main(["lhv", str(fam_path)]) == 0
         assert "verdict: feasible" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("make", [L.pr_box, lambda: L.uniform_family(L.CHSH_SCENARIO)],
+                             ids=["infeasible", "feasible"])
+    def test_json_report_embeds_the_verdict_file(self, make, tmp_path, capsys):
+        path = tmp_path / "family.json"
+        io.save_family(make(), str(path))
+        assert main(["lhv", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "output" not in report
+        verdict_path = tmp_path / "verdict.json"
+        assert main(["lhv", str(path), "-o", str(verdict_path)]) == 0
+        assert report["lhv"]["verdict"] == json.loads(verdict_path.read_text())
 
     def test_signaling_exits_two(self, signaling_file):
         assert main(["lhv", signaling_file]) == 2
@@ -319,6 +342,24 @@ class TestUndecodableFile:
         err = capsys.readouterr().err
         assert err.startswith("input error: ")
         assert f"{path} is not valid UTF-8 JSON" in err
+
+
+class TestMalformedStructure:
+    @pytest.mark.parametrize("command,data,message", [
+        ("check", {**PR_BOX_JSON, "tables": [["1/4"] * 4] * 4},
+         "'tables' must map setting tuples to entry lists"),
+        ("quantum", {**CHSH_QUANTUM_JSON, "site_dims": 2}, "'site_dims' must be a list"),
+        ("quantum", {**CHSH_QUANTUM_JSON, "povms": {"1": []}},
+         "'povms' must hold one setting list per site"),
+        ("quantum", {**CHSH_QUANTUM_JSON, "povms": [CHSH_QUANTUM_JSON["povms"][0], [3]]},
+         "site 2 setting 1: expected a list of effects"),
+    ], ids=["tables", "site-dims", "povms", "effects"])
+    def test_wrong_container_exits_one(self, command, data, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        argv = [command, str(path)] + (["-o", str(tmp_path / "out.json")] if command == "quantum" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 class TestMalformedCounts:

@@ -295,6 +295,29 @@ class TestIntegerPaths:
         assert objective == wide_objective == 0 and det == wide_det
         assert list(wide_x) == list(x * 2**40) and list(wide_y) == list(y)
 
+    @pytest.mark.parametrize("forced", ["first", "last"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_pivot_row_switch_matches_the_unforced_run(self, name, forced, monkeypatch):
+        # where an int64 check fails on its own, the block check fails
+        # first; a spy makes one pivot-row check fail instead
+        fam = ORACLE_FAMILIES[name]()
+        fits, checks, target = lp._fits, [], 0
+
+        def spy(block):
+            checks.append(block.ndim)
+            return fits(block) and not (block.ndim == 1 and checks.count(1) == target)
+        monkeypatch.setattr(lp, "_fits", spy)
+        unforced, unforced_checks = exact_solution(fam), list(checks)
+        target = 1 if forced == "first" else unforced_checks.count(1)
+        checks.clear()
+        assert target >= 1 and exact_solution(fam) == unforced
+        # the failed check was the last one: the tableau holds Python ints from then on
+        assert checks == unforced_checks[:len(checks)] and checks[-1] == 1
+        assert checks.count(1) == target
+        expected = dense_bland_phase1(L.marginal_matrix(fam.scenario).tolist(),
+                                      list(fam.stacked.reshape(-1)))
+        assert unforced[0] == expected
+
     @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES) + ["2^4-seed0", "2^4-seed1"])
     def test_float_pivots_match_former_loop_bit_for_bit(self, name):
         if name.startswith("2^4"):

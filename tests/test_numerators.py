@@ -1,21 +1,27 @@
 """Table entries read in one pass agree with the per-table oracle.
 
 `numeric.numerators` and the mapping constructor of `DistributionFamily`
-read every entry once, strict "p/q" text with two `int` calls and the
-rest through `coerce_scalar`. Each example compares them with
+read every entry once, strict "p/q" text with two `int` calls, a Python
+or numpy integer as its own numerator and the rest through
+`coerce_scalar`. Each example compares them with
 `oracles.per_table_family`, which coerces one table at a time into
 `Fraction` or float arrays: the numerators and the denominator must be
-equal, or the error type and message must be the same.
+equal, or the error type and message must be the same. Integer entries
+are also compared with every entry read as a `Fraction`.
 """
 
+import math
+import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqhv as L
 from lqhv import io, numeric
+from lqhv.errors import InputError
 from lqhv.scenario import DistributionFamily, Scenario
 from oracles import per_table_family
 from test_loader_fuzz import FAMILIES, JSON_VALUES, PICK, mutate
@@ -108,3 +114,40 @@ def test_mutated_documents_match_the_oracle(doc, pick, value):
     with mock.patch.object(io, "DistributionFamily", oracle_family):
         expected = outcome(lambda: family_numerators(io.family_from_json(doc)))
     assert got == expected
+
+
+INTEGERS = st.one_of(st.integers(min_value=-10**30, max_value=10**30),
+                     st.integers(min_value=-128, max_value=127).map(np.int8),
+                     st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64))
+
+
+def fraction_numerators(entries):
+    """Numerators over one denominator with every entry read as a Fraction."""
+    exact = [numeric.coerce_scalar(v, L.RATIONAL) for v in entries]
+    denominator = math.lcm(*(v.denominator for v in exact))
+    values = np.empty(len(exact), dtype=object)
+    values[:] = [v.numerator * (denominator // v.denominator) for v in exact]
+    return values, denominator
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(INTEGERS, st.booleans(), st.sampled_from(["1/2", "-3/6", "7", "0.25"])),
+                min_size=1, max_size=8))
+def test_integer_entries_match_the_fraction_path(entries):
+    got = outcome(numeric.numerators, entries, L.RATIONAL)
+    assert got == outcome(fraction_numerators, entries)
+    if got[0] == object:
+        assert all(type(v) is int for v in got[2])
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint32, object])
+def test_integer_arrays_match_the_fraction_path(dtype):
+    data = np.array([[3, 0], [7, 1]], dtype=dtype)
+    assert outcome(numeric.numerators, data, L.RATIONAL) == outcome(
+        lambda d: (fraction_numerators(d.reshape(-1).tolist())[0].reshape(d.shape), 1), data)
+
+
+@pytest.mark.parametrize("flag", [True, np.False_], ids=repr)
+def test_bools_are_refused_with_the_same_message(flag):
+    with pytest.raises(InputError, match=re.escape(f"{flag!r} is not a number")):
+        numeric.numerators([1, flag], L.RATIONAL)

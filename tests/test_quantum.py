@@ -48,6 +48,26 @@ class TestValidation:
         with pytest.raises(InputError, match="unit"):
             L.projective_qubit_povm((0.0, 0.0, 2.0))
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: L.DensityMatrix(np.ones((2, 3)) / 2), "must be a square matrix, got shape (2, 3)"),
+        (lambda: L.DensityMatrix(np.diag([np.nan, 1.0])), "has non-finite entries"),
+        (lambda: L.POVM((np.eye(2), np.zeros((3, 3)))), "mismatched dimensions"),
+        (lambda: L.QuantumScenario(L.maximally_mixed(2), []), "at least one POVM"),
+        (lambda: L.QuantumScenario(L.maximally_mixed(2), [[]]), "at least one POVM"),
+        (lambda: L.QuantumScenario(L.maximally_mixed(2), [[L.projective_qubit_povm(Z),
+                                                          L.POVM((np.eye(3),))]]),
+         "site 1 POVMs act on different dimensions"),
+        (lambda: L.QuantumScenario(L.maximally_mixed(2), [[L.projective_qubit_povm(Z),
+                                                          L.POVM((np.eye(2),))]]),
+         "site 1 POVMs disagree on the outcome count"),
+        (lambda: L.maximally_mixed(0), "dimension must be positive"),
+        (lambda: L.projective_qubit_povm((1.0, 0.0)), "direction must be a 3-vector"),
+    ], ids=["not-square", "non-finite", "effect-dims", "no-sites", "empty-site", "site-dims",
+            "site-outcomes", "zero-dimension", "short-direction"])
+    def test_malformed_input_is_refused(self, make, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            make()
+
     def test_projective_effects_idempotent(self):
         povm = L.projective_qubit_povm((0.6, 0.0, 0.8))
         for effect in povm.effects:
