@@ -16,7 +16,7 @@ family a generator returns is the only one it validates, through one
 `DistributionFamily.from_numerators` call; nothing is parsed. The 24
 extremal CHSH boxes are one cached read-only int8 stack, so a random
 CHSH mixture builds no family per vertex. Outcomes, bits and seeds are
-read by `scenario.read_ints`, so a float, a bool or text is refused.
+read by `numeric.read_ints`, so a float, a bool or text is refused.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def uniform_family(scenario: Scenario, mode: str = numeric.RATIONAL) -> Distribu
 def _point_mass(scenario: Scenario, assignment: Sequence[Sequence[int]]) -> np.ndarray:
     """Stacked 0/1 int8 tensor, over denominator 1, of the point-mass product
     family in which site n reports `assignment[n-1][s-1]` under setting s."""
-    if len(assignment) != scenario.n_parties:
-        raise InputError(f"assignment must cover {scenario.n_parties} sites")
+    if not hasattr(assignment, "__len__") or len(assignment) != scenario.n_parties:
+        raise InputError(f"assignment {assignment!r} must cover {scenario.n_parties} sites")
     points = []
     for n, (site, s, k) in enumerate(zip(assignment, scenario.settings_per_site,
                                          scenario.outcomes_per_site), start=1):

@@ -44,17 +44,21 @@ from .scenario import (
     Scenario,
     extract_marginal_family,
     interleaved_to_stacked,
+    read_int,
     read_ints,
 )
 
 DEFAULT_ATOM_BUDGET = 10_000_000
 
 
-def _check_atom_budget(scenario: Scenario, budget: int) -> None:
-    """Refuse a joint space of more than `budget` atoms before any is allocated."""
+def _check_atom_budget(scenario: Scenario, budget: int) -> int:
+    """The budget read by `read_int`; a joint space of more atoms than it
+    is refused before any is allocated."""
+    budget = read_int(budget, "budget")
     if scenario.joint_size > budget:
         raise AtomBudgetError(
             f"joint space holds {scenario.joint_size} atoms, over the budget {budget}")
+    return budget
 
 
 class SignedMeasure:
@@ -320,7 +324,8 @@ def build_deterministic_measure(family: DistributionFamily, *,
         tolerance and numerators all come from that one family.
     budget:
         Refuse joint spaces with more atoms than this instead of
-        allocating them.
+        allocating them. It is read by `numeric.read_int`, so a bool, a
+        float or text raises InputError.
 
     Returns
     -------

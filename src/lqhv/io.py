@@ -4,16 +4,18 @@ Family files:
     {"parties": [{"settings": S_n, "outcomes": K_n}, ...],
      "mode": "rational" | "float",
      "tables": {"s1,s2,...,sN": [row-major entries], ...}}
-Setting keys are 1-based and comma-joined, one key per tuple: keys that
-read as one tuple, such as "1,1" and "01,1", are refused, as is a key
-repeated in any object of any file. Rational entries are "p/q" strings,
-float entries JSON numbers.
+Setting keys are 1-based and comma-joined: a key (and the CLI's --tuple)
+is comma-separated ASCII digits, leading zeros allowed, so "+1,1",
+" 1,1" and "1_0" are malformed. One key per tuple: keys that read as one
+tuple, such as "1,1" and "01,1", are refused, as is a key repeated in
+any object of any file. Rational entries are "p/q" strings, float
+entries JSON numbers.
 
 Every count and label in a file (a party's "settings" and "outcomes", a
 measure axis' "site", "setting" and "outcomes", the "site_dims" of a
 quantum file) is a JSON integer or an integral number such as 2.0, which
 reads as 2; text such as "2", true/false and any other number are
-refused. Past that one leniency it is read by `lqhv.scenario.read_int`,
+refused. Past that one leniency it is read by `lqhv.numeric.read_int`,
 the rule every integer a caller hands the library is read by.
 
 Accepted entries, in tables and in measure atoms alike: in rational mode,
@@ -50,9 +52,12 @@ Quantum scenario files:
     {"site_dims": [d_n, ...], "rho": [[[re, im], ...], ...],
      "povms": [[[effect, ...] per setting] per site]}
 with every complex entry a two-element [re, im] array and every effect a
-nested matrix. `DensityMatrix`, `POVM` and `QuantumScenario` hold every
-other rule, within `lqhv.quantum.TOL`, and "site_dims" must equal the
-`site_dims` that `QuantumScenario` computes from the POVMs. A family's
+nested matrix of them. A matrix's pairs are read at once by the rule of
+float table entries (`numeric.numerators` in float mode): JSON numbers
+or text `float` reads, never true/false, null or a non-finite value.
+`DensityMatrix`, `POVM` and `QuantumScenario` hold every other rule,
+within `lqhv.quantum.TOL`, and "site_dims" must equal the `site_dims`
+that `QuantumScenario` computes from the POVMs. A family's
 tolerance is fixed when it is read: the `tol` given to `load_family` (the
 CLI's `--tol`), else LQHV_TOL, else 1e-9; a rational family's is 0.
 
@@ -93,6 +98,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import signal
 import stat
 import warnings
@@ -133,11 +139,18 @@ def tuple_key(setting_tuple) -> str:
     return ",".join(str(s) for s in setting_tuple)
 
 
+# a setting-tuple key: comma-separated ASCII digits, leading zeros allowed
+_TUPLE_KEY = re.compile(r"[0-9]+(?:,[0-9]+)*")
+
+
 def parse_tuple_key(key: str) -> tuple[int, ...]:
-    try:
-        return tuple(map(int, key.split(",")))
-    except ValueError as exc:
-        raise InputError(f"malformed setting-tuple key {key!r}") from exc
+    """The setting tuple a table key or the CLI's --tuple names; a key that
+    is not `_TUPLE_KEY` text, or has a field past the interpreter's digit
+    limit, raises InputError."""
+    if _TUPLE_KEY.fullmatch(key):
+        with contextlib.suppress(ValueError):  # a field past the digit limit
+            return tuple(map(int, key.split(",")))
+    raise InputError(f"malformed setting-tuple key {key!r}")
 
 
 def family_to_json(family: DistributionFamily) -> dict:
@@ -243,20 +256,16 @@ def verdict_to_json(verdict: LhvVerdict) -> dict:
     }
 
 
-def _complex_entry(value: Any, where: str) -> complex:
-    if (not isinstance(value, (list, tuple))) or len(value) != 2:
-        raise InputError(f"{where}: complex entries must be [re, im] pairs")
-    try:
-        return complex(float(value[0]), float(value[1]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{where}: bad complex entry {value!r}") from exc
-
-
 def _complex_matrix(rows: Any, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or not all(
-            isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
-        raise InputError(f"{where}: expected a matrix of equal-length rows")
-    return np.array([[_complex_entry(v, where) for v in row] for row in rows], dtype=complex)
+    """A matrix of [re, im] pairs, all read at once by the float-table
+    reader `numeric.numerators`, as a complex array."""
+    try:
+        pairs = numeric.numerators(rows, numeric.FLOAT)[0]
+    except InputError as exc:
+        raise InputError(f"{where}: expected a matrix of [re, im] pairs: {exc}") from exc
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise InputError(f"{where}: expected a matrix of [re, im] pairs, got shape {pairs.shape}")
+    return pairs.view(complex)[..., 0]  # each C-ordered (re, im) pair is one complex
 
 
 def _matrix_json(matrix: np.ndarray) -> list:

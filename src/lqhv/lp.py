@@ -297,8 +297,9 @@ def lhv_feasible(family: DistributionFamily, *, budget: int = DEFAULT_ATOM_BUDGE
     The family must pass the consistency check first (a signaling family
     has no simulating measure of any sign, so the question is not posed).
     Every comparison is made within the family's tolerance `family.tol`.
-    `budget` caps both the atom count and the simplex tableau's cells,
-    rows x (atoms + rows + 1), and is enforced before anything is built;
+    `budget`, read by `numeric.read_int`, caps both the atom count and
+    the simplex tableau's cells, rows x (atoms + rows + 1), and is
+    enforced before anything is built;
     the simplex itself stops with AtomBudgetError after `PIVOT_BUDGET`
     pivots per constraint row and atom.
     Feasible instances return the witness measure; infeasible ones return
@@ -307,7 +308,7 @@ def lhv_feasible(family: DistributionFamily, *, budget: int = DEFAULT_ATOM_BUDGE
     failed check raises RepresentationError.
     """
     scenario = family.scenario
-    _check_atom_budget(scenario, budget)
+    budget = _check_atom_budget(scenario, budget)
     n_rows = scenario.n_tuples * math.prod(scenario.table_shape)
     cells = n_rows * (scenario.joint_size + n_rows + 1)
     if cells > budget:

@@ -23,6 +23,11 @@ a measure through `held_numerators`. `format_entries` writes a
 numerator array and `format_scalar` one result by its type; both refuse,
 with AtomBudgetError, an integer past the interpreter's digit limit.
 
+Every integer a caller hands the library (counts, sites, settings,
+outcomes, bits, seeds, denominators, budgets) is read by `read_ints`, or
+`read_int` for one value, and every tolerance by `coerce_scalar` in
+float mode, the float-table rule: never a bool, and always finite.
+
 There is one comparison rule for both modes: two values agree when they
 differ by at most the tolerance, and a value clears a floor when it is
 not below minus the tolerance. `tolerance` resolves that tolerance, and
@@ -35,12 +40,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import re
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -59,18 +65,20 @@ def tolerance(mode: str, tol: float | None = None) -> float:
     """Comparison tolerance of a mode: `tol`, else the LQHV_TOL env var,
     else 1e-9, and always 0 in rational mode, where comparisons are exact.
 
-    The value must be a finite nonnegative number in either mode.
+    The value, read by `coerce_scalar` in float mode (so LQHV_TOL's text
+    parses and a bool is refused), must be finite and nonnegative in
+    either mode; the InputError otherwise names its source.
     """
     source = "tolerance"
     if tol is None:
         tol = os.environ.get("LQHV_TOL", DEFAULT_TOL)
         source = "LQHV_TOL"
     try:
-        value = float(tol)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{source} is not a number: {tol!r}") from exc
-    if not (math.isfinite(value) and value >= 0):
-        raise InputError(f"{source} must be finite and nonnegative, got {tol!r}")
+        value = coerce_scalar(tol, FLOAT)
+    except InputError as exc:
+        raise InputError(f"{source} must be a finite nonnegative number, got {tol!r}") from exc
+    if value < 0:
+        raise InputError(f"{source} must be a finite nonnegative number, got {tol!r}")
     return 0 if mode == RATIONAL else value
 
 
@@ -79,6 +87,31 @@ def mass_tolerance(tol: float) -> float:
     model held to `tol`: `tol`, but at least 1e-12, since a float build
     rounds. A rational measure's tolerance is 0 all the same."""
     return max(tol, 1e-12)
+
+
+def read_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """The one reader of the integers a caller hands the library: counts,
+    sites, settings, outcomes, bits, seeds, denominators and budgets. The
+    entries of `values`, each of any integer type (numpy's too) but never
+    a bool, as Python ints; anything else, or a `values` that is not
+    iterable, raises InputError "{what} {values!r} is not a sequence of
+    integers"."""
+    try:
+        items = tuple(values)
+        if any(isinstance(v, (bool, np.bool_)) for v in items):
+            raise TypeError("a bool is not an integer")
+        return tuple(map(operator.index, items))
+    except TypeError as exc:
+        raise InputError(f"{what} {values!r} is not a sequence of integers") from exc
+
+
+def read_int(value, what: str) -> int:
+    """One integer read by `read_ints`; anything else raises InputError
+    "{what} must be an integer, got {value!r}"."""
+    try:
+        return read_ints((value,), what)[0]
+    except InputError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_mode(mode: str) -> str:
@@ -168,7 +201,7 @@ def numerators(data, mode: str, shape: tuple[int, ...] | None = None) -> tuple[n
     reported; `shape`, when given, is checked after they are read.
     """
     if mode == FLOAT:
-        if _holds_bool(data):
+        if holds_bool(data):
             raise InputError("true/false is not a number")
         try:
             values = np.array(data, dtype=float)
@@ -252,14 +285,14 @@ def flat_entries(data) -> tuple[list, tuple[int, ...]]:
     return arr.reshape(-1).tolist(), arr.shape
 
 
-def _holds_bool(data) -> bool:
+def holds_bool(data) -> bool:
     """Whether nested lists or an array hold a boolean anywhere.
 
     A list of plain numbers, the shape of a parsed table row, is settled
     by one C-level pass over its element types; anything else recurses.
     """
     if isinstance(data, (list, tuple)):
-        return not set(map(type, data)) <= _PLAIN_NUMBERS and any(map(_holds_bool, data))
+        return not set(map(type, data)) <= _PLAIN_NUMBERS and any(map(holds_bool, data))
     if isinstance(data, np.ndarray):
         if data.dtype == object:
             return any(isinstance(v, (bool, np.bool_)) for v in data.flat)
@@ -289,10 +322,14 @@ def ratio_array(numerators: np.ndarray, denominator: int) -> np.ndarray:
 
 def held_numerators(numerators: np.ndarray, denominator: int, mode: str) -> tuple[np.ndarray, int]:
     """Numerators over a positive denominator as a family or measure holds
-    them, the inverse of `ratio_array`. Rational mode holds integers of any
+    them, the inverse of `ratio_array`. The denominator is read by
+    `read_int` and must be at least 1. Rational mode holds integers of any
     dtype as Python ints (an object array is taken over) and refuses other
     dtypes with InputError. Float mode holds the correctly rounded quotients
     over 1 (floats over 1 are taken over); past 2^53 it divides Python ints."""
+    denominator = read_int(denominator, "denominator")
+    if denominator < 1:
+        raise InputError(f"denominator must be positive, got {denominator}")
     kind = numerators.dtype.kind
     if mode == RATIONAL:
         if kind not in "iuO":

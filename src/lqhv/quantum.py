@@ -10,6 +10,10 @@ at desk scale.
 The canonical two-qubit material (singlet state, Bloch-direction
 projective measurements, the setting choice maximizing the CHSH
 combination) lives here as well.
+
+A state's matrix and every POVM effect are read by one reader,
+`_psd_matrix`: no bool, finite, square, Hermitian within `TOL`, no
+eigenvalue below `EIGENVALUE_FLOOR`, held as a read-only copy.
 """
 
 from __future__ import annotations
@@ -33,19 +37,29 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _as_square_complex(matrix, what: str) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+def _psd_matrix(matrix, what: str) -> np.ndarray:
+    """`matrix` as a read-only complex array, copied: its entries follow
+    the float-table rule of `numeric.numerators` (no bool, all finite),
+    and it must be square, Hermitian within `TOL` and have no eigenvalue
+    below `EIGENVALUE_FLOOR`. Anything else raises InputError naming `what`."""
+    if numeric.holds_bool(matrix):
+        raise InputError(f"{what} holds true/false, which is not a number")
+    try:
+        arr = np.array(matrix, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} is not a complex matrix: {exc}") from exc
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise InputError(f"{what} must be a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{what} has non-finite entries")
-    return arr
-
-
-def _check_hermitian(arr: np.ndarray, what: str) -> None:
     gap = np.abs(arr - arr.conj().T).max()
     if gap > TOL:
         raise InputError(f"{what} is not Hermitian (asymmetry {gap:.3e})")
+    low = np.linalg.eigvalsh(arr).min()
+    if low < EIGENVALUE_FLOOR:
+        raise InputError(f"{what} has eigenvalue {low:.3e} below the floor")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -55,15 +69,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _as_square_complex(self.matrix, "density matrix")
-        _check_hermitian(arr, "density matrix")
-        trace = arr.trace()
-        if abs(trace - 1.0) > TOL:
-            raise InputError(f"density matrix trace is {trace:.6g}, not 1")
-        low = np.linalg.eigvalsh(arr).min()
-        if low < EIGENVALUE_FLOOR:
-            raise InputError(f"density matrix has eigenvalue {low:.3e} below the floor")
-        arr.setflags(write=False)
+        arr = _psd_matrix(self.matrix, "density matrix")
+        if abs(arr.trace() - 1.0) > TOL:
+            raise InputError(f"density matrix trace is {arr.trace():.6g}, not 1")
         object.__setattr__(self, "matrix", arr)
 
     @property
@@ -80,22 +88,13 @@ class POVM:
     def __post_init__(self):
         if len(self.effects) == 0:
             raise InputError("POVM needs at least one effect")
-        arrs = []
-        for i, effect in enumerate(self.effects):
-            arr = _as_square_complex(effect, f"effect {i}")
-            _check_hermitian(arr, f"effect {i}")
-            if arrs and arr.shape != arrs[0].shape:
-                raise InputError("POVM effects have mismatched dimensions")
-            low = np.linalg.eigvalsh(arr).min()
-            if low < EIGENVALUE_FLOOR:
-                raise InputError(f"effect {i} has eigenvalue {low:.3e} below the floor")
-            arr.setflags(write=False)
-            arrs.append(arr)
-        closure = sum(arrs) - np.eye(arrs[0].shape[0], dtype=complex)
-        gap = np.abs(closure).max()
+        arrs = tuple(_psd_matrix(effect, f"effect {i}") for i, effect in enumerate(self.effects))
+        if len({arr.shape for arr in arrs}) != 1:
+            raise InputError("POVM effects have mismatched dimensions")
+        gap = np.abs(sum(arrs) - np.eye(arrs[0].shape[0], dtype=complex)).max()
         if gap > TOL:
             raise InputError(f"POVM effects sum misses the identity by {gap:.3e}")
-        object.__setattr__(self, "effects", tuple(arrs))
+        object.__setattr__(self, "effects", arrs)
 
     @property
     def dim(self) -> int:
@@ -183,9 +182,14 @@ def projective_qubit_povm(direction: Sequence[float]) -> POVM:
 
     Outcome 0 is the +1 eigenvalue projector (I + n.sigma)/2, outcome 1
     the -1 projector, matching the sign convention of the +-1 outcome
-    encoding used for correlators.
+    encoding used for correlators. `direction` is read by the float-table
+    reader `numeric.numerators`, so a bool or a non-finite entry raises
+    InputError.
     """
-    n = np.asarray(direction, dtype=float)
+    try:
+        n = numeric.numerators(direction, numeric.FLOAT)[0]
+    except InputError as exc:
+        raise InputError(f"direction {direction!r}: {exc}") from exc
     if n.shape != (3,):
         raise InputError("direction must be a 3-vector")
     norm = float(np.linalg.norm(n))

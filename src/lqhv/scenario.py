@@ -27,8 +27,9 @@ numerators. `extract_marginal_family` builds the `MarginalFamily` of a
 family on its validated numerators, mode and tolerance.
 
 Every integer a caller hands the library, here and in the other modules
-(counts, sites, settings, outcomes, bits, seeds), is read by one rule,
-`read_ints` or `read_int` for a single value: any integer type, numpy's
+(counts, sites, settings, outcomes, bits, seeds, denominators, budgets),
+is read by one rule, `numeric.read_ints` or `numeric.read_int` for a
+single value, which this module imports: any integer type, numpy's
 included, never a bool, and an InputError naming the value otherwise.
 """
 
@@ -37,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -46,33 +46,9 @@ import numpy as np
 
 from . import numeric
 from .errors import InputError, SignalingError
-from .numeric import Scalar
+from .numeric import Scalar, read_int, read_ints
 
 SettingTuple = tuple[int, ...]
-
-
-def read_ints(values: Iterable, what: str) -> tuple[int, ...]:
-    """The one reader of the integers a caller hands the library: counts,
-    sites, settings, outcomes, bits and seeds. The entries of `values`,
-    each of any integer type (numpy's too) but never a bool, as Python
-    ints; anything else, or a `values` that is not iterable, raises
-    InputError "{what} {values!r} is not a sequence of integers"."""
-    try:
-        items = tuple(values)
-        if any(isinstance(v, (bool, np.bool_)) for v in items):
-            raise TypeError("a bool is not an integer")
-        return tuple(map(operator.index, items))
-    except TypeError as exc:
-        raise InputError(f"{what} {values!r} is not a sequence of integers") from exc
-
-
-def read_int(value, what: str) -> int:
-    """One integer read by `read_ints`; anything else raises InputError
-    "{what} must be an integer, got {value!r}"."""
-    try:
-        return read_ints((value,), what)[0]
-    except InputError:
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

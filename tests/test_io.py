@@ -63,11 +63,16 @@ class TestFamilyFiles:
         with pytest.raises(InputError, match="never renormalized"):
             io.family_from_json(data)
 
-    @pytest.mark.parametrize("first,second", [("1,1", "01,1"), ("1,1", " 1,1"), ("2,1", "2,+1")])
-    def test_keys_naming_one_tuple_rejected(self, first, second):
+    @pytest.mark.parametrize("second,message", [
+        pytest.param("01,1", "'1,1' and '01,1' name one", id="1,1-01,1"),
+        # a key that is not comma-separated ASCII digits is malformed on its own
+        pytest.param(" 1,1", "malformed setting-tuple key ' 1,1'", id="1,1- 1,1"),
+        pytest.param("2,+1", "malformed setting-tuple key '2,+1'", id="2,1-2,+1"),
+    ])
+    def test_keys_naming_one_tuple_rejected(self, second, message):
         data = io.family_to_json(L.pr_box())
         data["tables"][second] = ["1/4"] * 4
-        with pytest.raises(InputError, match=re.escape(f"{first!r} and {second!r} name one")):
+        with pytest.raises(InputError, match=re.escape(message)):
             io.family_from_json(data)
 
     def test_file_round_trip(self, tmp_path):
