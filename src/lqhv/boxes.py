@@ -91,7 +91,9 @@ def _mix(scenario: Scenario, tensors: Sequence[np.ndarray], denominators: Sequen
     """Convex mixture of the stacked tensors `tensors[i]` over
     `denominators[i]`, with the weights read in `mode` and normalized.
 
-    Float mode divides each weight by the weights' float total and adds
+    The weights are read by one `numeric.numerators` call; anything but a
+    flat list of numbers raises InputError naming them. Float mode
+    divides each weight by the weights' float total and adds
     weight_i * (tensors[i] / denominators[i]) in component order, from 0,
     one component's quotients at a time.
     Rational mode reads the weights as integers over one denominator,
@@ -99,10 +101,13 @@ def _mix(scenario: Scenario, tensors: Sequence[np.ndarray], denominators: Sequen
     normalized weights over their least common denominator, total / g.
     """
     mode = numeric.check_mode(mode)
-    if mode == numeric.FLOAT:
-        w = [numeric.coerce_scalar(v, mode) for v in weights]
-    else:
-        w = numeric.numerators(list(weights), mode)[0].tolist()
+    try:
+        w = numeric.numerators(weights, mode)[0]
+    except InputError as exc:
+        raise InputError(f"weights {weights!r}: {exc}") from exc
+    if w.ndim != 1:
+        raise InputError(f"weights {weights!r} must be a flat list of numbers")
+    w = w.tolist()
     if any(v < 0 for v in w):
         raise InputError("weights must be nonnegative")
     total = sum(w)

@@ -464,9 +464,10 @@ class StochasticLqHVModel:
         if not numeric.is_close(total, self.nu_denominator, self.tol):
             raise InputError(f"nu sums to {numeric.ratio(total, self.nu_denominator, mode)}, not 1")
         rows = []
-        for n, site_conds in enumerate(conditionals, start=1):
+        for n, site_conds in enumerate(numeric.read_list(conditionals, "conditionals"), start=1):
             site_rows = []
-            for s, matrix in enumerate(site_conds, start=1):
+            for s, matrix in enumerate(numeric.read_list(site_conds, f"site {n} conditionals"),
+                                       start=1):
                 arr, den = numeric.numerators(matrix, self.mode)
                 arr.setflags(write=False)
                 if arr.ndim != 2 or arr.shape[0] != self.omega_size or arr.size == 0:

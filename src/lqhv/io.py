@@ -54,7 +54,9 @@ Quantum scenario files:
 with every complex entry a two-element [re, im] array and every effect a
 nested matrix of them. A matrix's pairs are read at once by the rule of
 float table entries (`numeric.numerators` in float mode): JSON numbers
-or text `float` reads, never true/false, null or a non-finite value.
+or text `float` reads, never true/false, null or a non-finite value; a
+ragged matrix is refused naming the entry that breaks its shape, as an
+index path such as [0][0].
 `DensityMatrix`, `POVM` and `QuantumScenario` hold every other rule,
 within `lqhv.quantum.TOL`, and "site_dims" must equal the `site_dims`
 that `QuantumScenario` computes from the POVMs. A family's
@@ -65,11 +67,15 @@ Every file and every `--json` report goes through one writer,
 `write_json`. Its output is byte for byte what
 `json.dump(data, fh, indent=2, sort_keys=True)` followed by a line break
 writes, for any JSON value of dicts with str keys, lists, tuples and
-scalars, where an `Entries` sequence stands for the list it holds. It
-walks dicts and lists as that encoder does, but a list of plain scalars
-(str, int, float, bool, None) goes through the C encoder in pieces of
-`_CHUNK` entries, so the text of a large list is never held whole and
-never formatted entry by entry in Python.
+scalars, where an `Entries` sequence stands for the list it holds. `json`
+lays out each document with one `json.dumps` call, in which every
+nonempty list of plain scalars (str, int, float, bool, None) and every
+`Entries` stands as one marker string, a NUL and random hex fresh for
+each call. The writer then writes the text up to each marker and
+streams that list in its place, two spaces deeper than the marker's
+line, through the C encoder in pieces of `_CHUNK` entries, so the text
+of a large list is never held whole and never formatted entry by entry
+in Python. No text the CLI writes holds a NUL, since no path can.
 
 A scalar list of at least 2·`_PIECE` entries is formatted by one process
 per CPU (`os.sched_getaffinity`), each with at least `_PIECE` entries:
@@ -445,43 +451,38 @@ def _reap(pid: int, pipe) -> None:
     os.waitpid(pid, 0)
 
 
-def _write(value: Any, fh, newline: str) -> None:
-    """Write one value the way json's indent=2, sort_keys=True encoder
-    does, `newline` being the line break plus the value's indentation."""
+def _marked(value: Any, marker: str, lists: list, newline: str = "\n") -> Any:
+    """`value` with each nonempty scalar list and each `Entries` replaced by
+    `marker`, in the order json lays them out; each goes to `lists` with
+    `newline`, the line break plus the indentation of the marker's line."""
     if isinstance(value, dict):
-        if not value:
-            fh.write("{}")
-            return
-        inner, sep = newline + "  ", "{"
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
-            fh.write(sep + inner + json.dumps(key) + ": ")
-            _write(value[key], fh, inner)
-            sep = ","
-        fh.write(newline + "}")
-    elif isinstance(value, (list, tuple, Entries)):
-        if not value:
-            fh.write("[]")
-            return
-        inner, sep = newline + "  ", "["
-        if isinstance(value, Entries) or set(map(type, value)) <= numeric.JSON_SCALARS:
-            _write_scalars(value, fh, inner)
-        else:
-            for item in value:
-                fh.write(sep + inner)
-                _write(item, fh, inner)
-                sep = ","
-        fh.write(newline + "]")
-    else:
-        fh.write(json.dumps(value))
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        return {key: _marked(value[key], marker, lists, newline + "  ") for key in sorted(value)}
+    # `type(...) is Entries`: isinstance on a Sequence subclass is far slower
+    if isinstance(value, (list, tuple)) or type(value) is Entries:
+        if value and (type(value) is Entries or set(map(type, value)) <= numeric.JSON_SCALARS):
+            lists.append((value, newline))
+            return marker
+        return [_marked(item, marker, lists, newline + "  ") for item in value]
+    return value
 
 
 def write_json(data: Any, fh) -> None:
     """Write `data` and a line break to the text stream `fh`, byte for byte
-    as `json.dump(data, fh, indent=2, sort_keys=True)` and "\\n" would."""
-    _write(data, fh, "\n")
-    fh.write("\n")
+    as `json.dump(data, fh, indent=2, sort_keys=True)` and "\\n" would:
+    json lays out the document with a marker in place of each scalar list,
+    and each list is streamed by `_write_scalars` where its marker stands."""
+    marker, lists = "\0" + os.urandom(16).hex(), []
+    # `_marked` builds a fresh tree, which holds no cycle for json to look for
+    text = json.dumps(_marked(data, marker, lists), indent=2, sort_keys=True,
+                      check_circular=False)
+    *heads, tail = text.split(json.dumps(marker))
+    for head, (value, newline) in zip(heads, lists):
+        fh.write(head)
+        _write_scalars(value, fh, newline + "  ")
+        fh.write(newline + "]")
+    fh.write(tail + "\n")
 
 
 def dump_json(data: Any, path: str) -> None:

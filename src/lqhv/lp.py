@@ -121,11 +121,13 @@ class LhvVerdict:
 def certificate_gap(certificate: np.ndarray, family: DistributionFamily) -> Scalar:
     """Value y.b of a certificate on a family; positive proves infeasibility.
 
-    The certificate is read into the family's mode as numerators once."""
+    The certificate, an array or a list, is read into the family's mode as
+    numerators once, before its length is compared."""
+    y, denominator = numeric.numerators(certificate, family.mode)
     rows = family.numerators.size
-    if certificate.shape != (rows,):
-        raise InputError(f"certificate has {certificate.shape[0]} rows, family needs {rows}")
-    return _gap(*numeric.numerators(certificate, family.mode), family)
+    if y.shape != (rows,):
+        raise InputError(f"certificate has {len(np.atleast_1d(y))} rows, family needs {rows}")
+    return _gap(y, denominator, family)
 
 
 def _gap(y: np.ndarray, denominator: int, family: DistributionFamily) -> Scalar:

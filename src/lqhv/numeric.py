@@ -11,22 +11,28 @@ are held as a numerator array over one denominator:
 - float: the float64 array itself over the denominator 1.
 
 `numerators` is the one input coercion: it reads nested table or atom
-data in one pass into numerators over one denominator. Strict "p" or
-"p/q" text, the form every rational file this package writes holds, is
-read with two `int` calls and a Python or numpy integer is its own
-numerator over 1; ``fractions.Fraction`` is built only for an entry
-outside those forms (through `coerce_scalar`, which also reads a single
-number), for returned scalars (`ratio`) and for the public
-rational arrays, which `ratio_array` builds from the numerators. Every
-computation in between runs on the numerators, which enter a family or
-a measure through `held_numerators`. `format_entries` writes a
-numerator array and `format_scalar` one result by its type; both refuse,
-with AtomBudgetError, an integer past the interpreter's digit limit.
+data in one pass into numerators over one denominator. In rational mode
+each entry is read by `_rational_pair`, the one rational reader: strict
+"p" or "p/q" text, the form every rational file this package writes
+holds, with two `int` calls, a Python or numpy integer as its own
+numerator over 1, and ``fractions.Fraction`` only for other text, a
+Fraction or a float. `coerce_scalar` reads a single number, in rational
+mode as the Fraction of `_rational_pair`. Fractions are otherwise built
+only for returned scalars (`ratio`) and for the public rational arrays,
+which `ratio_array` builds from the numerators. In float mode, nested
+lists numpy cannot stack are refused naming the entry that breaks their
+shape, as an index path such as [0][0]. Every computation in between
+runs on the numerators, which enter a family or a measure through
+`held_numerators`. `format_entries` writes a numerator array and
+`format_scalar` one result by its type; both refuse, with
+AtomBudgetError, an integer past the interpreter's digit limit.
 
 Every integer a caller hands the library (counts, sites, settings,
 outcomes, bits, seeds, denominators, budgets) is read by `read_ints`, or
 `read_int` for one value, and every tolerance by `coerce_scalar` in
-float mode, the float-table rule: never a bool, and always finite.
+float mode, the float-table rule: never a bool, and always finite. A
+container the library iterates (a model's conditionals, a POVM's
+effects, a scenario's POVMs) is read by `read_list`.
 
 There is one comparison rule for both modes: two values agree when they
 differ by at most the tolerance, and a value clears a floor when it is
@@ -44,7 +50,6 @@ import operator
 import os
 import re
 import sys
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -114,6 +119,16 @@ def read_int(value, what: str) -> int:
         raise InputError(f"{what} must be an integer, got {value!r}") from None
 
 
+def read_list(values, what: str) -> list:
+    """The items of a container a caller hands the library (a model's
+    conditionals, a POVM's effects, a scenario's POVMs) as a list; one that
+    is not iterable raises InputError "{what} must be a list, got {values!r}"."""
+    try:
+        return list(values)
+    except TypeError as exc:
+        raise InputError(f"{what} must be a list, got {values!r}") from exc
+
+
 def check_mode(mode: str) -> str:
     if mode not in MODES:
         raise InputError(f"unknown arithmetic mode {mode!r}; expected 'rational' or 'float'")
@@ -121,40 +136,20 @@ def check_mode(mode: str) -> str:
 
 
 def coerce_scalar(value, mode: str) -> Scalar:
-    """Coerce one number into the mode's scalar type.
-
-    In rational mode, floats are read as their shortest decimal literal
-    (so 0.45 becomes 9/20, not the exact binary expansion); strings accept
-    the "p/q" and decimal forms.
-    """
+    """Coerce one number into the mode's scalar type: in rational mode the
+    Fraction of `_rational_pair`, in float mode a finite float that is not
+    a bool."""
+    if mode != FLOAT:
+        return Fraction(*_rational_pair(value))
     if isinstance(value, (bool, np.bool_)):
         raise InputError(f"{value!r} is not a number")
-    if mode == FLOAT:
-        try:
-            out = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"cannot interpret {value!r} as a float") from exc
-        if not math.isfinite(out):
-            raise InputError(f"non-finite entry {value!r}")
-        return out
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return Fraction(int(value))
-    if isinstance(value, str):
-        _refuse_long_exponent(value)
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse rational entry {value!r}") from exc
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(float(value)):
-            raise InputError(f"non-finite entry {value!r}")
-        try:
-            return Fraction(Decimal(repr(float(value))))
-        except InvalidOperation as exc:  # pragma: no cover - repr is always decimal
-            raise InputError(f"cannot interpret {value!r} as a rational") from exc
-    raise InputError(f"cannot interpret {value!r} as a rational")
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"cannot interpret {value!r} as a float") from exc
+    if not math.isfinite(out):
+        raise InputError(f"non-finite entry {value!r}")
+    return out
 
 
 # Decimal text with an exponent, for which Fraction computes 10**|exponent|
@@ -185,17 +180,14 @@ def numerators(data, mode: str, shape: tuple[int, ...] | None = None) -> tuple[n
     """Coerce nested table or atom data into numerators over one denominator.
 
     This is the one input coercion. Rational mode gives an object array
-    of Python ints over the lcm of the entries' reduced denominators,
-    exactly the numerators of `coerce_scalar` on each entry over their
-    lcm. A string in the strict form "p" or "p/q" (ASCII digits, an
-    optional leading minus, q nonzero) is read with two `int` calls and
-    reduced by `math.gcd`, a Python or numpy integer (not a bool) is
-    itself over 1, and every other entry goes through `coerce_scalar`, so
-    it is accepted or refused as there. The lcm is refused once it has
-    more decimal digits than Python's integer string limit (4300 by
-    default), the limit the entries' own text is held to. Float mode
-    gives a float64 copy over 1, typed and checked for booleans and
-    non-finite values in one pass each.
+    of Python ints over the lcm of the entries' reduced denominators, each
+    entry read by `_rational_pair`, so it is accepted or refused as there.
+    The lcm is refused once it has more decimal digits than Python's
+    integer string limit (4300 by default), the limit the entries' own
+    text is held to. Float mode gives a float64 copy over 1, typed and
+    checked for booleans and non-finite values in one pass each; nested
+    lists it cannot stack are refused naming the entry that breaks their
+    shape (`_ragged_entry`).
 
     Entries are read in row-major order, so the first bad one is the one
     reported; `shape`, when given, is checked after they are read.
@@ -206,7 +198,8 @@ def numerators(data, mode: str, shape: tuple[int, ...] | None = None) -> tuple[n
         try:
             values = np.array(data, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"cannot interpret data as a float array: {exc}") from exc
+            raise InputError(f"cannot interpret data as a float array: "
+                             f"{_ragged_entry(data) or exc}") from exc
         if not np.isfinite(values).all():
             raise InputError("non-finite entry in float array")
         denominator = 1
@@ -223,6 +216,18 @@ def numerators(data, mode: str, shape: tuple[int, ...] | None = None) -> tuple[n
             raise InputError(f"expected {shape} = {size} entries, got {values.size}")
         values = values.reshape(shape)
     return values, denominator
+
+
+def _ragged_entry(data) -> str:
+    """For nested lists numpy cannot stack, the first entry whose shape is
+    the rarest at the depth where the nesting stops being regular, named
+    by its index path such as [0][0]; "" for regular data."""
+    entries, shape = flat_entries(data)  # the entries at the depth numpy stops at
+    _, kinds, counts = np.unique([str(flat_entries(entry)[1]) for entry in entries],
+                                 return_inverse=True, return_counts=True)
+    path = "".join(f"[{i}]" for i in np.unravel_index(np.argmin(counts[kinds]), shape))
+    return (f"ragged lists, entry {path} has the rarest shape at its depth"
+            if len(counts) > 1 else "")
 
 
 def _digit_limit() -> int:
@@ -255,21 +260,35 @@ _STRICT_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
 def _rational_pair(value) -> tuple[int, int]:
-    """Reduced numerator and positive denominator of one rational entry."""
-    if type(value) is str:
+    """The one rational reader: reduced numerator and positive denominator
+    of one entry. Strict "p" or "p/q" text is read with two `int` calls;
+    any other text is read by `Fraction` once `_refuse_long_exponent`
+    allows it (signs, spaces, underscores, decimals, exponents); an integer
+    of any type but bool is itself over 1, a Fraction is taken as it is,
+    and a finite float is read as its shortest decimal (0.45 is 9/20)."""
+    if isinstance(value, str):
         match = _STRICT_RATIONAL.fullmatch(value)
-        if match is not None:
-            try:
-                p, q = int(match[1]), int(match[2] or 1)
-            except ValueError:  # more digits than int() reads; coerce_scalar refuses it
-                pass
-            else:
-                common = math.gcd(p, q)
-                return p // common, q // common
-    if type(value) is int or isinstance(value, np.integer):  # a bool is neither
+        # int() reads any text this short, whatever the digit limit is set to
+        if match is not None and len(value) <= sys.int_info.str_digits_check_threshold:
+            p, q = int(match[1]), int(match[2] or 1)
+            common = math.gcd(p, q)
+            return p // common, q // common
+        _refuse_long_exponent(value)
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"cannot parse rational entry {value!r}") from exc
+    elif isinstance(value, (bool, np.bool_)):
+        raise InputError(f"{value!r} is not a number")
+    elif isinstance(value, (int, np.integer)):
         return int(value), 1
-    exact = coerce_scalar(value, RATIONAL)
-    return exact.numerator, exact.denominator
+    elif isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise InputError(f"non-finite entry {value!r}")
+        return _rational_pair(repr(float(value)))
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise InputError(f"cannot interpret {value!r} as a rational")
 
 
 JSON_SCALARS = frozenset((str, int, float, bool, type(None)))

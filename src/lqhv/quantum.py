@@ -86,9 +86,10 @@ class POVM:
     effects: tuple
 
     def __post_init__(self):
-        if len(self.effects) == 0:
+        effects = numeric.read_list(self.effects, "POVM effects")
+        if not effects:
             raise InputError("POVM needs at least one effect")
-        arrs = tuple(_psd_matrix(effect, f"effect {i}") for i, effect in enumerate(self.effects))
+        arrs = tuple(_psd_matrix(effect, f"effect {i}") for i, effect in enumerate(effects))
         if len({arr.shape for arr in arrs}) != 1:
             raise InputError("POVM effects have mismatched dimensions")
         gap = np.abs(sum(arrs) - np.eye(arrs[0].shape[0], dtype=complex)).max()
@@ -114,6 +115,8 @@ class QuantumScenario:
     """
 
     def __init__(self, rho: DensityMatrix, povms: Sequence[Sequence[POVM]]):
+        povms = [numeric.read_list(site, f"site {n} POVMs")
+                 for n, site in enumerate(numeric.read_list(povms, "povms"), start=1)]
         if not povms or any(len(site) == 0 for site in povms):
             raise InputError("every site needs at least one POVM")
         for n, site in enumerate(povms, start=1):

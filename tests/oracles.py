@@ -738,6 +738,34 @@ def _check_denominator_digits(fractions):
         raise InputError(f"the entries' common denominator has more than {limit} digits")
 
 
+def _nested_shape(data):
+    """The shape numpy gives nested lists held as objects: a list's length,
+    then the longest shape all of its items share; () for anything else."""
+    if not isinstance(data, (list, tuple, np.ndarray)):
+        return ()
+    shapes = [_nested_shape(item) for item in data]
+    common = list(itertools.takewhile(lambda axes: len(set(axes)) == 1, zip(*shapes)))
+    return (len(data),) + tuple(axes[0] for axes in common)
+
+
+def _ragged_text(data):
+    """The first entry of the rarest shape at the depth where nested lists
+    stop being regular, walked in row-major order; "" when they are regular."""
+    depth = _nested_shape(data)
+    entries = []
+    for path in itertools.product(*map(range, depth)):
+        entry = data
+        for i in path:
+            entry = entry[i]
+        entries.append((path, _nested_shape(entry)))
+    if len({shape for _, shape in entries}) < 2:
+        return ""
+    counts = [sum(shape == other for _, other in entries) for _, shape in entries]
+    path = entries[counts.index(min(counts))][0]
+    index = "".join(f"[{i}]" for i in path)
+    return f"ragged lists, entry {index} has the rarest shape at its depth"
+
+
 def per_table_array(data, mode, shape=None):
     """One table coerced on its own: an array of Fractions, each entry
     through `coerce_scalar`, or a checked float64 copy; then the digits of
@@ -748,7 +776,8 @@ def per_table_array(data, mode, shape=None):
         try:
             arr = np.asarray(data, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"cannot interpret data as a float array: {exc}") from exc
+            raise InputError(f"cannot interpret data as a float array: "
+                             f"{_ragged_text(data) or exc}") from exc
         if not np.all(np.isfinite(arr)):
             raise InputError("non-finite entry in float array")
         arr = arr.copy()
