@@ -11,8 +11,12 @@ with y.A <= 0 on every atom column yet y.b > 0 on the family, so no
 nonnegative atom vector can meet the tables.
 
 The simplex runs on one numpy tableau with the reduced costs kept as an
-extra row, and each pivot eliminates only the rows with a nonzero entry
-in the entering column. In rational mode the right-hand side is the
+extra row. The 0/1 constraint block is written into the tableau in
+place, a row flipped to a nonnegative right-hand side from its negated
+0/1 row. Each pivot eliminates only the rows with a nonzero entry in the
+entering column, in blocks of at most `construct._BLOCK` cells, so the
+simplex holds about the tableau plus one block: 8 bytes a cell while the
+entries are int64 or float. In rational mode the right-hand side is the
 family's integer numerators over its one denominator, and the tableau
 holds integers, updated by fraction-free integer pivoting (Bareiss,
 Math. Comp. 22 (1968) 565; Edmonds, J. Res. NBS 71B (1967) 241). Every
@@ -31,12 +35,14 @@ denominator and D are below 2^31 in magnitude. Each product a pivot
 forms then has both operands below 2^31, so it stays below 2^62 and a
 difference of two stays below 2^63. The bound is checked on the initial
 tableau (cost row included), on each new leaving row M_l * D // d_l
-before the elimination, and on the eliminated rows after it. When a
+before the elimination, and on each eliminated block after it. When a
 check fails, the tableau, the row denominators and D become Python-int
-object arrays in place, still exact, and the same numpy expressions go
-on; a right-hand side of 2^31 or more starts there. The coefficients and
-basis determinants of the corpus families stay within a few bits, so
-the object path is for wide numerators, not for everyday input.
+object arrays, still exact, and the same numpy expressions go on; a
+right-hand side of 2^31 or more starts there. A failed block check
+takes effect after the pivot's last block, which is exact because each
+block's products were bounded by the earlier checks. The coefficients
+and basis determinants of the corpus families stay within a few bits,
+so the object path is for wide numerators, not for everyday input.
 
 The simplex returns the basic solution as Python-int numerators over D
 times the family's denominator and the multipliers as numerators over
@@ -45,13 +51,27 @@ only for the public residual, witness and certificate. Float mode
 divides the pivot row by its pivot instead, and its numerators are the
 floats over 1. Its ratio test divides all candidate rows at once and
 takes the first of a lexsort on (ratio, basis index), the same IEEE
-quotients and tie-break as a candidate-by-candidate minimum. Every
-verdict is checked before it is returned, exactly in rational mode and
-within `family.tol` in float mode: a witness, the nonnegative case of a
-deterministic LqHV measure, as a built measure is (its mass, then
-`construct.verify_marginals`), a certificate by y.A and y.b. Any failed
-check raises RepresentationError. A simplex that passes `PIVOT_BUDGET`
-pivots per constraint row and atom raises AtomBudgetError.
+quotients and tie-break as a candidate-by-candidate minimum.
+
+A float pivot updates each touched row only on the pivot row's nonzero
+columns and the right-hand side, with the bits of the dense update of
+whole rows: where the pivot row holds a zero, t - c*(+-0.0) is t unless
+t is -0.0. Neither t - c*p nor a division by a positive pivot makes
+-0.0 from +0.0, so the A and identity columns, which start at +0.0 and
++-1, hold no -0.0 outside the cost row's atom columns. The right-hand
+side can (a "-0.0" table entry), so it is always updated. The cost
+row's atom columns start at minus the column sums, -0.0 where a column
+sums to +0.0, and may keep a zero's sign the dense update would flip;
+neither the entering test (< -tol) nor y, read from the artificial
+columns, sees that sign.
+
+Every verdict is checked before it is returned, exactly in rational
+mode and within `family.tol` in float mode: a witness, the nonnegative
+case of a deterministic LqHV measure, as a built measure is (its mass,
+then `construct.verify_marginals`), a certificate by y.A and y.b. Any
+failed check raises RepresentationError. A simplex that passes
+`PIVOT_BUDGET` pivots per constraint row and atom raises
+AtomBudgetError.
 
 Row order is fixed and documented: setting tuples in lexicographic order,
 and within each tuple the outcome combinations in row-major order, i.e.
@@ -70,6 +90,7 @@ from . import numeric
 from .construct import (
     DEFAULT_ATOM_BUDGET,
     SignedMeasure,
+    _BLOCK,
     _check_atom_budget,
     _tuple_marginals_adjoint,
     verify_marginals,
@@ -155,16 +176,26 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
     over D, the final basis determinant (1 in float mode). y is a
     separating certificate whenever the objective is positive.
 
+    The constraint block is written into the tableau in place, a flipped
+    row from -`a01`[row] so that its zeros stay +0.0, and the touched
+    rows are eliminated in blocks of at most `_BLOCK` cells, so the call
+    holds about the tableau plus one block besides `a01`.
+
     In rational mode the tableau, its row denominators and D are int64
     while every stored entry is below 2^31 in magnitude, so each product
     the pivot forms has both operands below 2^31 and fits. The bound is
     checked on the initial tableau (cost row included), on each new
-    pivot row before the elimination and on the eliminated rows after
-    it; the first failure turns the three into Python ints in place,
-    still exact, and the same expressions go on. Float mode picks the
-    leaving row by one vectorized division and a lexsort on (ratio,
-    basis index). More than `PIVOT_BUDGET` * (rows + atoms) pivots
-    raise AtomBudgetError.
+    pivot row before the elimination and on each eliminated block after
+    it. A failed pivot-row check turns the three into Python ints before
+    the elimination, a failed block check after the pivot's last block:
+    the earlier checks bound every product below 2^62, so each block
+    fits int64 before it is checked. Either way the values stay exact,
+    and the same expressions go on. Float mode picks the leaving row by
+    one vectorized division and a lexsort on (ratio, basis index) and
+    updates the touched rows only on the pivot row's nonzero columns and
+    the right-hand side, by flat indices, with the dense update's bits
+    (see the module docstring). More than `PIVOT_BUDGET` * (rows + atoms)
+    pivots raise AtomBudgetError.
     """
     m, n = a01.shape
     exact = mode == numeric.RATIONAL
@@ -176,10 +207,14 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
         dtype, b = np.int64, b.astype(np.int64)
     else:
         dtype = object
-    tableau = np.zeros((m + 1, n + m + 1), dtype=dtype)
-    # rows 0..m-1 hold [flip*A | I | flip*rhs]; row m holds the reduced
+    width = n + m + 1
+    tableau = np.zeros((m + 1, width), dtype=dtype)
+    # rows 0..m-1 hold [flip*A | I | flip*rhs], a flipped row written from its
+    # negated 0/1 row so that its zeros stay +0.0; row m holds the reduced
     # costs of the artificial objective, which start at minus the column sums
-    tableau[:m, :n] = flip[:, None] * a01
+    tableau[:m, :n] = a01
+    for row in np.flatnonzero(flip < 0):
+        tableau[row, :n] = -a01[row]
     tableau[np.arange(m), n + np.arange(m)] = 1
     tableau[:m, -1] = b
     tableau[m, :n] = -tableau[:m, :n].sum(axis=0)
@@ -224,16 +259,29 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
                 tableau, denom = tableau.astype(object), denom.astype(object)
                 pivot_row = pivot_row.astype(object)
             basis_det = pivot_row[e]
-            block = ((basis_det * tableau[others] - np.multiply.outer(tableau[others, e], pivot_row))
-                     // denom[others, None])
-            tableau[others] = block
+            wide = False
+            step = max(1, _BLOCK // width)
+            for start in range(0, others.size, step):
+                rows = others[start:start + step]
+                block = ((basis_det * tableau[rows] - np.multiply.outer(tableau[rows, e], pivot_row))
+                         // denom[rows, None])
+                tableau[rows] = block
+                wide = wide or (block.dtype != object and not _fits(block))
             denom[touched] = basis_det
-            if tableau.dtype != object and not _fits(block):
+            if wide:
                 tableau, denom, basis_det = tableau.astype(object), denom.astype(object), int(basis_det)
+            tableau[leave] = pivot_row
         else:
-            pivot_row = tableau[leave] / tableau[leave, e]
-            tableau[others] -= np.multiply.outer(tableau[others, e], pivot_row)
-        tableau[leave] = pivot_row
+            # the leaving row's nonzero columns and the rhs column; elsewhere the
+            # dense update t - c * 0.0 would leave t as it is (see the module docstring)
+            columns = np.append(tableau[leave, :-1].nonzero()[0], width - 1)
+            pivot_row = tableau[leave, columns] / tableau[leave, e]
+            tableau[leave, columns] = pivot_row
+            flat, step = tableau.reshape(-1), max(1, _BLOCK // columns.size)
+            for start in range(0, others.size, step):
+                rows = others[start:start + step]
+                flat[(rows[:, None] * width + columns).reshape(-1)] -= np.multiply.outer(
+                    tableau[rows, e], pivot_row).reshape(-1)
         basis[leave] = e
 
     if exact:

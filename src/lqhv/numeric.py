@@ -19,7 +19,7 @@ numerator over 1, and ``fractions.Fraction`` only for other text, a
 Fraction or a float. `coerce_scalar` reads a single number, in rational
 mode as the Fraction of `_rational_pair`. Fractions are otherwise built
 only for returned scalars (`ratio`) and for the public rational arrays,
-which `ratio_array` builds from the numerators. In float mode, nested
+which `ratio_array` builds from the numerators. In both modes, nested
 lists numpy cannot stack are refused naming the entry that breaks their
 shape, as an index path such as [0][0]. Every computation in between
 runs on the numerators, which enter a family or a measure through
@@ -185,9 +185,9 @@ def numerators(data, mode: str, shape: tuple[int, ...] | None = None) -> tuple[n
     The lcm is refused once it has more decimal digits than Python's
     integer string limit (4300 by default), the limit the entries' own
     text is held to. Float mode gives a float64 copy over 1, typed and
-    checked for booleans and non-finite values in one pass each; nested
-    lists it cannot stack are refused naming the entry that breaks their
-    shape (`_ragged_entry`).
+    checked for booleans and non-finite values in one pass each. In both
+    modes, nested lists numpy cannot stack are refused naming the entry
+    that breaks their shape (`_ragged_entry`).
 
     Entries are read in row-major order, so the first bad one is the one
     reported; `shape`, when given, is checked after they are read.
@@ -205,7 +205,13 @@ def numerators(data, mode: str, shape: tuple[int, ...] | None = None) -> tuple[n
         denominator = 1
     else:
         entries, data_shape = flat_entries(data)
-        tops, bottoms = zip(*map(_rational_pair, entries)) if entries else ((), ())
+        try:
+            tops, bottoms = zip(*map(_rational_pair, entries)) if entries else ((), ())
+        except InputError as exc:
+            ragged = _ragged_entry(data)
+            if not ragged:
+                raise
+            raise InputError(f"cannot interpret data as a rational array: {ragged}") from exc
         denominator = _bounded_lcm(bottoms)
         values = np.empty(len(tops), dtype=object)
         values[:] = [p * (denominator // q) for p, q in zip(tops, bottoms)]

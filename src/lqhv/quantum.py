@@ -115,11 +115,16 @@ class QuantumScenario:
     """
 
     def __init__(self, rho: DensityMatrix, povms: Sequence[Sequence[POVM]]):
+        if not isinstance(rho, DensityMatrix):
+            raise InputError(f"rho must be a DensityMatrix, got {type(rho).__name__}")
         povms = [numeric.read_list(site, f"site {n} POVMs")
                  for n, site in enumerate(numeric.read_list(povms, "povms"), start=1)]
         if not povms or any(len(site) == 0 for site in povms):
             raise InputError("every site needs at least one POVM")
         for n, site in enumerate(povms, start=1):
+            for s, povm in enumerate(site, start=1):
+                if not isinstance(povm, POVM):
+                    raise InputError(f"site {n} setting {s} must be a POVM, got {type(povm).__name__}")
             if len({p.dim for p in site}) != 1:
                 raise InputError(f"site {n} POVMs act on different dimensions")
             if len({p.n_outcomes for p in site}) != 1:

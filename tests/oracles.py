@@ -768,8 +768,9 @@ def _ragged_text(data):
 
 def per_table_array(data, mode, shape=None):
     """One table coerced on its own: an array of Fractions, each entry
-    through `coerce_scalar`, or a checked float64 copy; then the digits of
-    its common denominator (rational), then its size."""
+    through `coerce_scalar`, or a checked float64 copy, ragged lists in
+    either mode named by their breaking entry; then the digits of its
+    common denominator (rational), then its size."""
     if mode == FLOAT:
         if _holds_bool(data):
             raise InputError("true/false is not a number")
@@ -784,7 +785,13 @@ def per_table_array(data, mode, shape=None):
     else:
         raw = np.asarray(data, dtype=object)
         coerce = np.frompyfunc(lambda v: coerce_scalar(v, RATIONAL), 1, 1)
-        arr = np.asarray(coerce(raw), dtype=object)
+        try:
+            arr = np.asarray(coerce(raw), dtype=object)
+        except InputError as exc:
+            if not _ragged_text(data):
+                raise
+            raise InputError(f"cannot interpret data as a rational array: "
+                             f"{_ragged_text(data)}") from exc
         _check_denominator_digits(arr.reshape(-1).tolist())
     if shape is not None:
         size = int(np.prod(shape, dtype=object))

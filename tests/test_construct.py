@@ -277,6 +277,11 @@ class TestBuild:
 
 
 class TestVerifyMarginals:
+    def test_model_scenario_is_its_measures(self):
+        model = L.build_deterministic_measure(L.pr_box())
+        assert model.scenario is model.measure.scenario
+        assert model.scenario == L.CHSH_SCENARIO
+
     def test_exact_on_pr_box(self):
         model = L.build_deterministic_measure(L.pr_box())
         report = L.verify_marginals(model, L.pr_box())

@@ -3,9 +3,9 @@
 `json` lays out every written document and `write_json` streams each
 scalar list into it; `numeric._rational_pair` is the one reader of a
 rational value, and `coerce_scalar` in rational mode is its Fraction.
-The second half covers the containers, weights, ragged float data and
-certificates that callers hand the library, and refusals that no other
-test reaches.
+The second half covers the containers, weights, ragged data in both
+modes, quantum items of the wrong type and certificates that callers
+hand the library, and refusals that no other test reaches.
 """
 
 import io as stdio
@@ -144,6 +144,21 @@ class TestUnreadContainers:
         with pytest.raises(InputError, match=f"^{re.escape(name)} must be a list, got 5$"):
             call()
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: L.QuantumScenario(L.maximally_mixed(2), [[5]]),
+         "site 1 setting 1 must be a POVM, got int"),
+        (lambda: L.QuantumScenario(L.maximally_mixed(2),
+                                   [[L.projective_qubit_povm((0, 0, 1)), np.eye(2)]]),
+         "site 1 setting 2 must be a POVM, got ndarray"),
+        (lambda: L.QuantumScenario(5, [[L.projective_qubit_povm((0, 0, 1))]]),
+         "rho must be a DensityMatrix, got int"),
+        (lambda: L.QuantumScenario(np.eye(2) / 2, [[L.projective_qubit_povm((0, 0, 1))]]),
+         "rho must be a DensityMatrix, got ndarray"),
+    ], ids=["povm-int", "povm-matrix", "rho-int", "rho-matrix"])
+    def test_an_item_of_the_wrong_type_is_named(self, call, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_tuples_and_arrays_still_read(self):
         effects = L.projective_qubit_povm((0.0, 0.0, 1.0)).effects
         assert L.POVM(effects).n_outcomes == L.POVM(np.array(effects)).n_outcomes == 2
@@ -179,6 +194,39 @@ class TestRaggedFloatData:
         err = capsys.readouterr().err
         assert err.startswith("input error: rho: ") and "[0][0]" in err
         assert "Traceback" not in err and not (tmp_path / "f.json").exists()
+
+
+class TestRaggedRationalData:
+    @pytest.mark.parametrize("data,path", [
+        ([["1/2"], ["1/4", "3/4"]], "[0]"),
+        (["1/2", [], "1/2"], "[1]"),
+        ([["1/2", "1/2"], ["1/2", ["1/2"]]], "[1][1]"),
+        ([["x", "1/2"], ["1/2", ["1/2"]]], "[1][1]"),
+    ], ids=["short-row", "empty-entry", "deep-entry", "bad-entry-first"])
+    def test_the_breaking_entry_is_named(self, data, path):
+        with pytest.raises(InputError, match=re.escape(
+                f"cannot interpret data as a rational array: ragged lists, entry {path} "
+                "has the rarest shape")):
+            numeric.numerators(data, L.RATIONAL)
+
+    @pytest.mark.parametrize("data,message", [
+        (["1/2", "x"], "cannot parse rational entry 'x'"),
+        ([{}], "cannot interpret {} as a rational"),
+        ([["1/2", True]], "True is not a number"),
+    ], ids=["text", "object", "bool"])
+    def test_regular_data_keeps_its_message(self, data, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            numeric.numerators(data, L.RATIONAL)
+
+    def test_a_family_file_names_the_table_and_the_entry(self, tmp_path, capsys):
+        doc = io.family_to_json(L.pr_box())
+        doc["tables"]["2,1"][2] = ["0"]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: table (2, 1): cannot interpret data as a rational array")
+        assert "entry [2] has the rarest shape" in err and "Traceback" not in err
 
 
 class TestCertificateGap:

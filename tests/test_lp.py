@@ -1,6 +1,7 @@
 """LHV feasibility LP: witnesses, certificates, thresholds."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import lqhv as L
 from lqhv import io, lp
 from lqhv.cli import main
-from lqhv.errors import AtomBudgetError, RepresentationError, SignalingError
+from lqhv.errors import AtomBudgetError, InputError, RepresentationError, SignalingError
 from oracles import brute_marginal_matrix, dense_bland_phase1, float_bland_phase1
 
 
@@ -330,6 +331,140 @@ class TestIntegerPaths:
         objective, got_x, got_y, det = lp._phase1_simplex(a, rhs, 1, L.FLOAT, fam.tol)
         assert det == 1 and objective == mass
         assert got_x.tobytes() == x.tobytes() and got_y.tobytes() == y.tobytes()
+
+
+def negative_zeros(family):
+    """`family` read as a float file whose zero entries are written -0.0."""
+    doc = io.family_to_json(L.convert_family(family, L.FLOAT))
+    doc["tables"] = {key: [-0.0 if v == 0 else v for v in table]
+                     for key, table in doc["tables"].items()}
+    return io.family_from_json(doc)
+
+
+def entry_below_zero(family):
+    """`family` read as a float file whose first zero entry of table (1, 1)
+    gives 1e-12 to its largest, so that it reads -1e-12, within tol of zero,
+    and its row is flipped."""
+    doc = io.family_to_json(L.convert_family(family, L.FLOAT))
+    table = doc["tables"]["1,1"]
+    zero, largest = table.index(0.0), table.index(max(table))
+    table[zero], table[largest] = -1e-12, table[largest] + 1e-12
+    return io.family_from_json(doc)
+
+
+SIGNED_ZERO_FAMILIES = {
+    "pr-negative-zeros": lambda: negative_zeros(L.pr_box()),
+    "vertex-negative-zeros": lambda: negative_zeros(L.chsh_local_vertices()[5]),
+    "pr-entry-below-zero": lambda: entry_below_zero(L.pr_box()),
+    "vertex-entry-below-zero": lambda: entry_below_zero(L.chsh_local_vertices()[5]),
+}
+
+
+def assert_float_bits(fam):
+    """_phase1_simplex on a float family equals the dense loop bit for bit."""
+    a = L.marginal_matrix(fam.scenario)
+    rhs = fam.numerators.reshape(-1)
+    mass, x, y = float_bland_phase1(a, rhs, fam.tol)
+    objective, got_x, got_y, det = lp._phase1_simplex(a, rhs, 1, L.FLOAT, fam.tol)
+    assert det == 1 and np.float64(objective).tobytes() == np.float64(mass).tobytes()
+    assert got_x.tobytes() == x.tobytes() and got_y.tobytes() == y.tobytes()
+
+
+def checked_run(monkeypatch, block, run):
+    """`run()` with `_BLOCK` set to `block`. Returns its result, the result
+    of each pivot's int64 checks as (pivot row fits, every block fits), and
+    the row counts of the checked blocks."""
+    fits, checks = lp._fits, []
+
+    def spy(values):
+        checks.append((values.shape, fits(values)))
+        return checks[-1][1]
+    monkeypatch.setattr(lp, "_fits", spy)
+    monkeypatch.setattr(lp, "_BLOCK", block)
+    result = run()
+    monkeypatch.undo()
+    pivots, rows = [], []
+    for shape, ok in checks:
+        if len(shape) == 1:
+            pivots.append((ok, True))
+        else:
+            pivots[-1] = (pivots[-1][0], pivots[-1][1] and ok)
+            rows.append(shape[0])
+    return result, pivots, rows
+
+
+class TestBoundedMemory:
+    """The simplex holds about its tableau: the constraint block is written
+    in place, float pivots touch only the pivot row's nonzero columns, and
+    both modes eliminate in blocks of at most `_BLOCK` cells."""
+
+    @pytest.mark.parametrize("parties,mode", [(4, L.FLOAT), (5, L.FLOAT), (5, L.RATIONAL)])
+    def test_peak_stays_near_the_tableau(self, parties, mode):
+        scenario = L.Scenario((2,) * parties, (2,) * parties)
+        fam = L.random_scenario_family(scenario, 0, mode)
+        rows = fam.numerators.size
+        tableau = (rows + 1) * (scenario.joint_size + rows + 1) * 8
+        tracemalloc.start()
+        try:
+            L.lhv_feasible(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * tableau
+
+    @pytest.mark.parametrize("name", sorted(SIGNED_ZERO_FAMILIES))
+    def test_signed_zeros_match_the_dense_loop_bit_for_bit(self, name):
+        fam = SIGNED_ZERO_FAMILIES[name]()
+        rhs = fam.numerators.reshape(-1)
+        assert np.signbit(rhs).any()  # a -0.0 or a flipped row reaches the simplex
+        assert_float_bits(fam)
+        verdict = L.lhv_feasible(fam)
+        assert verdict.feasible == name.startswith("vertex")
+
+    @pytest.mark.parametrize("name", ["pr", "S33-seed0", "S222-seed6", "2^4-seed0",
+                                      *sorted(SIGNED_ZERO_FAMILIES)])
+    def test_float_blocks_of_a_few_cells_keep_the_bits(self, name, monkeypatch):
+        if name.startswith("2^4"):
+            fam = L.random_scenario_family(L.Scenario((2,) * 4, (2,) * 4), 0, L.FLOAT)
+        elif name in SIGNED_ZERO_FAMILIES:
+            fam = SIGNED_ZERO_FAMILIES[name]()
+        else:
+            fam = L.convert_family(ORACLE_FAMILIES[name](), L.FLOAT)
+        monkeypatch.setattr(lp, "_BLOCK", 3)
+        assert_float_bits(fam)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES) + ["crossing"])
+    def test_rational_blocks_of_a_few_cells_match_one_block(self, name, monkeypatch):
+        fam = crossing_family() if name == "crossing" else ORACLE_FAMILIES[name]()
+        one, one_pivots, one_rows = checked_run(monkeypatch, 2**62, lambda: exact_solution(fam))
+        few, few_pivots, few_rows = checked_run(monkeypatch, 3, lambda: exact_solution(fam))
+        expected = dense_bland_phase1(L.marginal_matrix(fam.scenario).tolist(),
+                                      list(fam.stacked.reshape(-1)))
+        assert one == few and few[0] == expected
+        # the switch to Python ints comes after the same pivot
+        assert few_pivots == one_pivots
+        assert set(few_rows) == {1} and len(few_rows) > len(one_rows)
+        if name == "crossing":
+            assert not all(fits for pivot in few_pivots for fits in pivot)
+
+    def test_large_minors_switch_after_the_same_pivot(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        a = (rng.random((32, 64)) < 0.5).astype(np.int8)
+        rhs = np.array([int(v) for v in a.astype(np.int64) @ rng.integers(0, 1000, 64)], dtype=object)
+
+        def run():
+            objective, x, y, det = lp._phase1_simplex(a, rhs, 1, L.RATIONAL, 0.0)
+            return objective, list(x), list(y), det
+        one, one_pivots, _ = checked_run(monkeypatch, 2**62, run)
+        few, few_pivots, few_rows = checked_run(monkeypatch, 3, run)
+        assert one == few and few_pivots == one_pivots and set(few_rows) == {1}
+        assert few_pivots[-1] == (True, False)
+
+    def test_a_column_within_tol_of_zero_is_unbounded(self):
+        # no entry clears tol, so no row can leave, yet their sum enters
+        a = np.full((3, 1), 5e-10)
+        with pytest.raises(InputError, match="phase-1 objective unbounded"):
+            lp._phase1_simplex(a, np.ones(3), 1, L.FLOAT, 1e-9)
 
 
 class TestVerdictCheck:
