@@ -311,8 +311,8 @@ def build_deterministic_measure(family: DistributionFamily, *,
     `coefficient(T)` = prod_{n not in T} -(S_n - 1) times the average of its
     compatible tuples' T-marginals, equal after a passed check (exactly in rational mode).
     In rational mode the maps run on integer numerators: F over D and p_n
-    over d_n give the measure over D prod_n S_n d_n^{S_n}, known before any
-    atom is allocated.
+    over d_n give the measure over D prod_n S_n d_n^{S_n}, accumulated
+    site by site.
 
     Parameters
     ----------
@@ -339,16 +339,12 @@ def build_deterministic_measure(family: DistributionFamily, *,
         family = extract_marginal_family(family)
 
     exact = family.mode == numeric.RATIONAL
-    maps = []
-    denominator = family.denominator
+    atoms, denominator = family.numerators, family.denominator
     for site in scenario.sites:
         p, d = family.marginal_numerators((site,))
         count = p.shape[0]
         keep, shrink = (count * d, count - 1) if exact else (1, (count - 1) / count)
         denominator *= keep * d ** (count - 1)
-        maps.append((p, keep, shrink))
-    atoms = family.numerators
-    for site, (p, keep, shrink) in enumerate(maps, start=1):
         atoms = _apply_site_map(atoms, scenario.n_parties - site + 1, p, keep, shrink)
     measure = SignedMeasure.from_numerators(scenario, atoms, denominator, family.mode,
                                             tol=numeric.mass_tolerance(family.tol))

@@ -41,7 +41,11 @@ site n has one setting per axis labelled n and the outcome count of its
 first such axis. The axes must equal that scenario's `coordinates` with
 their `joint_shape`: each (site, setting) once, in the order
 (1,1)..(1,S_1)..(N,S_N). Import revalidates normalization, within
-LQHV_TOL or 1e-9 in float mode.
+LQHV_TOL or 1e-9 in float mode. A measure file carries no tolerance, so
+a measure built from a family read at a looser one may be refused on
+reload: a float family read with tol=1e-6 whose table sums to 1 + 5e-7
+builds a measure of mass 1.0000001249999375, which `load_measure`
+refuses unless LQHV_TOL is set.
 
 Verdict files:
     {"row_order": <description>, "feasible": bool,

@@ -35,14 +35,14 @@ denominator and D are below 2^31 in magnitude. Each product a pivot
 forms then has both operands below 2^31, so it stays below 2^62 and a
 difference of two stays below 2^63. The bound is checked on the initial
 tableau (cost row included), on each new leaving row M_l * D // d_l
-before the elimination, and on each eliminated block after it. When a
-check fails, the tableau, the row denominators and D become Python-int
-object arrays, still exact, and the same numpy expressions go on; a
-right-hand side of 2^31 or more starts there. A failed block check
-takes effect after the pivot's last block, which is exact because each
-block's products were bounded by the earlier checks. The coefficients
-and basis determinants of the corpus families stay within a few bits,
-so the object path is for wide numerators, not for everyday input.
+before the elimination, and on each eliminated block as it is stored.
+Whichever check fails, the tableau, the row denominators and the pivot
+row become Python-int object arrays at once, still exact, and the same
+numpy expressions go on, so an int64 tableau's stored entries are below
+2^31 after every block; a right-hand side of 2^31 or more starts on
+Python ints. The coefficients and basis determinants of the corpus
+families stay within a few bits, so the object path is for wide
+numerators, not for everyday input.
 
 The simplex returns the basic solution as Python-int numerators over D
 times the family's denominator and the multipliers as numerators over
@@ -54,16 +54,16 @@ takes the first of a lexsort on (ratio, basis index), the same IEEE
 quotients and tie-break as a candidate-by-candidate minimum.
 
 A float pivot updates each touched row only on the pivot row's nonzero
-columns and the right-hand side, with the bits of the dense update of
-whole rows: where the pivot row holds a zero, t - c*(+-0.0) is t unless
-t is -0.0. Neither t - c*p nor a division by a positive pivot makes
--0.0 from +0.0, so the A and identity columns, which start at +0.0 and
-+-1, hold no -0.0 outside the cost row's atom columns. The right-hand
-side can (a "-0.0" table entry), so it is always updated. The cost
-row's atom columns start at minus the column sums, -0.0 where a column
-sums to +0.0, and may keep a zero's sign the dense update would flip;
-neither the entering test (< -tol) nor y, read from the artificial
-columns, sees that sign.
+columns and the right-hand side, by flat indices, with the bits of the
+dense update of whole rows: where the pivot row holds a zero,
+t - c*(+-0.0) is t unless t is -0.0. Neither t - c*p nor a division by
+a positive pivot makes -0.0 from +0.0, so the A and identity columns,
+which start at +0.0 and +-1, hold no -0.0 outside the cost row's atom
+columns. The right-hand side can (a "-0.0" table entry), so it is always
+updated. The cost row's atom columns start at minus the column sums,
+-0.0 where a column sums to +0.0, and may keep a zero's sign the dense
+update would flip; neither the entering test (< -tol) nor y, read from
+the artificial columns, sees that sign.
 
 Every verdict is checked before it is returned, exactly in rational
 mode and within `family.tol` in float mode: a witness, the nonnegative
@@ -162,40 +162,32 @@ def _fits(block: np.ndarray) -> bool:
     return -_INT64_BOUND < block.min() and block.max() < _INT64_BOUND
 
 
+def _widened(block: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """`arrays` as they are, or as Python-int object arrays when `block` is
+    int64 and has an entry of 2^31 or more in magnitude."""
+    if block.dtype == object or _fits(block):
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
 def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol: float):
-    """Minimize the artificial mass of Ax = b, x >= 0, by Bland's rule.
+    """Minimize the artificial mass of Ax = b, x >= 0, by Bland's rule, on
+    the tableau the module docstring describes: in rational mode integers,
+    int64 only while its stored entries are below 2^31 after every block.
 
     `a01` is the 0/1 constraint matrix and b = `rhs` / `scale` the
     right-hand side as numerators over one denominator: Python ints over
     a positive int in rational mode, floats over 1 in float mode. Scaling
-    b changes no ratio test, so the pivots are those of b itself. Returns
-    (objective, x, y, D): the artificial mass left as the mode's scalar,
-    the structural basic solution x as Python-int numerators over
+    b changes no ratio test, so the pivots are those of b itself. `mode`
+    picks the arithmetic and `tol` the entering and ratio-test threshold.
+
+    Returns (objective, x, y, D): the artificial mass left as the mode's
+    scalar, the structural basic solution x as Python-int numerators over
     D * `scale` (floats over 1 in float mode), and the simplex
     multipliers y, pulled back through the row sign flips, as numerators
     over D, the final basis determinant (1 in float mode). y is a
-    separating certificate whenever the objective is positive.
-
-    The constraint block is written into the tableau in place, a flipped
-    row from -`a01`[row] so that its zeros stay +0.0, and the touched
-    rows are eliminated in blocks of at most `_BLOCK` cells, so the call
-    holds about the tableau plus one block besides `a01`.
-
-    In rational mode the tableau, its row denominators and D are int64
-    while every stored entry is below 2^31 in magnitude, so each product
-    the pivot forms has both operands below 2^31 and fits. The bound is
-    checked on the initial tableau (cost row included), on each new
-    pivot row before the elimination and on each eliminated block after
-    it. A failed pivot-row check turns the three into Python ints before
-    the elimination, a failed block check after the pivot's last block:
-    the earlier checks bound every product below 2^62, so each block
-    fits int64 before it is checked. Either way the values stay exact,
-    and the same expressions go on. Float mode picks the leaving row by
-    one vectorized division and a lexsort on (ratio, basis index) and
-    updates the touched rows only on the pivot row's nonzero columns and
-    the right-hand side, by flat indices, with the dense update's bits
-    (see the module docstring). More than `PIVOT_BUDGET` * (rows + atoms)
-    pivots raise AtomBudgetError.
+    separating certificate whenever the objective is positive. More than
+    `PIVOT_BUDGET` * (rows + atoms) pivots raise AtomBudgetError.
     """
     m, n = a01.shape
     exact = mode == numeric.RATIONAL
@@ -255,21 +247,16 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
         others = touched[touched != leave]
         if exact:
             pivot_row = tableau[leave] * basis_det // denom[leave]
-            if tableau.dtype != object and not _fits(pivot_row):
-                tableau, denom = tableau.astype(object), denom.astype(object)
-                pivot_row = pivot_row.astype(object)
-            basis_det = pivot_row[e]
-            wide = False
+            tableau, denom, pivot_row = _widened(pivot_row, tableau, denom, pivot_row)
             step = max(1, _BLOCK // width)
             for start in range(0, others.size, step):
                 rows = others[start:start + step]
-                block = ((basis_det * tableau[rows] - np.multiply.outer(tableau[rows, e], pivot_row))
+                block = ((pivot_row[e] * tableau[rows] - np.multiply.outer(tableau[rows, e], pivot_row))
                          // denom[rows, None])
                 tableau[rows] = block
-                wide = wide or (block.dtype != object and not _fits(block))
+                tableau, denom, pivot_row = _widened(block, tableau, denom, pivot_row)
+            basis_det = pivot_row[e]
             denom[touched] = basis_det
-            if wide:
-                tableau, denom, basis_det = tableau.astype(object), denom.astype(object), int(basis_det)
             tableau[leave] = pivot_row
         else:
             # the leaving row's nonzero columns and the rhs column; elsewhere the
@@ -277,6 +264,8 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
             columns = np.append(tableau[leave, :-1].nonzero()[0], width - 1)
             pivot_row = tableau[leave, columns] / tableau[leave, e]
             tableau[leave, columns] = pivot_row
+            # one 1-D index into the flat view takes numpy's fast path; indexing by
+            # np.ix_(rows, columns) made float simplex runs about 2x slower (numpy 2.4, x86-64)
             flat, step = tableau.reshape(-1), max(1, _BLOCK // columns.size)
             for start in range(0, others.size, step):
                 rows = others[start:start + step]

@@ -207,15 +207,16 @@ class DistributionFamily:
             tables = keyed  # n_tuples distinct valid keys: exactly the tuples of `order`
         # All entries are read at once, in tuple order, before any table's
         # size is checked, so a bad entry is reported ahead of a bad size.
-        # Only on failure is each table read alone, to name the one at fault.
+        # Only on failure is each table read alone, as given, to name the one
+        # at fault and the index path of a ragged entry within it.
         parts = [numeric.flat_entries(tables[t])[0] for t in order]
         try:
             numerators, denominator = numeric.numerators(list(itertools.chain.from_iterable(parts)),
                                                          mode)
         except InputError:
-            for t, part in zip(order, parts):
+            for t in order:
                 try:
-                    numeric.numerators(part, mode)
+                    numeric.numerators(tables[t], mode)
                 except InputError as exc:
                     raise InputError(f"table {t}: {exc}") from exc
             raise
@@ -294,12 +295,17 @@ def convert_family(family: DistributionFamily, mode: str,
     Float values become their shortest decimal literal when promoted to
     rationals, so a file holding 0.45 converts to 9/20 rather than the
     exact binary expansion; every other conversion holds the numerators.
+    Decimals the tables refuse, say a table that no longer sums to
+    exactly 1, raise InputError with its message prefixed by that cause.
     """
     mode = numeric.check_mode(mode)
     if mode == family.mode and tol is None:
         return family
     if family.mode == numeric.FLOAT and mode == numeric.RATIONAL:
-        return DistributionFamily.from_stacked(family.scenario, family.numerators, mode, tol=tol)
+        try:
+            return DistributionFamily.from_stacked(family.scenario, family.numerators, mode, tol=tol)
+        except InputError as exc:
+            raise InputError(f"float entries read as their shortest decimals: {exc}") from exc
     return DistributionFamily.from_numerators(family.scenario, family.numerators, family.denominator,
                                               mode, tol)
 

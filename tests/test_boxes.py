@@ -154,6 +154,21 @@ class TestRandomFamilies:
         for t in fam.scenario.setting_tuples():
             assert np.array_equal(fam.tables[t], vtx.tables[t])
 
+    def test_all_zero_draws_redraw_one_vertex(self, monkeypatch):
+        # every weight draws 0, so one index is redrawn and gets weight 1
+        draws = []
+
+        def randrange(self, start, stop=None):
+            draws.append((start, stop))
+            return 0 if stop is not None else 17
+        monkeypatch.setattr(random.Random, "randrange", randrange)
+        fam = L.random_nonsignaling_family(0)
+        assert draws == [(0, 10)] * 24 + [(24, None)]
+        pr = L.chsh_pr_vertices()[1]
+        assert fam.mode == pr.mode
+        for t in fam.scenario.setting_tuples():
+            assert np.array_equal(fam.tables[t], pr.tables[t])
+
     def test_equal_local_weights_uniform(self):
         weights = [1] * 16 + [0] * 8
         fam = L.random_nonsignaling_family(0, weights=weights)

@@ -223,6 +223,19 @@ class TestLhv:
     def test_signaling_exits_two(self, signaling_file):
         assert main(["lhv", signaling_file]) == 2
 
+    def test_rational_mode_names_the_decimal_reading(self, tmp_path, capsys):
+        # the shortest decimals of a random float family's entries sum past 1
+        path = tmp_path / "f5.json"
+        scenario = L.Scenario((2,) * 5, (2,) * 5)
+        io.save_family(L.random_scenario_family(scenario, 0, L.FLOAT), str(path))
+        verdict_path = tmp_path / "verdict.json"
+        assert main(["lhv", str(path), "--mode", "rational", "-o", str(verdict_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("input error: float entries read as their shortest decimals: "
+                       "table (1, 1, 1, 1, 1) sums to 500000000000000019/500000000000000000, "
+                       "not 1 (tables are never renormalized)\n")
+        assert not verdict_path.exists()
+
     def test_pivot_budget_exits_three(self, pr_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(lp, "PIVOT_BUDGET", 0)
         verdict_path = tmp_path / "verdict.json"

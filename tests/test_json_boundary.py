@@ -228,6 +228,17 @@ class TestRaggedRationalData:
         assert err.startswith("input error: table (2, 1): cannot interpret data as a rational array")
         assert "entry [2] has the rarest shape" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", [L.RATIONAL, L.FLOAT])
+    def test_a_nested_table_names_the_path_within_it(self, mode):
+        # the table is [[None, []]]: its rarest entry is None at [0][0], not [0]
+        doc = io.family_to_json(L.convert_family(L.pr_box(), mode))
+        doc["tables"]["2,2"] = [[None, []]]
+        with pytest.raises(InputError, match=re.escape(
+                "table (2, 2): cannot interpret data as a "
+                f"{'rational' if mode == L.RATIONAL else 'float'} array: ragged lists, "
+                "entry [0][0] has the rarest shape")):
+            io.family_from_json(doc)
+
 
 class TestCertificateGap:
     def test_a_list_and_an_array_give_one_gap(self):
