@@ -66,17 +66,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _digest(path: str) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
-
 def _report(path: str) -> dict:
-    """The run report of a command on the input file `path`."""
-    return {"input": path, "digest": _digest(path), "timings": {}}
+    """The run report of a command on the input file `path`; `_read` adds
+    the digest of the bytes it parses."""
+    return {"input": path, "timings": {}}
+
+
+def _read(report: dict, load, **kwargs):
+    """`load` of the report's input file, which reads the file once; the
+    SHA-256 of the bytes it parsed becomes the report's digest."""
+    digest = hashlib.sha256()
+    out = load(report["input"], digest=digest, **kwargs)
+    report["digest"] = digest.hexdigest()
+    return out
 
 
 def _timed(report: dict, stage: str, call, *args, **kwargs):
@@ -105,8 +107,8 @@ def _emit(report: dict, lines: list[str], args) -> None:
             print(line)
 
 
-def _family_for(args):
-    family = load_family(args.family, tol=args.tol)
+def _family_for(args, report: dict):
+    family = _read(report, load_family, tol=args.tol)
     if getattr(args, "mode", None) and args.mode != family.mode:
         family = convert_family(family, args.mode, tol=args.tol)
     return family
@@ -114,7 +116,7 @@ def _family_for(args):
 
 def cmd_check(args) -> int:
     report = _report(args.family)
-    witness = _timed(report, "check", check_nonsignaling, _family_for(args))
+    witness = _timed(report, "check", check_nonsignaling, _family_for(args, report))
     passed = witness is None
     report["consistency"] = {"passed": passed, "witness": None if passed else _witness_json(witness)}
     if passed:
@@ -134,7 +136,7 @@ def cmd_check(args) -> int:
 
 def cmd_build(args) -> int:
     report = _report(args.family)
-    family = _family_for(args)
+    family = _family_for(args, report)
     marginals = _timed(report, "check", extract_marginal_family, family)
     report["consistency"] = {"passed": True, "witness": None}
 
@@ -168,7 +170,7 @@ def cmd_build(args) -> int:
 
 def cmd_quantum(args) -> int:
     report = _report(args.scenario)
-    family = _timed(report, "born", born_family, load_quantum(args.scenario))
+    family = _timed(report, "born", born_family, _read(report, load_quantum))
     save_family(family, args.out)
     report["output"] = args.out
     report["family"] = {"parties": family.scenario.n_parties, "tables": family.scenario.n_tuples}
@@ -182,7 +184,7 @@ def cmd_quantum(args) -> int:
 
 def cmd_lhv(args) -> int:
     report = _report(args.family)
-    verdict = _timed(report, "lhv", lhv_feasible, _family_for(args), budget=args.budget)
+    verdict = _timed(report, "lhv", lhv_feasible, _family_for(args, report), budget=args.budget)
     report["lhv"] = {"feasible": verdict.feasible, "residual": numeric.format_scalar(verdict.residual)}
     lines = [f"verdict: {'feasible' if verdict.feasible else 'infeasible'}"]
     if args.out:
@@ -197,7 +199,7 @@ def cmd_lhv(args) -> int:
 
 def cmd_expect(args) -> int:
     report = _report(args.family)
-    family = _family_for(args)
+    family = _family_for(args, report)
     setting_tuple = parse_tuple_key(args.tuple)
     try:
         observables = json.loads(args.observables)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import numeric
 from .errors import AtomBudgetError, InputError, RepresentationError
-from .numeric import Scalar
+from .numeric import _BLOCK, Scalar
 from .scenario import (
     DistributionFamily,
     MarginalFamily,
@@ -248,11 +248,6 @@ def coefficient_identity_sum(settings_per_site: Sequence[int], kept_sites: Itera
                for size in range(len(rest) + 1) for extra in itertools.combinations(rest, size))
 
 
-# Most output entries one block of `_apply_site_map` computes at a time
-# (a block is at least one whole row, whatever its length).
-_BLOCK = 2**14
-
-
 def _apply_site_map(atoms: np.ndarray, axis: int, p: np.ndarray, keep, shrink) -> np.ndarray:
     """Apply M_n to a site's setting (axis 0) and outcome (`axis`) axes and
     append its coordinate axes, last to first, setting s's coordinate term
@@ -260,7 +255,8 @@ def _apply_site_map(atoms: np.ndarray, axis: int, p: np.ndarray, keep, shrink) -
     `prods`.
 
     The output is allocated once and filled in blocks of whole rows of
-    the other axes, at most `_BLOCK` entries unless one row is longer, so
+    the other axes, at most `numeric._BLOCK` entries unless one row is
+    longer (a block is at least one whole row, whatever its length), so
     the call holds its input and output plus one block of temporaries.
     Each entry gets the same operations in the same order whatever the
     blocking, and the B_n 1^T term's outcome sums are taken once over the

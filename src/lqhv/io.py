@@ -30,7 +30,9 @@ the limit `int` already puts on a literal, so "1e4299" reads and
 "1e4300" does not. In float mode, JSON numbers and text `float` reads.
 Both modes refuse true/false, null, zero denominators and non-finite
 values. Files are read as UTF-8; any other bytes are malformed input, and
-so is a JSON integer with more digits than the digit limit.
+so is a JSON integer with more digits than the digit limit. A file's
+bytes are read once: the digest a CLI report carries is the SHA-256 of
+the very bytes parsed.
 
 Measure files:
     {"axes": [{"site": n, "setting": s, "outcomes": K_n}, ...],
@@ -72,11 +74,12 @@ Every file and every `--json` report goes through one writer,
 `json.dump(data, fh, indent=2, sort_keys=True)` followed by a line break
 writes, for any JSON value of dicts with str keys, lists, tuples and
 scalars, where an `Entries` sequence stands for the list it holds. `json`
-lays out each document with one `json.dumps` call, in which every
-nonempty list of plain scalars (str, int, float, bool, None) and every
-`Entries` stands as one marker string, a NUL and random hex fresh for
-each call. The writer then writes the text up to each marker and
-streams that list in its place, two spaces deeper than the marker's
+lays out each document with one `json.dumps` call, in which every list
+of plain scalars (str, int, float, bool, None) with at least `_LONG`
+entries and every `Entries` stands as one marker string, a NUL and random
+hex fresh for each call; json lays out a shorter list itself, faster
+than a streamed one. The writer then writes the text up to each marker
+and streams that list in its place, two spaces deeper than the marker's
 line, through the C encoder in pieces of `_CHUNK` entries, so the text
 of a large list is never held whole and never formatted entry by entry
 in Python. No text the CLI writes holds a NUL, since no path can.
@@ -158,8 +161,10 @@ def parse_tuple_key(key: str) -> tuple[int, ...]:
     is not `_TUPLE_KEY` text, or has a field past the interpreter's digit
     limit, raises InputError."""
     if _TUPLE_KEY.fullmatch(key):
-        with contextlib.suppress(ValueError):  # a field past the digit limit
+        try:
             return tuple(map(int, key.split(",")))
+        except ValueError:  # a field past the digit limit
+            pass
     raise InputError(f"malformed setting-tuple key {key!r}")
 
 
@@ -329,10 +334,23 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def load_json(path: str) -> Any:
+def _read_text(path: str, digest) -> str:
+    """The text of the file at `path`, whose bytes are read once and, when
+    `digest` (a hashlib object) is given, fed to it, so the hash names the
+    very bytes parsed. They are decoded as a text-mode `open` decodes them,
+    UTF-8 with universal newlines, so an error's position is the one a text
+    read gives; the bytes are dropped before the text is parsed."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if digest is not None:
+        digest.update(raw)
+    return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def load_json(path: str, digest=None) -> Any:
+    """The JSON document in the file at `path` (see `_read_text`)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+        return json.loads(_read_text(path, digest), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -455,17 +473,28 @@ def _reap(pid: int, pipe) -> None:
     os.waitpid(pid, 0)
 
 
+# Fewest entries of a scalar list that `write_json` streams: json's own
+# layout, one entry at a time in Python, is faster on a shorter one.
+_LONG = 12
+
+
 def _marked(value: Any, marker: str, lists: list, newline: str = "\n") -> Any:
-    """`value` with each nonempty scalar list and each `Entries` replaced by
-    `marker`, in the order json lays them out; each goes to `lists` with
-    `newline`, the line break plus the indentation of the marker's line."""
+    """`value` with each scalar list of at least `_LONG` entries and each
+    `Entries` replaced by `marker`, in the order json lays them out; each
+    goes to `lists` with `newline`, the line break plus the indentation of
+    the marker's line. A shorter scalar list is left for json to lay out."""
     if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):
             raise TypeError("JSON object keys must be str")
         return {key: _marked(value[key], marker, lists, newline + "  ") for key in sorted(value)}
     # `type(...) is Entries`: isinstance on a Sequence subclass is far slower
-    if isinstance(value, (list, tuple)) or type(value) is Entries:
-        if value and (type(value) is Entries or set(map(type, value)) <= numeric.JSON_SCALARS):
+    if type(value) is Entries:
+        lists.append((value, newline))
+        return marker
+    if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= numeric.JSON_SCALARS:
+            if len(value) < _LONG:
+                return value
             lists.append((value, newline))
             return marker
         return [_marked(item, marker, lists, newline + "  ") for item in value]
@@ -509,8 +538,8 @@ def dump_json(data: Any, path: str) -> None:
         raise
 
 
-def load_family(path: str, tol: float | None = None) -> DistributionFamily:
-    return family_from_json(load_json(path), tol=tol)
+def load_family(path: str, tol: float | None = None, digest=None) -> DistributionFamily:
+    return family_from_json(load_json(path, digest), tol=tol)
 
 
 def save_family(family: DistributionFamily, path: str) -> None:
@@ -525,8 +554,8 @@ def save_measure(measure: SignedMeasure, path: str) -> None:
     dump_json(measure_to_json(measure), path)
 
 
-def load_quantum(path: str) -> QuantumScenario:
-    return quantum_from_json(load_json(path))
+def load_quantum(path: str, digest=None) -> QuantumScenario:
+    return quantum_from_json(load_json(path, digest))
 
 
 def save_quantum(q: QuantumScenario, path: str) -> None:

@@ -14,7 +14,7 @@ The simplex runs on one numpy tableau with the reduced costs kept as an
 extra row. The 0/1 constraint block is written into the tableau in
 place, a row flipped to a nonnegative right-hand side from its negated
 0/1 row. Each pivot eliminates only the rows with a nonzero entry in the
-entering column, in blocks of at most `construct._BLOCK` cells, so the
+entering column, in blocks of at most `numeric._BLOCK` cells, so the
 simplex holds about the tableau plus one block: 8 bytes a cell while the
 entries are int64 or float. In rational mode the right-hand side is the
 family's integer numerators over its one denominator, and the tableau
@@ -90,13 +90,12 @@ from . import numeric
 from .construct import (
     DEFAULT_ATOM_BUDGET,
     SignedMeasure,
-    _BLOCK,
     _check_atom_budget,
     _tuple_marginals_adjoint,
     verify_marginals,
 )
 from .errors import AtomBudgetError, InputError, RepresentationError, SignalingError
-from .numeric import Scalar
+from .numeric import _BLOCK, Scalar
 from .scenario import DistributionFamily, Scenario, check_nonsignaling
 
 # Rational tableaux are int64 while every entry is below this bound, so that

@@ -65,6 +65,12 @@ MODES = (RATIONAL, FLOAT)
 
 DEFAULT_TOL = 1e-9
 
+# Most entries one block of array work holds at a time: the output rows
+# a site map fills at once (`construct`), the cells a simplex pivot
+# eliminates at once (`lp`), and the largest extended tensor the
+# consistency check judges whole (`scenario`).
+_BLOCK = 2**14
+
 
 def tolerance(mode: str, tol: float | None = None) -> float:
     """Comparison tolerance of a mode: `tol`, else the LQHV_TOL env var,
@@ -298,6 +304,8 @@ def _rational_pair(value) -> tuple[int, int]:
 
 
 JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+# the JSON numbers a float table holds: never bool, whose type is not int
+PLAIN_NUMBERS = frozenset((int, float))
 
 
 def flat_entries(data) -> tuple[list, tuple[int, ...]]:
@@ -317,15 +325,12 @@ def holds_bool(data) -> bool:
     by one C-level pass over its element types; anything else recurses.
     """
     if isinstance(data, (list, tuple)):
-        return not set(map(type, data)) <= _PLAIN_NUMBERS and any(map(holds_bool, data))
+        return not set(map(type, data)) <= PLAIN_NUMBERS and any(map(holds_bool, data))
     if isinstance(data, np.ndarray):
         if data.dtype == object:
             return any(isinstance(v, (bool, np.bool_)) for v in data.flat)
         return data.dtype == bool
     return isinstance(data, (bool, np.bool_))
-
-
-_PLAIN_NUMBERS = frozenset((int, float))
 
 
 def ratio(numerator, denominator: int, mode: str) -> Scalar:

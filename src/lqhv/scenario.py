@@ -5,14 +5,23 @@ observes one of K_n outcomes (encoded 0..K_n-1). A family holds one joint
 probability table per full setting tuple (s_1,...,s_N), with s_n running
 1..S_n, stacked into one tensor with axes (s_1..s_N, a_1..a_N). The
 nonsignaling consistency condition requires the marginals on any
-common-setting site subset to coincide across all compatible tuples. The
-check walks the subset lattice depth first: each subset's outcome-summed
-tensor is its parent's, which has one site more, with that site's
-outcome axis summed, and the check takes max - min over the other sites'
-setting axes. A `MarginalFamily` is a family that passed that check:
+common-setting site subset to coincide across all compatible tuples, and
+the check judges each subset's outcome sums by max - min over the other
+sites' setting axes. It takes one of two paths, chosen by the family's
+shape alone. A family whose extended tensor, each outcome axis grown from
+K_n to K_n + 1 entries with entry K_n the sum over that axis, has at most
+`numeric._BLOCK` entries is judged in that one tensor: every subset's
+sums are there at once, and a max and a min over each site's setting axis,
+on the cells that sum that site out, give every subset's spreads. A larger
+family is walked over the subset lattice depth first: each subset's
+outcome-summed tensor is its parent's, which has one site more, with that
+site's outcome axis summed, so only the chain to the current subset is
+held. The extended tensor sums the sites in the walk's order, so both
+paths judge the same sums, bit for bit, and name the same witness.
+A `MarginalFamily` is a family that passed that check:
 each of its constructors runs it and raises SignalingError on failure.
 Its marginal on a subset is the mean, over the other sites' settings, of
-the very outcome sums the walk judged there: outcomes are only ever
+the very outcome sums the check judged there: outcomes are only ever
 summed out one axis at a time, along the walk's path.
 
 A family is built from a {tuple: table} mapping (the file format) or,
@@ -20,7 +29,11 @@ by producers that compute all tables at once, from the tensor itself with
 `DistributionFamily.from_stacked(scenario, stacked, mode, tol)` or from
 its numerators with `DistributionFamily.from_numerators`; all run one
 validation over the stacked tensor, which fixes the family's tolerance
-`tol` (0 in rational mode) that every later comparison reads. The tensor
+`tol` (0 in rational mode) that every later comparison reads. A float
+mapping whose tables are all flat lists of the table's size in plain
+numbers, as a parsed float file holds them, is read in one pass; any
+other is read entry by entry, so a refusal names the table and entry at
+fault. The tensor
 is held as numerators over one denominator (see `lqhv.numeric`); the
 check, the marginal means and the cross-family comparison run on those
 numerators. `extract_marginal_family` builds the `MarginalFamily` of a
@@ -46,7 +59,7 @@ import numpy as np
 
 from . import numeric
 from .errors import InputError, SignalingError
-from .numeric import Scalar, read_int, read_ints
+from .numeric import _BLOCK, Scalar, read_int, read_ints
 
 SettingTuple = tuple[int, ...]
 
@@ -205,11 +218,28 @@ class DistributionFamily:
             if len(keyed) != len(tables):
                 raise InputError("duplicate setting tuples in table map")
             tables = keyed  # n_tuples distinct valid keys: exactly the tuples of `order`
+        size = math.prod(scenario.table_shape)
+        rows = [tables[t] for t in order]
+        # A well-formed float file, every table a flat list of `size` plain
+        # numbers, is read in one pass: one type scan, one array, one
+        # finiteness test. Anything else takes the path below, whose
+        # messages name the table and entry at fault.
+        if (mode == numeric.FLOAT and all(type(row) is list and len(row) == size for row in rows)
+                and set(map(type, itertools.chain.from_iterable(rows))) <= numeric.PLAIN_NUMBERS):
+            try:
+                values = np.fromiter(itertools.chain.from_iterable(rows), float, size * len(rows))
+                finite = np.isfinite(values).all()
+            except OverflowError:  # an int past the float range, named below
+                finite = False
+            if finite:
+                shape = scenario.settings_per_site + scenario.table_shape
+                self._adopt(scenario, values.reshape(shape), 1, mode, tol)
+                return
         # All entries are read at once, in tuple order, before any table's
         # size is checked, so a bad entry is reported ahead of a bad size.
         # Only on failure is each table read alone, as given, to name the one
         # at fault and the index path of a ragged entry within it.
-        parts = [numeric.flat_entries(tables[t])[0] for t in order]
+        parts = [numeric.flat_entries(row)[0] for row in rows]
         try:
             numerators, denominator = numeric.numerators(list(itertools.chain.from_iterable(parts)),
                                                          mode)
@@ -220,7 +250,6 @@ class DistributionFamily:
                 except InputError as exc:
                     raise InputError(f"table {t}: {exc}") from exc
             raise
-        size = math.prod(scenario.table_shape)
         for t, part in zip(order, parts):
             if len(part) != size:
                 raise InputError(f"table {t}: expected {scenario.table_shape} = {size} entries, "
@@ -346,45 +375,144 @@ def _subset_sums(numerators: np.ndarray, n: int, sites: tuple[int, ...]) -> np.n
     return numerators
 
 
+def _extended_sums(numerators: np.ndarray, n: int) -> np.ndarray:
+    """The extended tensor of a family, outcome axes first: axes (a_1..a_N,
+    s_1..s_N), outcome axis m grown from K_m to K_m + 1 entries, index K_m
+    holding the sum over that axis.
+
+    Sites are summed in increasing order, each sum adding the K_m slices
+    left to right, so the cells that sum out a subset's complement hold
+    `_lattice_sums`' sums for that subset bit for bit. With the outcome
+    axes first, each slice is a few long runs, not many short ones.
+    """
+    ext = numerators.transpose(tuple(range(n, 2 * n)) + tuple(range(n)))
+    for site, k in enumerate(ext.shape[:n]):
+        shape = ext.shape[:site] + (k + 1,) + ext.shape[site + 1:]
+        src = ext.reshape(math.prod(shape[:site]), k, -1)
+        total = functools.reduce(np.add, [src[:, j] for j in range(k)])
+        ext = np.concatenate([src, total[:, None]], axis=1).reshape(shape)
+    return ext
+
+
+def _check_in_one_tensor(family: DistributionFamily) -> Witness | None:
+    """`check_nonsignaling` on the extended tensor: every subset at once.
+
+    The tensor and its negation are stacked with the setting axes first.
+    For each site m, the max over setting axis m is taken on the cells
+    that sum m out and written to setting 0 of m, which gives the max and
+    minus the min at once. A cell whose summed-out sites all sit at
+    setting 0 then holds its subset's extremes over the other sites'
+    settings; any other cell spans part of its group, so its spread is no
+    larger than the group's, and equal only at the same key. A spread is
+    the sum of the two exact extremes, so it has the walk's bits, and the
+    witness is the walk's: among the cells of largest spread, the
+    smallest (|T|, T), then the first common settings and outcomes,
+    picked by one `np.lexsort`.
+    """
+    scenario = family.scenario
+    n, settings, outcomes = scenario.n_parties, scenario.settings_per_site, scenario.outcomes_per_site
+    ext = _extended_sums(family.numerators, n)
+    signed = np.empty((2,) + settings + ext.shape[:n], ext.dtype)
+    signed[0] = ext.transpose(tuple(range(n, 2 * n)) + tuple(range(n)))
+    np.negative(signed[0], out=signed[1])
+    for site, k in enumerate(outcomes):
+        # (sign and settings before, s_m, settings after and outcomes before, a_m, outcomes after)
+        view = signed.reshape(2 * math.prod(settings[:site]), settings[site], -1, k + 1,
+                              math.prod(signed.shape[n + site + 2:]))
+        view[:, 0, :, k] = np.maximum.reduce(view[:, :, :, k], axis=1)
+    spread = signed[0] + signed[1]
+    spread.reshape(scenario.n_tuples, -1)[:, -1] = 0  # the empty subset: the tables' sums
+    worst = np.maximum.reduce(spread, axis=None)
+    if not worst > family.tol:
+        return None
+    cells = np.unravel_index(np.flatnonzero(spread == worst), spread.shape)
+    cell_settings, cell_outcomes = cells[:n], cells[n:]
+    kept = [a < k for a, k in zip(cell_outcomes, outcomes)]
+    # np.lexsort's last key leads: |T|, then T (a kept site 1 first), then
+    # T's settings and outcomes, row-major; other sites' keys are constant
+    keys = (cell_outcomes[::-1] + tuple(s * m for s, m in zip(cell_settings[::-1], kept[::-1]))
+            + tuple(~m for m in kept[::-1]) + (sum(kept),))
+    first = np.lexsort(keys)[0]
+    sites = tuple(m for m in scenario.sites if kept[m - 1][first])
+    peak = (tuple(cell_settings[m - 1][first] for m in sites)
+            + tuple(cell_outcomes[m - 1][first] for m in sites))
+    cut = ext[tuple(slice(k) if m in sites else k for m, k in zip(scenario.sites, outcomes))]
+    t = len(sites)
+    return _witness(family, sites, cut.transpose(tuple(range(t, t + n)) + tuple(range(t))),
+                    peak, worst)
+
+
+def _check_by_walk(family: DistributionFamily) -> Witness | None:
+    """`check_nonsignaling` by the depth-first walk: one subset at a time."""
+    n = family.scenario.n_parties
+    worst, best = family.tol, None
+    for sites, sums in _lattice_sums(family.numerators, n):
+        other = tuple(m - 1 for m in range(1, n + 1) if m not in sites)
+        kept = tuple(i for i in range(sums.ndim) if i not in other)
+        # one row per other sites' settings, so each reduction takes whole rows
+        rows = sums.transpose(other + kept).reshape(-1, math.prod(sums.shape[i] for i in kept))
+        spread = np.maximum.reduce(rows) - np.minimum.reduce(rows)
+        top = np.maximum.reduce(spread)
+        # a tie goes to the subset first in `site_subsets` order
+        if top > worst or (best is not None and top == worst
+                           and (len(sites), sites) < (len(best[0]), best[0])):
+            worst = top
+            peak = np.unravel_index(int(np.argmax(spread)), [sums.shape[i] for i in kept])
+            best = sites, sums, peak
+    return None if best is None else _witness(family, *best, worst)
+
+
+def _witness(family: DistributionFamily, sites: tuple[int, ...], sums: np.ndarray,
+             peak: tuple, worst) -> Witness:
+    """The witness at cell `peak` (T's settings, then outcomes) of the
+    subset `sites`, whose outcome sums are `sums`: the group's argmax and
+    argmin tuples at that cell, in lexicographic order."""
+    scenario = family.scenario
+    group = tuple(peak[sites.index(m)] if m in sites else slice(None) for m in scenario.sites)
+    column = sums[group + peak[len(sites):]].reshape(-1)
+    others = [s for m, s in zip(scenario.sites, scenario.settings_per_site) if m not in sites]
+
+    def member(g) -> SettingTuple:
+        """The group's g-th tuple, row-major over the other sites' settings."""
+        free = iter(np.unravel_index(g, others))
+        return tuple(int(peak[sites.index(m)] if m in sites else next(free)) + 1
+                     for m in scenario.sites)
+
+    a, b = map(member, sorted((np.argmax(column), np.argmin(column))))
+    return Witness(sites, tuple(int(s) + 1 for s in peak[:len(sites)]), a, b,
+                   numeric.ratio(worst, family.denominator, family.mode))
+
+
 def check_nonsignaling(family: DistributionFamily) -> Witness | None:
     """Test the consistency condition; None means pass.
 
     For every nonempty proper site subset and every pair of full setting
     tuples agreeing there, the subset marginals of the two tables must
     coincide (entrywise within `family.tol`; exactly in rational mode), so
-    each group of compatible tuples is judged by its entrywise max - min. The
-    subsets' outcome sums come from one depth-first walk over the subset
-    lattice, each from its parent with one site more, not from the full
-    tensor. The witness carries the largest spread at its first occurrence
-    (subsets in `site_subsets` order, then common settings
-    lexicographically); its tuples are the argmax and argmin of the walk's
-    sums at the group's first worst outcome cell, in lexicographic order.
-    Rational families are judged on their integer numerators against their
-    tolerance 0. Float sums run in lattice order, so where subsets or tuples
-    tie within rounding the witness may name others than a per-subset
-    reduction would; its discrepancy is equally maximal. Vacuously true
-    for single-site scenarios or a single setting tuple.
+    each group of compatible tuples is judged by its entrywise max - min.
+
+    A family whose extended tensor (each outcome axis grown by a sum
+    entry, `_extended_sums`) has at most `numeric._BLOCK` entries is
+    judged in that one tensor, every subset at once. A larger one is
+    walked depth first over the subset lattice, each subset's outcome
+    sums from its parent with one site more, so only the chain to the
+    current subset is held. The choice reads only the family's shape, and
+    both paths sum in the walk's order and give the same witness, bit for
+    bit: the largest spread at its first occurrence (subsets in
+    `site_subsets` order, then common settings lexicographically); its
+    tuples are the argmax and argmin of the walk's sums at the group's
+    first worst outcome cell, in lexicographic order. Rational families
+    are judged on their integer numerators against their tolerance 0.
+    Float sums run in lattice order, so where subsets or tuples tie within
+    rounding the witness may name others than a per-subset reduction
+    would; its discrepancy is equally maximal. Vacuously true for
+    single-site scenarios or a single setting tuple.
     """
     scenario = family.scenario
-    n = scenario.n_parties
-    worst, best = family.tol, None
-    for sites, sums in _lattice_sums(family.numerators, n):
-        other = tuple(m - 1 for m in range(1, n + 1) if m not in sites)
-        spread = sums.max(axis=other) - sums.min(axis=other)
-        i = int(np.argmax(spread))
-        # a tie goes to the subset first in `site_subsets` order
-        if spread.flat[i] > worst or (best is not None and spread.flat[i] == worst
-                                      and (len(sites), sites) < (len(best[0]), best[0])):
-            worst, best = spread.flat[i], (sites, sums, np.unravel_index(i, spread.shape))
-    if best is None:
-        return None
-    sites, sums, peak = best
-    group = tuple(peak[sites.index(m)] if m in sites else slice(None) for m in scenario.sites)
-    column = sums[group + peak[len(sites):]].reshape(-1)
-    members = np.indices(scenario.settings_per_site)[(slice(None),) + group].reshape(n, -1) + 1
-    a, b = (tuple(map(int, members[:, g])) for g in sorted((np.argmax(column), np.argmin(column))))
-    return Witness(sites, tuple(int(s) + 1 for s in peak[:len(sites)]), a, b,
-                   numeric.ratio(worst, family.denominator, family.mode))
+    extended = scenario.n_tuples * math.prod(k + 1 for k in scenario.outcomes_per_site)
+    if extended <= _BLOCK:
+        return _check_in_one_tensor(family)
+    return _check_by_walk(family)
 
 
 class MarginalFamily(DistributionFamily):

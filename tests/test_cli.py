@@ -1,8 +1,11 @@
 """Command-line pipeline: exit codes, reports, idempotence."""
 
 import errno
+import hashlib
 import json
+import os
 import random
+import shutil
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -119,6 +122,26 @@ class TestCheck:
         assert report["consistency"]["passed"] is True
         assert len(report["digest"]) == 64
         assert "check" in report["timings"]
+
+    def test_the_digest_names_the_bytes_checked(self, pr_file, signaling_file, capsys,
+                                                monkeypatch):
+        # the input file is replaced by a signaling family once it is first opened
+        with open(pr_file, "rb") as fh:
+            original = fh.read()
+        opened, real_open = [], open
+
+        def replacing_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            if file == pr_file:
+                opened.append(file)
+                os.replace(shutil.copy(signaling_file, pr_file + ".new"), pr_file)
+            return fh
+
+        monkeypatch.setattr("builtins.open", replacing_open)
+        assert main(["check", pr_file, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert opened == [pr_file]
+        assert report["digest"] == hashlib.sha256(original).hexdigest()
 
 
 class TestBuild:
@@ -490,6 +513,13 @@ class TestErrorsNameTheirTable:
     @pytest.mark.parametrize("mode,entry,message", [
         ("rational", "x", "table (1, 2): cannot parse rational entry 'x'"),
         ("float", [0.25], "table (1, 2): cannot interpret data as a float array"),
+        # whole messages: a float file the one-pass read refuses keeps them
+        ("float", True, "table (1, 2): true/false is not a number\n"),
+        ("float", float("nan"), "table (1, 2): non-finite entry in float array\n"),
+        ("float", 10**400, "table (1, 2): cannot interpret data as a float array: "
+                           "int too large to convert to float\n"),
+        ("float", [0.25, 0.25], "table (1, 2): cannot interpret data as a float array: "
+                                "ragged lists, entry [2] has the rarest shape at its depth\n"),
     ])
     def test_bad_entry(self, mode, entry, message, tmp_path, capsys):
         doc = io.family_to_json(L.convert_family(L.uniform_family(L.CHSH_SCENARIO), mode))

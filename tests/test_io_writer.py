@@ -64,8 +64,9 @@ class TestWriteJsonBytes:
     @settings(max_examples=100, deadline=None)
     @given(VALUES)
     def test_matches_json_dump_across_chunks(self, value):
-        # a 3-entry chunk makes most generated lists span several chunks
-        with mock.patch.object(lio, "_CHUNK", 3):
+        # every nonempty scalar list streamed, and a 3-entry chunk makes
+        # most generated lists span several chunks
+        with mock.patch.object(lio, "_CHUNK", 3), mock.patch.object(lio, "_LONG", 1):
             assert written(value) == reference(value)
 
     @pytest.mark.parametrize("value", [
@@ -185,7 +186,7 @@ class TestFailedDump:
 
         with mock.patch.object(lio, "_list_encoder", interrupted):
             with pytest.raises(KeyboardInterrupt):
-                lio.dump_json({"atoms": [1.0, 2.0]}, str(path))
+                lio.dump_json({"atoms": [1.0, 2.0] * lio._LONG}, str(path))
         assert not path.exists()
 
 

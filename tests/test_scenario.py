@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lqhv as L
-from lqhv import io
+from lqhv import io, numeric
 from lqhv import scenario as S
 from lqhv.errors import InputError, SignalingError
 from oracles import all_pairs_check, loop_marginal, marginalize, subset_reduction_check
@@ -391,6 +391,66 @@ class TestLatticeCheckAgainstSubsetReduction:
                 tracemalloc.stop()
             assert (witness is None) == passes
             assert peak <= 3 * fam.numerators.nbytes
+
+
+def _exact_fields(witness):
+    """Every witness field, the discrepancy by repr so its type counts too."""
+    return None if witness is None else (*_fields(witness)[:4], repr(witness.max_discrepancy))
+
+
+class TestOneTensorAgainstTheWalk:
+    """Both check paths give one witness, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(SMALL_SHAPES, st.integers(0, 2**32 - 1), st.sampled_from([L.RATIONAL, L.FLOAT]),
+           st.booleans())
+    def test_equal_witness_in_every_field(self, shape, seed, mode, bend):
+        scenario = L.Scenario(*zip(*shape))
+        rng = random.Random(seed)
+        family = L.random_scenario_family(scenario, seed, mode)
+        if bend and max(scenario.outcomes_per_site) > 1:
+            if mode == L.FLOAT:
+                family = float_signaling(family, rng)
+            else:  # dyadic tables tie in many cells
+                family = L.DistributionFamily(scenario, perturbed(dyadic_tables(scenario, rng), rng))
+        assert (_exact_fields(S._check_in_one_tensor(family))
+                == _exact_fields(S._check_by_walk(family)))
+
+    def test_a_tie_across_outcomes_goes_to_the_first_cell(self):
+        # site 1's tables are the three tuples' own; outcomes 0, 1 and 2 all
+        # spread by 1/2, and only outcome 0's extremes are tuples 1 and 3
+        half = Fraction(1, 2)
+        rows = [[half, half, 0], [half, 0, half], [0, half, half]]
+        family = L.DistributionFamily(L.Scenario((1, 3), (3, 1)),
+                                      {(1, s): [[v] for v in row] for s, row in enumerate(rows, 1)})
+        expected = ((1,), (1,), (1, 1), (1, 3), repr(half))
+        assert _exact_fields(S._check_in_one_tensor(family)) == expected
+        assert _exact_fields(S._check_by_walk(family)) == expected
+
+    def test_the_tables_sums_are_not_a_subset(self):
+        # the sums 1 +- 8e-7 pass a 1e-6 tolerance and spread by 1.6e-6,
+        # but the empty subset is not judged, and every marginal agrees
+        tables = {t: np.full((2, 2), 0.25) for t in L.CHSH_SCENARIO.setting_tuples()}
+        tables[(1, 1)] = tables[(1, 1)] * (1 + 8e-7)
+        tables[(2, 2)] = tables[(2, 2)] * (1 - 8e-7)
+        family = L.DistributionFamily(L.CHSH_SCENARIO, tables, L.FLOAT, tol=1e-6)
+        assert S._check_in_one_tensor(family) is None and S._check_by_walk(family) is None
+
+    @pytest.mark.parametrize("n,path,other", [(5, "_check_in_one_tensor", "_check_by_walk"),
+                                              (6, "_check_by_walk", "_check_in_one_tensor")])
+    def test_the_extended_size_picks_the_path(self, n, path, other, monkeypatch):
+        scenario = L.Scenario((2,) * n, (2,) * n)
+        extended = scenario.n_tuples * 3**n
+        assert (extended <= numeric._BLOCK) == (path == "_check_in_one_tensor")
+        family = L.random_scenario_family(scenario, n, L.FLOAT)
+        families = (family, float_signaling(family, random.Random(n)))
+        expected = [_exact_fields(getattr(S, other)(f)) for f in families]
+        assert expected[0] is None and expected[1] is not None
+        taken = []
+        monkeypatch.setattr(S, other, lambda f: pytest.fail(f"{other} ran"))
+        monkeypatch.setattr(S, path, lambda f, run=getattr(S, path): taken.append(f) or run(f))
+        assert [_exact_fields(L.check_nonsignaling(f)) for f in families] == expected
+        assert taken == list(families)
 
 
 def mean_marginals(family, sites):
