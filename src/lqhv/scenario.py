@@ -8,12 +8,13 @@ nonsignaling consistency condition requires the marginals on any
 common-setting site subset to coincide across all compatible tuples, and
 the check judges each subset's outcome sums by max - min over the other
 sites' setting axes. It takes one of two paths, chosen by the family's
-shape alone. A family whose extended tensor, each outcome axis grown from
-K_n to K_n + 1 entries with entry K_n the sum over that axis, has at most
-`numeric._BLOCK` entries is judged in that one tensor: every subset's
-sums are there at once, and a max and a min over each site's setting axis,
-on the cells that sum that site out, give every subset's spreads. A larger
-family is walked over the subset lattice depth first: each subset's
+shape alone. A family of three or more sites whose extended tensor, each
+outcome axis grown from K_n to K_n + 1 entries with entry K_n the sum over
+that axis, has at most `numeric._BLOCK` entries is judged in that one
+tensor: every subset's sums are there at once, and a max and a min over
+each site's setting axis, on the cells that sum that site out, give every
+subset's spreads. Any other family, one or two sites or a larger tensor,
+is walked over the subset lattice depth first: each subset's
 outcome-summed tensor is its parent's, which has one site more, with that
 site's outcome axis summed, so only the chain to the current subset is
 held. The extended tensor sums the sites in the walk's order, so both
@@ -400,14 +401,14 @@ def _check_in_one_tensor(family: DistributionFamily) -> Witness | None:
     The tensor and its negation are stacked with the setting axes first.
     For each site m, the max over setting axis m is taken on the cells
     that sum m out and written to setting 0 of m, which gives the max and
-    minus the min at once. A cell whose summed-out sites all sit at
-    setting 0 then holds its subset's extremes over the other sites'
-    settings; any other cell spans part of its group, so its spread is no
-    larger than the group's, and equal only at the same key. A spread is
-    the sum of the two exact extremes, so it has the walk's bits, and the
-    witness is the walk's: among the cells of largest spread, the
-    smallest (|T|, T), then the first common settings and outcomes,
-    picked by one `np.lexsort`.
+    minus the min at once. A subset's canonical cells, those whose
+    summed-out sites all sit at setting 0, then hold its spreads over the
+    other sites' settings; any other cell spans part of its group, so its
+    spread is no larger. A spread is the sum of the two exact extremes, so
+    it has the walk's bits. Only a failing family goes on to the witness:
+    a loop over `site_subsets` applies `check_nonsignaling`'s rule as it
+    reads, viewing at most 2^N - 2 blocks of canonical cells and stopping
+    at the first that reaches the largest spread, whose argmax is the peak.
     """
     scenario = family.scenario
     n, settings, outcomes = scenario.n_parties, scenario.settings_per_site, scenario.outcomes_per_site
@@ -425,20 +426,15 @@ def _check_in_one_tensor(family: DistributionFamily) -> Witness | None:
     worst = np.maximum.reduce(spread, axis=None)
     if not worst > family.tol:
         return None
-    cells = np.unravel_index(np.flatnonzero(spread == worst), spread.shape)
-    cell_settings, cell_outcomes = cells[:n], cells[n:]
-    kept = [a < k for a, k in zip(cell_outcomes, outcomes)]
-    # np.lexsort's last key leads: |T|, then T (a kept site 1 first), then
-    # T's settings and outcomes, row-major; other sites' keys are constant
-    keys = (cell_outcomes[::-1] + tuple(s * m for s, m in zip(cell_settings[::-1], kept[::-1]))
-            + tuple(~m for m in kept[::-1]) + (sum(kept),))
-    first = np.lexsort(keys)[0]
-    sites = tuple(m for m in scenario.sites if kept[m - 1][first])
-    peak = (tuple(cell_settings[m - 1][first] for m in sites)
-            + tuple(cell_outcomes[m - 1][first] for m in sites))
-    cut = ext[tuple(slice(k) if m in sites else k for m, k in zip(scenario.sites, outcomes))]
+    for sites in scenario.site_subsets():
+        # T's outcomes, every other site at its sum entry and at setting 0
+        cells = tuple(slice(k) if m in sites else k for m, k in zip(scenario.sites, outcomes))
+        block = spread[tuple(slice(None) if m in sites else 0 for m in scenario.sites) + cells]
+        peak = np.unravel_index(int(np.argmax(block)), block.shape)
+        if block[peak] == worst:
+            break
     t = len(sites)
-    return _witness(family, sites, cut.transpose(tuple(range(t, t + n)) + tuple(range(t))),
+    return _witness(family, sites, ext[cells].transpose(tuple(range(t, t + n)) + tuple(range(t))),
                     peak, worst)
 
 
@@ -491,26 +487,27 @@ def check_nonsignaling(family: DistributionFamily) -> Witness | None:
     coincide (entrywise within `family.tol`; exactly in rational mode), so
     each group of compatible tuples is judged by its entrywise max - min.
 
-    A family whose extended tensor (each outcome axis grown by a sum
-    entry, `_extended_sums`) has at most `numeric._BLOCK` entries is
-    judged in that one tensor, every subset at once. A larger one is
-    walked depth first over the subset lattice, each subset's outcome
-    sums from its parent with one site more, so only the chain to the
-    current subset is held. The choice reads only the family's shape, and
-    both paths sum in the walk's order and give the same witness, bit for
-    bit: the largest spread at its first occurrence (subsets in
-    `site_subsets` order, then common settings lexicographically); its
-    tuples are the argmax and argmin of the walk's sums at the group's
-    first worst outcome cell, in lexicographic order. Rational families
-    are judged on their integer numerators against their tolerance 0.
-    Float sums run in lattice order, so where subsets or tuples tie within
-    rounding the witness may name others than a per-subset reduction
-    would; its discrepancy is equally maximal. Vacuously true for
-    single-site scenarios or a single setting tuple.
+    A family of three or more sites whose extended tensor (each outcome
+    axis grown by a sum entry, `_extended_sums`) has at most
+    `numeric._BLOCK` entries is judged in that one tensor, every subset at
+    once. Any other, one or two sites or a larger tensor, is walked depth
+    first over the subset lattice, each subset's outcome sums from its
+    parent with one site more, so only the chain to the current subset is
+    held. The choice reads only the family's site count and extended size,
+    and both paths sum in the walk's order and give the same witness, bit
+    for bit. The witness is the first subset in `site_subsets` order whose
+    spread reaches the largest, at its first such cell (the subset's
+    settings, then its outcomes, row-major); its tuples are the argmax and
+    argmin of the walk's sums over that cell's group, in lexicographic
+    order. Rational families are judged on their integer numerators
+    against their tolerance 0. Float sums run in lattice order, so where
+    subsets or tuples tie within rounding the witness may name others than
+    a per-subset reduction would; its discrepancy is equally maximal.
+    Vacuously true for single-site scenarios or a single setting tuple.
     """
     scenario = family.scenario
     extended = scenario.n_tuples * math.prod(k + 1 for k in scenario.outcomes_per_site)
-    if extended <= _BLOCK:
+    if scenario.n_parties >= 3 and extended <= _BLOCK:
         return _check_in_one_tensor(family)
     return _check_by_walk(family)
 

@@ -1,6 +1,7 @@
 """Scenario data model, marginalization and consistency checkers."""
 
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -427,6 +428,16 @@ class TestOneTensorAgainstTheWalk:
         assert _exact_fields(S._check_in_one_tensor(family)) == expected
         assert _exact_fields(S._check_by_walk(family)) == expected
 
+    def test_a_tie_across_subsets_goes_to_the_first_in_order(self):
+        # (1,), (3,) and (1,3) all spread by 1/2 as site 2's setting moves
+        # (a_1, a_3) from (0,0) or (1,1) to (0,0); the walk meets (3,) first
+        half = Fraction(1, 2)
+        tables = {(1, 1, 1): [[[half, 0]], [[0, half]]], (1, 2, 1): [[[1, 0]], [[0, 0]]]}
+        family = L.DistributionFamily(L.Scenario((1, 2, 1), (2, 1, 2)), tables)
+        expected = ((1,), (1,), (1, 1, 1), (1, 2, 1), repr(half))
+        assert _exact_fields(S._check_in_one_tensor(family)) == expected
+        assert _exact_fields(S._check_by_walk(family)) == expected
+
     def test_the_tables_sums_are_not_a_subset(self):
         # the sums 1 +- 8e-7 pass a 1e-6 tolerance and spread by 1.6e-6,
         # but the empty subset is not judged, and every marginal agrees
@@ -444,6 +455,28 @@ class TestOneTensorAgainstTheWalk:
         assert (extended <= numeric._BLOCK) == (path == "_check_in_one_tensor")
         family = L.random_scenario_family(scenario, n, L.FLOAT)
         families = (family, float_signaling(family, random.Random(n)))
+        expected = [_exact_fields(getattr(S, other)(f)) for f in families]
+        assert expected[0] is None and expected[1] is not None
+        taken = []
+        monkeypatch.setattr(S, other, lambda f: pytest.fail(f"{other} ran"))
+        monkeypatch.setattr(S, path, lambda f, run=getattr(S, path): taken.append(f) or run(f))
+        assert [_exact_fields(L.check_nonsignaling(f)) for f in families] == expected
+        assert taken == list(families)
+
+    @pytest.mark.parametrize("shape,mode,path,other", [
+        (((2, 2), (2, 2)), L.RATIONAL, "_check_by_walk", "_check_in_one_tensor"),
+        (((5, 5), (4, 4)), L.FLOAT, "_check_by_walk", "_check_in_one_tensor"),
+        (((2, 2, 2), (2, 2, 2)), L.FLOAT, "_check_in_one_tensor", "_check_by_walk")],
+        ids=["chsh-rational", "5x5-4x4-float", "2x2x2-float"])
+    def test_the_site_count_picks_the_path(self, shape, mode, path, other, monkeypatch):
+        scenario = L.Scenario(*shape)
+        # every extended tensor here fits, so only the site count tells them apart
+        assert scenario.n_tuples * math.prod(k + 1 for k in scenario.outcomes_per_site) <= numeric._BLOCK
+        rng = random.Random(scenario.n_parties)
+        family = L.random_scenario_family(scenario, scenario.n_parties, mode)
+        bent = (float_signaling(family, rng) if mode == L.FLOAT
+                else L.DistributionFamily(scenario, perturbed(dyadic_tables(scenario, rng), rng)))
+        families = (family, bent)
         expected = [_exact_fields(getattr(S, other)(f)) for f in families]
         assert expected[0] is None and expected[1] is not None
         taken = []
