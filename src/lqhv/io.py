@@ -102,6 +102,10 @@ they are read. The writer streams it `_CHUNK` entries at a time, so no
 list of the whole measure is ever built. A rational entry past the digit
 limit is then found mid-write, and `dump_json` removes the file it was
 writing on any failure, so a failed write leaves no file at the path.
+Most atoms of a deterministic measure are zeros, so in a float chunk
+that is at least half +0.0 only the other atoms go through the encoder,
+and each zero is written as the constant text "0.0" that the encoder
+would give it: the same bytes, without `float.__repr__` on the zeros.
 """
 
 from __future__ import annotations
@@ -388,9 +392,35 @@ _PIPE_BYTES = 2**20
 
 def _chunk_text(value, start: int, inner: str) -> str:
     """The text of the `_CHUNK` entries of a scalar list from `start`, led
-    by the list's "[" or by the "," that ends the entries before them."""
-    entries = _list_encoder(inner)(value[start:start + _CHUNK])[1:-1]
+    by the list's "[" or by the "," that ends the entries before them. A
+    chunk of a float `Entries` goes through `_float_text`."""
+    encode, stop = _list_encoder(inner), start + _CHUNK
+    if type(value) is Entries and value._flat.dtype == float:
+        entries = _float_text(value._flat[start:stop], encode, "," + inner)
+    else:
+        entries = encode(value[start:stop])[1:-1]
     return ("," if start else "[") + inner + entries
+
+
+# json's text of 0.0, which `_float_text` writes without formatting it
+_ZERO = json.dumps(0.0)
+
+
+def _float_text(values: np.ndarray, encode, separator: str) -> str:
+    """`encode(values.tolist())` without its brackets, `separator` its item
+    separator. When at least half the entries are +0.0, only the others
+    are encoded and each +0.0 is the constant `_ZERO`; -0.0 keeps its sign.
+    Formatting a float is the writer's cost, and most atoms of a
+    deterministic measure are zeros; but placing each encoded entry costs
+    about as much as a zero's formatting saves, so a chunk that is mostly
+    nonzero is encoded whole."""
+    support = np.flatnonzero((values != 0) | np.signbit(values))
+    if 2 * len(support) > len(values):
+        return encode(values.tolist())[1:-1]
+    texts = [_ZERO] * len(values)
+    for i, text in zip(support.tolist(), encode(values[support].tolist())[1:-1].split(separator)):
+        texts[i] = text
+    return separator.join(texts)
 
 
 def _processes(n: int) -> int:

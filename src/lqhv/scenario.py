@@ -7,14 +7,19 @@ probability table per full setting tuple (s_1,...,s_N), with s_n running
 nonsignaling consistency condition requires the marginals on any
 common-setting site subset to coincide across all compatible tuples, and
 the check judges each subset's outcome sums by max - min over the other
-sites' setting axes. It takes one of two paths, chosen by the family's
-shape alone. A family of three or more sites whose extended tensor, each
+sites' setting axes. A rational family is decided by the per-site
+("drop one site") test: for each site n, the family summed over a_n must
+not depend on s_n. Every subset's sums follow from these by summing out
+further sites, so on exact numerators the test passes exactly when every
+subset does, and only a family that fails it is walked to name the
+witness. A float family takes one of two paths, chosen by its shape
+alone. A float family of three or more sites whose extended tensor, each
 outcome axis grown from K_n to K_n + 1 entries with entry K_n the sum over
 that axis, has at most `numeric._BLOCK` entries is judged in that one
 tensor: every subset's sums are there at once, and a max and a min over
 each site's setting axis, on the cells that sum that site out, give every
-subset's spreads. Any other family, one or two sites or a larger tensor,
-is walked over the subset lattice depth first: each subset's
+subset's spreads. Any other float family, one or two sites or a larger
+tensor, is walked over the subset lattice depth first: each subset's
 outcome-summed tensor is its parent's, which has one site more, with that
 site's outcome axis summed, so only the chain to the current subset is
 held. The extended tensor sums the sites in the walk's order, so both
@@ -22,7 +27,7 @@ paths judge the same sums, bit for bit, and name the same witness.
 A `MarginalFamily` is a family that passed that check:
 each of its constructors runs it and raises SignalingError on failure.
 Its marginal on a subset is the mean, over the other sites' settings, of
-the very outcome sums the check judged there: outcomes are only ever
+the very outcome sums the walk judges there: outcomes are only ever
 summed out one axis at a time, along the walk's path.
 
 A family is built from a {tuple: table} mapping (the file format) or,
@@ -458,6 +463,19 @@ def _check_by_walk(family: DistributionFamily) -> Witness | None:
     return None if best is None else _witness(family, *best, worst)
 
 
+def _signals_at_a_site(family: DistributionFamily) -> bool:
+    """Whether, for some site n, the family summed over a_n depends on
+    s_n: the per-site ("drop one site") test, exact on integer numerators.
+    Every subset's sums come from these by summing out further sites, so
+    a rational family passes it exactly when it passes the walk."""
+    n = family.scenario.n_parties
+    for site in range(n):
+        sums = np.moveaxis(_drop_outcome(family.numerators, n, site), site, 0)
+        if (sums[1:] != sums[:1]).any():
+            return True
+    return False
+
+
 def _witness(family: DistributionFamily, sites: tuple[int, ...], sums: np.ndarray,
              peak: tuple, worst) -> Witness:
     """The witness at cell `peak` (T's settings, then outcomes) of the
@@ -487,24 +505,31 @@ def check_nonsignaling(family: DistributionFamily) -> Witness | None:
     coincide (entrywise within `family.tol`; exactly in rational mode), so
     each group of compatible tuples is judged by its entrywise max - min.
 
-    A family of three or more sites whose extended tensor (each outcome
-    axis grown by a sum entry, `_extended_sums`) has at most
-    `numeric._BLOCK` entries is judged in that one tensor, every subset at
-    once. Any other, one or two sites or a larger tensor, is walked depth
+    A rational family is decided by the per-site test
+    (`_signals_at_a_site`): for each site n, the family summed over a_n
+    must not depend on s_n, compared exactly on the integer numerators.
+    Only a family that fails it is walked, to name the witness. A float
+    family of three or more sites whose extended tensor (each outcome axis
+    grown by a sum entry, `_extended_sums`) has at most `numeric._BLOCK`
+    entries is judged in that one tensor, every subset at once. Any other
+    float family, one or two sites or a larger tensor, is walked depth
     first over the subset lattice, each subset's outcome sums from its
     parent with one site more, so only the chain to the current subset is
-    held. The choice reads only the family's site count and extended size,
-    and both paths sum in the walk's order and give the same witness, bit
-    for bit. The witness is the first subset in `site_subsets` order whose
-    spread reaches the largest, at its first such cell (the subset's
-    settings, then its outcomes, row-major); its tuples are the argmax and
-    argmin of the walk's sums over that cell's group, in lexicographic
-    order. Rational families are judged on their integer numerators
-    against their tolerance 0. Float sums run in lattice order, so where
-    subsets or tuples tie within rounding the witness may name others than
-    a per-subset reduction would; its discrepancy is equally maximal.
+    held. The choice reads only the family's mode, site count and extended
+    size, and both float paths sum in the walk's order and give the same
+    witness, bit for bit. The witness is the first subset in
+    `site_subsets` order whose spread reaches the largest, at its first
+    such cell (the subset's settings, then its outcomes, row-major); its
+    tuples are the argmax and argmin of the walk's sums over that cell's
+    group, in lexicographic order. Rational families are judged on their
+    integer numerators against their tolerance 0. Float sums run in
+    lattice order, so where subsets or tuples tie within rounding the
+    witness may name others than a per-subset reduction would; its
+    discrepancy is equally maximal.
     Vacuously true for single-site scenarios or a single setting tuple.
     """
+    if family.mode == numeric.RATIONAL:
+        return _check_by_walk(family) if _signals_at_a_site(family) else None
     scenario = family.scenario
     extended = scenario.n_tuples * math.prod(k + 1 for k in scenario.outcomes_per_site)
     if scenario.n_parties >= 3 and extended <= _BLOCK:

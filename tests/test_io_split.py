@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import lqhv as L
 from lqhv import io as lio
+from lqhv import numeric
 from lqhv.errors import AtomBudgetError
 
 DIGIT_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
@@ -61,6 +62,28 @@ def float_line(size, rng):
     values[: min(size, 6)] = [-0.0, 5e-324, 1e16, 1e-7, 0.1, 1.0][:size]
     values[-1] = 1 - values[:-1].sum()
     return line_measure(values, 1, L.FLOAT)
+
+
+def zero_run_line(chunk, rng):
+    """A float measure line of `chunk`-entry chunks that are mostly +0.0:
+    all-zero chunks, one whose only nonzero is its first entry and one
+    whose only nonzero is its last, -0.0 and 5e-324 inside a zero run, a
+    run across one chunk boundary and one across several, a mostly
+    nonzero chunk with a zero in it, and a short last chunk."""
+    def nonzero():
+        return rng.uniform(-1, 1) or 0.5
+
+    zero, full = [0.0] * chunk, [nonzero() for _ in range(chunk)]
+    first, last = list(zero), list(zero)
+    first[0], last[-1] = nonzero(), nonzero()
+    signed = list(zero)
+    signed[1], signed[-2] = -0.0, 5e-324
+    half = chunk // 2
+    across = [nonzero() for _ in range(half)] + [0.0] * chunk + [nonzero() for _ in range(chunk - half)]
+    holed = list(full)
+    holed[half] = 0.0
+    values = zero + first + last + signed + across + holed + full + zero * 3 + [0.0, -0.0, 0.0]
+    return line_measure(np.array(values), 1, L.FLOAT)
 
 
 def rational_line(size, rng, huge_at=None):
@@ -125,6 +148,31 @@ class TestSameBytes:
                 assert lio._processes(size) == (1 if size < 2 * chunk
                                                 else min(count, size // chunk))
                 assert written(doc) == reference(listed)
+        assert_no_child()
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("chunk", [2, 5, 8])
+    def test_zero_runs_in_a_float_measure(self, count, chunk):
+        measure = zero_run_line(chunk, random.Random(chunk))
+        doc = lio.measure_to_json(measure)
+        with cpus(count, piece=chunk, chunk=chunk):
+            listed = list(doc["atoms"])
+            assert listed == numeric.format_entries(measure.numerators, measure.denominator)
+            assert lio._processes(len(listed)) == count
+            assert written(doc) == reference({**doc, "atoms": listed})
+        assert_no_child()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.0, -0.0, 5e-324, 0.1, -2.5, 1e16]), min_size=1,
+                    max_size=40),
+           st.integers(1, 4), st.integers(1, 5), st.integers(1, 4))
+    def test_generated_sparse_float_measures(self, values, count, piece, chunk):
+        measure = line_measure(np.array(values), 1, L.FLOAT)
+        doc = lio.measure_to_json(measure)
+        with cpus(count, piece, chunk):
+            listed = list(doc["atoms"])
+            assert listed == numeric.format_entries(measure.numerators, measure.denominator)
+            assert written(doc) == reference({**doc, "atoms": listed})
         assert_no_child()
 
     def test_serial_without_fork(self, monkeypatch):

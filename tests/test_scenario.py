@@ -463,20 +463,16 @@ class TestOneTensorAgainstTheWalk:
         assert [_exact_fields(L.check_nonsignaling(f)) for f in families] == expected
         assert taken == list(families)
 
-    @pytest.mark.parametrize("shape,mode,path,other", [
-        (((2, 2), (2, 2)), L.RATIONAL, "_check_by_walk", "_check_in_one_tensor"),
-        (((5, 5), (4, 4)), L.FLOAT, "_check_by_walk", "_check_in_one_tensor"),
-        (((2, 2, 2), (2, 2, 2)), L.FLOAT, "_check_in_one_tensor", "_check_by_walk")],
-        ids=["chsh-rational", "5x5-4x4-float", "2x2x2-float"])
-    def test_the_site_count_picks_the_path(self, shape, mode, path, other, monkeypatch):
+    @pytest.mark.parametrize("shape,path,other", [
+        (((5, 5), (4, 4)), "_check_by_walk", "_check_in_one_tensor"),
+        (((2, 2, 2), (2, 2, 2)), "_check_in_one_tensor", "_check_by_walk")],
+        ids=["5x5-4x4-float", "2x2x2-float"])
+    def test_the_site_count_picks_the_path(self, shape, path, other, monkeypatch):
         scenario = L.Scenario(*shape)
         # every extended tensor here fits, so only the site count tells them apart
         assert scenario.n_tuples * math.prod(k + 1 for k in scenario.outcomes_per_site) <= numeric._BLOCK
-        rng = random.Random(scenario.n_parties)
-        family = L.random_scenario_family(scenario, scenario.n_parties, mode)
-        bent = (float_signaling(family, rng) if mode == L.FLOAT
-                else L.DistributionFamily(scenario, perturbed(dyadic_tables(scenario, rng), rng)))
-        families = (family, bent)
+        family = L.random_scenario_family(scenario, scenario.n_parties, L.FLOAT)
+        families = (family, float_signaling(family, random.Random(scenario.n_parties)))
         expected = [_exact_fields(getattr(S, other)(f)) for f in families]
         assert expected[0] is None and expected[1] is not None
         taken = []
@@ -484,6 +480,41 @@ class TestOneTensorAgainstTheWalk:
         monkeypatch.setattr(S, path, lambda f, run=getattr(S, path): taken.append(f) or run(f))
         assert [_exact_fields(L.check_nonsignaling(f)) for f in families] == expected
         assert taken == list(families)
+
+
+class TestPerSiteTest:
+    """A rational family is decided by the per-site test, and only one that
+    fails it is walked, so its witness is the walk's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(SMALL_SHAPES, st.integers(0, 2**32 - 1), st.booleans())
+    def test_agrees_with_both_paths(self, shape, seed, bend):
+        scenario = L.Scenario(*zip(*shape))
+        rng = random.Random(seed)
+        if bend and max(scenario.outcomes_per_site) > 1:
+            family = L.DistributionFamily(scenario, perturbed(dyadic_tables(scenario, rng), rng))
+        else:
+            family = L.random_scenario_family(scenario, seed)
+        walked = _exact_fields(S._check_by_walk(family))
+        assert S._signals_at_a_site(family) == (walked is not None)
+        assert _exact_fields(S._check_in_one_tensor(family)) == walked
+        assert _exact_fields(L.check_nonsignaling(family)) == walked
+
+    @pytest.mark.parametrize("shape", [((2, 2), (2, 2)), ((2, 2, 2), (2, 2, 2)), ((2,) * 6, (2,) * 6)],
+                             ids=["chsh", "2x2x2", "2^6"])
+    def test_rational_families_are_decided_per_site(self, shape, monkeypatch):
+        scenario = L.Scenario(*shape)
+        rng = random.Random(scenario.n_parties)
+        family = L.random_scenario_family(scenario, scenario.n_parties)
+        bent = L.DistributionFamily(scenario, perturbed(dyadic_tables(scenario, rng), rng))
+        expected = [_exact_fields(S._check_by_walk(f)) for f in (family, bent)]
+        assert expected[0] is None and expected[1] is not None
+        walked = []
+        monkeypatch.setattr(S, "_check_in_one_tensor", lambda f: pytest.fail("the one tensor ran"))
+        monkeypatch.setattr(S, "_check_by_walk",
+                            lambda f, run=S._check_by_walk: walked.append(f) or run(f))
+        assert [_exact_fields(L.check_nonsignaling(f)) for f in (family, bent)] == expected
+        assert walked == [bent]
 
 
 def mean_marginals(family, sites):
