@@ -66,9 +66,8 @@ MODES = (RATIONAL, FLOAT)
 DEFAULT_TOL = 1e-9
 
 # Most entries one block of array work holds at a time: the output rows
-# a site map fills at once (`construct`), the cells a simplex pivot
-# eliminates at once (`lp`), and the largest extended tensor the
-# consistency check judges whole (`scenario`).
+# a site map fills at once (`construct`) and the cells a simplex pivot
+# eliminates at once (`lp`).
 _BLOCK = 2**14
 
 

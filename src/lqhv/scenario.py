@@ -7,23 +7,18 @@ probability table per full setting tuple (s_1,...,s_N), with s_n running
 nonsignaling consistency condition requires the marginals on any
 common-setting site subset to coincide across all compatible tuples, and
 the check judges each subset's outcome sums by max - min over the other
-sites' setting axes. A rational family is decided by the per-site
-("drop one site") test: for each site n, the family summed over a_n must
-not depend on s_n. Every subset's sums follow from these by summing out
-further sites, so on exact numerators the test passes exactly when every
-subset does, and only a family that fails it is walked to name the
-witness. A float family takes one of two paths, chosen by its shape
-alone. A float family of three or more sites whose extended tensor, each
-outcome axis grown from K_n to K_n + 1 entries with entry K_n the sum over
-that axis, has at most `numeric._BLOCK` entries is judged in that one
-tensor: every subset's sums are there at once, and a max and a min over
-each site's setting axis, on the cells that sum that site out, give every
-subset's spreads. Any other float family, one or two sites or a larger
-tensor, is walked over the subset lattice depth first: each subset's
-outcome-summed tensor is its parent's, which has one site more, with that
-site's outcome axis summed, so only the chain to the current subset is
-held. The extended tensor sums the sites in the walk's order, so both
-paths judge the same sums, bit for bit, and name the same witness.
+sites' setting axes. Every family first takes the per-site ("drop one
+site") test: for each site n, the family summed over a_n must not depend
+on s_n. Every subset's sums follow from these by summing out further
+sites, so a rational family, compared exactly, passes the test exactly
+when every subset does, and a float family passes it only where a
+rounding bound proves that every spread the walk would compute is within
+the tolerance. Any family that does not pass is walked over the subset
+lattice depth first, which decides it and names the witness: each
+subset's outcome-summed tensor is its parent's, which has one site more,
+with that site's outcome axis summed, so only the chain to the current
+subset is held. The walk's steps are computed once per scenario shape and
+run as one flat loop.
 A `MarginalFamily` is a family that passed that check:
 each of its constructors runs it and raises SignalingError on failure.
 Its marginal on a subset is the mean, over the other sites' settings, of
@@ -59,13 +54,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from . import numeric
 from .errors import InputError, SignalingError
-from .numeric import _BLOCK, Scalar, read_int, read_ints
+from .numeric import Scalar, read_int, read_ints
 
 SettingTuple = tuple[int, ...]
 
@@ -345,135 +340,126 @@ def convert_family(family: DistributionFamily, mode: str,
                                               mode, tol)
 
 
+@functools.lru_cache(maxsize=None)
+def _slices(axis: int, k: int) -> tuple[tuple, ...]:
+    """Indices of the `k` slices along `axis`, every earlier axis whole."""
+    return tuple((slice(None),) * axis + (j,) for j in range(k))
+
+
 def _drop_outcome(tensor: np.ndarray, n: int, pos: int) -> np.ndarray:
     """`tensor` with its `pos`-th outcome axis (after N setting axes) summed out, slice by slice."""
     # adding the axis' slices beats numpy's reduction over a short axis
-    lead = (slice(None),) * (n + pos)
-    return functools.reduce(np.add, [tensor[lead + (k,)] for k in range(tensor.shape[n + pos])])
+    return functools.reduce(np.add, [tensor[i] for i in _slices(n + pos, tensor.shape[n + pos])])
 
 
-def _lattice_sums(tensor: np.ndarray, n: int, kept: tuple[int, ...] | None = None,
-                  last: int = 0) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """(sites, sums) for every nonempty proper site subset, depth first.
+class _Step(NamedTuple):
+    """One subset of the walk. Its sums add the `slices` of the sums held
+    at `depth` (the family at depth 0), and `order` puts the other sites'
+    setting axes ahead of the subset's `cells`: its settings, then its
+    outcomes."""
 
-    `tensor` (axes s_1..s_N, then the outcomes of the sites in `kept`) is
-    the family summed over the other sites' outcomes. A child drops a kept
-    site after `last`, the last one dropped on this path, so each subset is
-    reached once, by dropping its complement in increasing site order. Only
-    the chain from the family to the current subset is held.
+    depth: int
+    slices: tuple[tuple, ...]
+    sites: tuple[int, ...]
+    order: tuple[int, ...]
+    cells: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _walk_steps(scenario: Scenario) -> tuple[_Step, ...]:
+    """The walk over every nonempty proper site subset, depth first.
+
+    A subset is reached once, by dropping its complement's outcome axes in
+    increasing site order, so the steps run in lexicographic order of the
+    dropped sites, and a step's parent is the latest step one site up.
     """
-    kept = tuple(range(1, n + 1)) if kept is None else kept
-    if len(kept) == 1:
-        return
-    for pos, site in enumerate(kept):
-        if site <= last:
-            continue
-        child = _drop_outcome(tensor, n, pos)
-        sites = kept[:pos] + kept[pos + 1:]
-        yield sites, child
-        yield from _lattice_sums(child, n, sites, site)
+    n, settings, outcomes = scenario.n_parties, scenario.settings_per_site, scenario.outcomes_per_site
+    steps = []
+    for dropped in sorted(itertools.chain.from_iterable(
+            itertools.combinations(scenario.sites, size) for size in range(1, n))):
+        # every site dropped before the last is smaller, so this is its outcome axis
+        axis = n + dropped[-1] - len(dropped)
+        sites = tuple(m for m in scenario.sites if m not in dropped)
+        steps.append(_Step(
+            len(dropped) - 1, _slices(axis, outcomes[dropped[-1] - 1]), sites,
+            tuple(m - 1 for m in dropped + sites) + tuple(range(n, n + len(sites))),
+            tuple(settings[m - 1] for m in sites) + tuple(outcomes[m - 1] for m in sites)))
+    return tuple(steps)
 
 
 def _subset_sums(numerators: np.ndarray, n: int, sites: tuple[int, ...]) -> np.ndarray:
-    """`_lattice_sums`' sums for increasing `sites`, bit for bit: the walk's own path to them."""
+    """The walk's sums for increasing `sites`, bit for bit: its own path to them."""
     for i, site in enumerate(m for m in range(1, n + 1) if m not in sites):
         numerators = _drop_outcome(numerators, n, site - 1 - i)
     return numerators
 
 
-def _extended_sums(numerators: np.ndarray, n: int) -> np.ndarray:
-    """The extended tensor of a family, outcome axes first: axes (a_1..a_N,
-    s_1..s_N), outcome axis m grown from K_m to K_m + 1 entries, index K_m
-    holding the sum over that axis.
-
-    Sites are summed in increasing order, each sum adding the K_m slices
-    left to right, so the cells that sum out a subset's complement hold
-    `_lattice_sums`' sums for that subset bit for bit. With the outcome
-    axes first, each slice is a few long runs, not many short ones.
-    """
-    ext = numerators.transpose(tuple(range(n, 2 * n)) + tuple(range(n)))
-    for site, k in enumerate(ext.shape[:n]):
-        shape = ext.shape[:site] + (k + 1,) + ext.shape[site + 1:]
-        src = ext.reshape(math.prod(shape[:site]), k, -1)
-        total = functools.reduce(np.add, [src[:, j] for j in range(k)])
-        ext = np.concatenate([src, total[:, None]], axis=1).reshape(shape)
-    return ext
-
-
-def _check_in_one_tensor(family: DistributionFamily) -> Witness | None:
-    """`check_nonsignaling` on the extended tensor: every subset at once.
-
-    The tensor and its negation are stacked with the setting axes first.
-    For each site m, the max over setting axis m is taken on the cells
-    that sum m out and written to setting 0 of m, which gives the max and
-    minus the min at once. A subset's canonical cells, those whose
-    summed-out sites all sit at setting 0, then hold its spreads over the
-    other sites' settings; any other cell spans part of its group, so its
-    spread is no larger. A spread is the sum of the two exact extremes, so
-    it has the walk's bits. Only a failing family goes on to the witness:
-    a loop over `site_subsets` applies `check_nonsignaling`'s rule as it
-    reads, viewing at most 2^N - 2 blocks of canonical cells and stopping
-    at the first that reaches the largest spread, whose argmax is the peak.
-    """
-    scenario = family.scenario
-    n, settings, outcomes = scenario.n_parties, scenario.settings_per_site, scenario.outcomes_per_site
-    ext = _extended_sums(family.numerators, n)
-    signed = np.empty((2,) + settings + ext.shape[:n], ext.dtype)
-    signed[0] = ext.transpose(tuple(range(n, 2 * n)) + tuple(range(n)))
-    np.negative(signed[0], out=signed[1])
-    for site, k in enumerate(outcomes):
-        # (sign and settings before, s_m, settings after and outcomes before, a_m, outcomes after)
-        view = signed.reshape(2 * math.prod(settings[:site]), settings[site], -1, k + 1,
-                              math.prod(signed.shape[n + site + 2:]))
-        view[:, 0, :, k] = np.maximum.reduce(view[:, :, :, k], axis=1)
-    spread = signed[0] + signed[1]
-    spread.reshape(scenario.n_tuples, -1)[:, -1] = 0  # the empty subset: the tables' sums
-    worst = np.maximum.reduce(spread, axis=None)
-    if not worst > family.tol:
-        return None
-    for sites in scenario.site_subsets():
-        # T's outcomes, every other site at its sum entry and at setting 0
-        cells = tuple(slice(k) if m in sites else k for m, k in zip(scenario.sites, outcomes))
-        block = spread[tuple(slice(None) if m in sites else 0 for m in scenario.sites) + cells]
-        peak = np.unravel_index(int(np.argmax(block)), block.shape)
-        if block[peak] == worst:
-            break
-    t = len(sites)
-    return _witness(family, sites, ext[cells].transpose(tuple(range(t, t + n)) + tuple(range(t))),
-                    peak, worst)
-
-
 def _check_by_walk(family: DistributionFamily) -> Witness | None:
     """`check_nonsignaling` by the depth-first walk: one subset at a time."""
-    n = family.scenario.n_parties
-    worst, best = family.tol, None
-    for sites, sums in _lattice_sums(family.numerators, n):
-        other = tuple(m - 1 for m in range(1, n + 1) if m not in sites)
-        kept = tuple(i for i in range(sums.ndim) if i not in other)
+    # the sums along the current path, the family first; only that path is held
+    chain, worst, best = [family.numerators], family.tol, None
+    for depth, slices, sites, order, cells in _walk_steps(family.scenario):
+        del chain[depth + 1:]
+        sums = functools.reduce(np.add, [chain[depth][i] for i in slices])
+        chain.append(sums)
         # one row per other sites' settings, so each reduction takes whole rows
-        rows = sums.transpose(other + kept).reshape(-1, math.prod(sums.shape[i] for i in kept))
+        rows = sums.transpose(order).reshape(-1, math.prod(cells))
         spread = np.maximum.reduce(rows) - np.minimum.reduce(rows)
         top = np.maximum.reduce(spread)
         # a tie goes to the subset first in `site_subsets` order
         if top > worst or (best is not None and top == worst
                            and (len(sites), sites) < (len(best[0]), best[0])):
             worst = top
-            peak = np.unravel_index(int(np.argmax(spread)), [sums.shape[i] for i in kept])
-            best = sites, sums, peak
+            best = sites, sums, np.unravel_index(int(np.argmax(spread)), cells)
     return None if best is None else _witness(family, *best, worst)
 
 
-def _signals_at_a_site(family: DistributionFamily) -> bool:
-    """Whether, for some site n, the family summed over a_n depends on
-    s_n: the per-site ("drop one site") test, exact on integer numerators.
+def _passes_per_site(family: DistributionFamily) -> bool:
+    """Whether the per-site ("drop one site") test proves the family
+    nonsignaling: for each site m, the family summed over a_m must not
+    depend on s_m.
+
     Every subset's sums come from these by summing out further sites, so
-    a rational family passes it exactly when it passes the walk."""
-    n = family.scenario.n_parties
+    a rational family, compared exactly on its integer numerators, passes
+    exactly when it passes the walk. A float family passes only when
+
+        2 (L sum_m e_m + 2 (L N + 1) g A) <= tol,
+
+    with L the table size, A the largest sum of |x| over one table,
+    u = 2^-53, g = 2 L u, and e_m site m's float spread (the largest
+    max - min over s_m of the float sums over a_m). This proves that every
+    spread the walk would compute is at most tol:
+    - every walk sum adds entries of one table, each through at most L - 1
+      additions, so it is off its exact sum by at most g A (Higham,
+      Accuracy and Stability of Numerical Algorithms, ch. 4; g bounds
+      gamma_{L-1} for any L below 2^52), and the walk's rounded difference
+      of two such sums is at most tol whenever the exact one is, since
+      rounding is monotone and tol is a float;
+    - a subset's exact spread is at most L sum_m E_m, with E_m the exact
+      per-site spread: two tuples of one group are joined by moving one
+      other site's setting at a time, and a move at site m changes a
+      subset sum, which adds at most L of site m's per-site sums, by at
+      most L E_m;
+    - the per-site sums are the walk's first sums, so E_m <= e_m (1 + 2u)
+      + 2 g A, and the factor 2 covers (1 + 2u) and the rounding of the
+      bound's own arithmetic, a relative error far below 1/2.
+    The float test stops at the first site where 2 L sum_m e_m already
+    exceeds tol, and only a family that gets through every site pays for A.
+    """
+    numerators, scenario, tol = family.numerators, family.scenario, family.tol
+    n, size = scenario.n_parties, math.prod(scenario.table_shape)
+    if family.mode == numeric.RATIONAL:
+        sums = (np.moveaxis(_drop_outcome(numerators, n, site), site, 0) for site in range(n))
+        return not any((s[1:] != s[:1]).any() for s in sums)
+    spread = 0.0
     for site in range(n):
-        sums = np.moveaxis(_drop_outcome(family.numerators, n, site), site, 0)
-        if (sums[1:] != sums[:1]).any():
-            return True
-    return False
+        sums = _drop_outcome(numerators, n, site)
+        spread += (sums.max(axis=site) - sums.min(axis=site)).max()
+        if not 2 * size * spread <= tol:
+            return False
+    total = np.abs(numerators).reshape(scenario.n_tuples, -1).sum(axis=1).max()
+    gamma = 2 * size * 2.0**-53
+    return bool(2 * (size * spread + 2 * (size * n + 1) * gamma * total) <= tol)
 
 
 def _witness(family: DistributionFamily, sites: tuple[int, ...], sums: np.ndarray,
@@ -505,36 +491,23 @@ def check_nonsignaling(family: DistributionFamily) -> Witness | None:
     coincide (entrywise within `family.tol`; exactly in rational mode), so
     each group of compatible tuples is judged by its entrywise max - min.
 
-    A rational family is decided by the per-site test
-    (`_signals_at_a_site`): for each site n, the family summed over a_n
-    must not depend on s_n, compared exactly on the integer numerators.
-    Only a family that fails it is walked, to name the witness. A float
-    family of three or more sites whose extended tensor (each outcome axis
-    grown by a sum entry, `_extended_sums`) has at most `numeric._BLOCK`
-    entries is judged in that one tensor, every subset at once. Any other
-    float family, one or two sites or a larger tensor, is walked depth
-    first over the subset lattice, each subset's outcome sums from its
-    parent with one site more, so only the chain to the current subset is
-    held. The choice reads only the family's mode, site count and extended
-    size, and both float paths sum in the walk's order and give the same
-    witness, bit for bit. The witness is the first subset in
-    `site_subsets` order whose spread reaches the largest, at its first
-    such cell (the subset's settings, then its outcomes, row-major); its
-    tuples are the argmax and argmin of the walk's sums over that cell's
-    group, in lexicographic order. Rational families are judged on their
-    integer numerators against their tolerance 0. Float sums run in
-    lattice order, so where subsets or tuples tie within rounding the
-    witness may name others than a per-subset reduction would; its
-    discrepancy is equally maximal.
+    A family that passes the per-site test (`_passes_per_site`: for each
+    site n, the family summed over a_n must not depend on s_n, exactly in
+    rational mode and under a proven rounding bound in float mode) passes.
+    Any other family is walked depth first over the subset lattice, each
+    subset's outcome sums from its parent with one site more, so only the
+    chain to the current subset is held; the walk decides it and names the
+    witness. The witness is the first subset in `site_subsets` order whose
+    spread reaches the largest, at its first such cell (the subset's
+    settings, then its outcomes, row-major); its tuples are the argmax and
+    argmin of the walk's sums over that cell's group, in lexicographic
+    order. Rational families are judged on their integer numerators
+    against their tolerance 0. Float sums run in lattice order, so where
+    subsets or tuples tie within rounding the witness may name others than
+    a per-subset reduction would; its discrepancy is equally maximal.
     Vacuously true for single-site scenarios or a single setting tuple.
     """
-    if family.mode == numeric.RATIONAL:
-        return _check_by_walk(family) if _signals_at_a_site(family) else None
-    scenario = family.scenario
-    extended = scenario.n_tuples * math.prod(k + 1 for k in scenario.outcomes_per_site)
-    if scenario.n_parties >= 3 and extended <= _BLOCK:
-        return _check_in_one_tensor(family)
-    return _check_by_walk(family)
+    return None if _passes_per_site(family) else _check_by_walk(family)
 
 
 class MarginalFamily(DistributionFamily):
@@ -545,8 +518,10 @@ class MarginalFamily(DistributionFamily):
     `check_nonsignaling` after the table validation and raises
     SignalingError on a signaling family, so no inconsistent
     `MarginalFamily` exists. A marginal is the mean of the walk's sums
-    over all compatible full tuples, which the passed check makes equal
-    to each of them (exactly in rational mode).
+    over all compatible full tuples (`_subset_sums`, the walk's own path
+    to the subset, even where the per-site test passed the family without
+    a walk), which the passed check makes equal to each of them (exactly
+    in rational mode).
     """
 
     def _take(self, scenario: Scenario, numerators: np.ndarray, denominator: int, mode: str,

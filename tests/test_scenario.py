@@ -1,7 +1,7 @@
 """Scenario data model, marginalization and consistency checkers."""
 
+import functools
 import itertools
-import math
 import random
 import re
 import tracemalloc
@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lqhv as L
-from lqhv import io, numeric
+from lqhv import io
 from lqhv import scenario as S
 from lqhv.errors import InputError, SignalingError
 from oracles import all_pairs_check, loop_marginal, marginalize, subset_reduction_check
@@ -399,8 +399,9 @@ def _exact_fields(witness):
     return None if witness is None else (*_fields(witness)[:4], repr(witness.max_discrepancy))
 
 
-class TestOneTensorAgainstTheWalk:
-    """Both check paths give one witness, bit for bit."""
+class TestCheckAgainstTheWalk:
+    """`check_nonsignaling` gives the walk's witness, bit for bit, whether
+    the per-site test or the walk decides the family."""
 
     @settings(max_examples=150, deadline=None)
     @given(SMALL_SHAPES, st.integers(0, 2**32 - 1), st.sampled_from([L.RATIONAL, L.FLOAT]),
@@ -414,7 +415,7 @@ class TestOneTensorAgainstTheWalk:
                 family = float_signaling(family, rng)
             else:  # dyadic tables tie in many cells
                 family = L.DistributionFamily(scenario, perturbed(dyadic_tables(scenario, rng), rng))
-        assert (_exact_fields(S._check_in_one_tensor(family))
+        assert (_exact_fields(L.check_nonsignaling(family))
                 == _exact_fields(S._check_by_walk(family)))
 
     def test_a_tie_across_outcomes_goes_to_the_first_cell(self):
@@ -425,7 +426,7 @@ class TestOneTensorAgainstTheWalk:
         family = L.DistributionFamily(L.Scenario((1, 3), (3, 1)),
                                       {(1, s): [[v] for v in row] for s, row in enumerate(rows, 1)})
         expected = ((1,), (1,), (1, 1), (1, 3), repr(half))
-        assert _exact_fields(S._check_in_one_tensor(family)) == expected
+        assert _exact_fields(L.check_nonsignaling(family)) == expected
         assert _exact_fields(S._check_by_walk(family)) == expected
 
     def test_a_tie_across_subsets_goes_to_the_first_in_order(self):
@@ -435,7 +436,7 @@ class TestOneTensorAgainstTheWalk:
         tables = {(1, 1, 1): [[[half, 0]], [[0, half]]], (1, 2, 1): [[[1, 0]], [[0, 0]]]}
         family = L.DistributionFamily(L.Scenario((1, 2, 1), (2, 1, 2)), tables)
         expected = ((1,), (1,), (1, 1, 1), (1, 2, 1), repr(half))
-        assert _exact_fields(S._check_in_one_tensor(family)) == expected
+        assert _exact_fields(L.check_nonsignaling(family)) == expected
         assert _exact_fields(S._check_by_walk(family)) == expected
 
     def test_the_tables_sums_are_not_a_subset(self):
@@ -445,59 +446,31 @@ class TestOneTensorAgainstTheWalk:
         tables[(1, 1)] = tables[(1, 1)] * (1 + 8e-7)
         tables[(2, 2)] = tables[(2, 2)] * (1 - 8e-7)
         family = L.DistributionFamily(L.CHSH_SCENARIO, tables, L.FLOAT, tol=1e-6)
-        assert S._check_in_one_tensor(family) is None and S._check_by_walk(family) is None
-
-    @pytest.mark.parametrize("n,path,other", [(5, "_check_in_one_tensor", "_check_by_walk"),
-                                              (6, "_check_by_walk", "_check_in_one_tensor")])
-    def test_the_extended_size_picks_the_path(self, n, path, other, monkeypatch):
-        scenario = L.Scenario((2,) * n, (2,) * n)
-        extended = scenario.n_tuples * 3**n
-        assert (extended <= numeric._BLOCK) == (path == "_check_in_one_tensor")
-        family = L.random_scenario_family(scenario, n, L.FLOAT)
-        families = (family, float_signaling(family, random.Random(n)))
-        expected = [_exact_fields(getattr(S, other)(f)) for f in families]
-        assert expected[0] is None and expected[1] is not None
-        taken = []
-        monkeypatch.setattr(S, other, lambda f: pytest.fail(f"{other} ran"))
-        monkeypatch.setattr(S, path, lambda f, run=getattr(S, path): taken.append(f) or run(f))
-        assert [_exact_fields(L.check_nonsignaling(f)) for f in families] == expected
-        assert taken == list(families)
-
-    @pytest.mark.parametrize("shape,path,other", [
-        (((5, 5), (4, 4)), "_check_by_walk", "_check_in_one_tensor"),
-        (((2, 2, 2), (2, 2, 2)), "_check_in_one_tensor", "_check_by_walk")],
-        ids=["5x5-4x4-float", "2x2x2-float"])
-    def test_the_site_count_picks_the_path(self, shape, path, other, monkeypatch):
-        scenario = L.Scenario(*shape)
-        # every extended tensor here fits, so only the site count tells them apart
-        assert scenario.n_tuples * math.prod(k + 1 for k in scenario.outcomes_per_site) <= numeric._BLOCK
-        family = L.random_scenario_family(scenario, scenario.n_parties, L.FLOAT)
-        families = (family, float_signaling(family, random.Random(scenario.n_parties)))
-        expected = [_exact_fields(getattr(S, other)(f)) for f in families]
-        assert expected[0] is None and expected[1] is not None
-        taken = []
-        monkeypatch.setattr(S, other, lambda f: pytest.fail(f"{other} ran"))
-        monkeypatch.setattr(S, path, lambda f, run=getattr(S, path): taken.append(f) or run(f))
-        assert [_exact_fields(L.check_nonsignaling(f)) for f in families] == expected
-        assert taken == list(families)
+        assert not S._passes_per_site(family)
+        assert L.check_nonsignaling(family) is None and S._check_by_walk(family) is None
 
 
 class TestPerSiteTest:
-    """A rational family is decided by the per-site test, and only one that
-    fails it is walked, so its witness is the walk's."""
+    """The per-site test decides every family it passes, exactly in
+    rational mode and under its rounding bound in float mode; only a
+    family that fails it is walked, so its witness is the walk's."""
 
     @settings(max_examples=150, deadline=None)
-    @given(SMALL_SHAPES, st.integers(0, 2**32 - 1), st.booleans())
-    def test_agrees_with_both_paths(self, shape, seed, bend):
+    @given(SMALL_SHAPES, st.integers(0, 2**32 - 1), st.sampled_from([L.RATIONAL, L.FLOAT]),
+           st.booleans())
+    def test_agrees_with_both_paths(self, shape, seed, mode, bend):
         scenario = L.Scenario(*zip(*shape))
         rng = random.Random(seed)
         if bend and max(scenario.outcomes_per_site) > 1:
-            family = L.DistributionFamily(scenario, perturbed(dyadic_tables(scenario, rng), rng))
+            tables = perturbed(dyadic_tables(scenario, rng), rng)
+            family = L.DistributionFamily(scenario, tables, mode)
         else:
-            family = L.random_scenario_family(scenario, seed)
+            family = L.random_scenario_family(scenario, seed, mode)
         walked = _exact_fields(S._check_by_walk(family))
-        assert S._signals_at_a_site(family) == (walked is not None)
-        assert _exact_fields(S._check_in_one_tensor(family)) == walked
+        if mode == L.RATIONAL:
+            assert S._passes_per_site(family) == (walked is None)
+        elif S._passes_per_site(family):
+            assert walked is None
         assert _exact_fields(L.check_nonsignaling(family)) == walked
 
     @pytest.mark.parametrize("shape", [((2, 2), (2, 2)), ((2, 2, 2), (2, 2, 2)), ((2,) * 6, (2,) * 6)],
@@ -507,14 +480,102 @@ class TestPerSiteTest:
         rng = random.Random(scenario.n_parties)
         family = L.random_scenario_family(scenario, scenario.n_parties)
         bent = L.DistributionFamily(scenario, perturbed(dyadic_tables(scenario, rng), rng))
-        expected = [_exact_fields(S._check_by_walk(f)) for f in (family, bent)]
-        assert expected[0] is None and expected[1] is not None
-        walked = []
-        monkeypatch.setattr(S, "_check_in_one_tensor", lambda f: pytest.fail("the one tensor ran"))
-        monkeypatch.setattr(S, "_check_by_walk",
-                            lambda f, run=S._check_by_walk: walked.append(f) or run(f))
-        assert [_exact_fields(L.check_nonsignaling(f)) for f in (family, bent)] == expected
-        assert walked == [bent]
+        walked_only_when_the_test_fails(family, bent, monkeypatch)
+
+    @pytest.mark.parametrize("shape", [((2, 2), (2, 2)), ((2, 2, 2), (2, 2, 2)), ((5, 5), (4, 4)),
+                                       ((2,) * 5, (2,) * 5), ((2,) * 6, (2,) * 6)],
+                             ids=["chsh", "2x2x2", "5x5-4x4", "2^5", "2^6"])
+    def test_float_families_are_decided_per_site(self, shape, monkeypatch):
+        scenario = L.Scenario(*shape)
+        family = L.random_scenario_family(scenario, scenario.n_parties, L.FLOAT)
+        bent = float_signaling(family, random.Random(scenario.n_parties))
+        walked_only_when_the_test_fails(family, bent, monkeypatch)
+
+
+def walked_only_when_the_test_fails(family, bent, monkeypatch):
+    """`check_nonsignaling` runs the per-site test on both families and
+    walks only `bent`, which signals, to the walk's witness."""
+    expected = [_exact_fields(S._check_by_walk(f)) for f in (family, bent)]
+    assert expected[0] is None and expected[1] is not None
+    tested, walked = [], []
+    monkeypatch.setattr(S, "_passes_per_site",
+                        lambda f, run=S._passes_per_site: tested.append(f) or run(f))
+    monkeypatch.setattr(S, "_check_by_walk",
+                        lambda f, run=S._check_by_walk: walked.append(f) or run(f))
+    assert [_exact_fields(L.check_nonsignaling(f)) for f in (family, bent)] == expected
+    assert tested == [family, bent] and walked == [bent]
+
+
+def on_the_grid(tables, rng, delta):
+    """Float copy of dyadic tables with mass of about `delta` moved between
+    two cells of up to three tables, rounded to a multiple of 2^-53: every
+    entry, and every sum of one table's entries, is then a multiple of
+    2^-53 in [0, 1], so all float sums are exact and any summation order
+    gives the same bits."""
+    stacked = {t: np.array(table, dtype=float) for t, table in tables.items()}
+    moves = rng.randrange(1, 4) if next(iter(stacked.values())).size > 1 else 0
+    for _ in range(moves):
+        table = stacked[rng.choice(sorted(stacked))]
+        cells = list(np.ndindex(*table.shape))
+        source = rng.choice([c for c in cells if table[c] >= 1 / 8])
+        target = rng.choice([c for c in cells if c != source])
+        moved = round(delta * rng.uniform(0.5, 1.5) * 2.0**53) * 2.0**-53
+        table[source] -= moved
+        table[target] += moved
+    return stacked
+
+
+PERTURBATIONS = [0, 1e-16, 1e-13, 1e-10, 1e-9, 2e-9, 1e-6]
+TOLERANCES = [1e-16, 1e-12, 1e-9, 1e-6]
+
+
+class TestFloatNearTheTolerance:
+    """Float families whose spreads sit near the tolerance, where the
+    per-site bound may not pass a family the walk passes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(SMALL_SHAPES, st.integers(0, 2**32 - 1), st.sampled_from(PERTURBATIONS),
+           st.sampled_from(TOLERANCES + [0.0]))
+    def test_exact_sums_match_the_walk_and_the_oracle(self, shape, seed, delta, tol):
+        scenario = L.Scenario(*zip(*shape))
+        rng = random.Random(seed)
+        tables = on_the_grid(dyadic_tables(scenario, rng), rng, delta)
+        family = L.DistributionFamily(scenario, tables, L.FLOAT, tol=tol)
+        witness = L.check_nonsignaling(family)
+        assert _exact_fields(witness) == _exact_fields(S._check_by_walk(family))
+        assert _fields(witness) == subset_reduction_check(family)
+
+    @settings(max_examples=200, deadline=None)
+    @given(SMALL_SHAPES, st.integers(0, 2**32 - 1), st.sampled_from(PERTURBATIONS),
+           st.sampled_from(TOLERANCES))
+    def test_rounded_sums_match_the_walk(self, shape, seed, delta, tol):
+        scenario = L.Scenario(*zip(*shape))
+        assume(max(scenario.outcomes_per_site) > 1)
+        rng = random.Random(seed)
+        stacked = np.array(L.random_scenario_family(scenario, seed, L.FLOAT).numerators)
+        for _ in range(rng.randrange(1, 4)):
+            table = stacked[tuple(rng.randrange(s) for s in scenario.settings_per_site)]
+            source = np.unravel_index(int(np.argmax(table)), table.shape)
+            target = tuple(rng.randrange(k) for k in scenario.outcomes_per_site)
+            moved = min(delta * rng.uniform(0.5, 1.5), table[source])
+            table[source] -= moved
+            table[target] += moved
+        # validated at 1e-6, then judged at `tol`, which rounded sums may miss
+        family = L.DistributionFamily.from_stacked(scenario, stacked, L.FLOAT, tol=1e-6)
+        family._take(scenario, family.numerators, 1, L.FLOAT, tol)
+        assert (_exact_fields(L.check_nonsignaling(family))
+                == _exact_fields(S._check_by_walk(family)))
+
+    def test_the_walk_passes_what_the_bound_does_not(self):
+        # a spread of 2^-30 < 1e-9 at site 1's outcome, which the per-site
+        # bound, 2 L = 8 times the per-site spreads, cannot pass
+        tables = {t: np.full((2, 2), 0.25) for t in L.CHSH_SCENARIO.setting_tuples()}
+        tables[(1, 1)][0, 0] += 2.0**-30
+        tables[(1, 1)][1, 0] -= 2.0**-30
+        family = L.DistributionFamily(L.CHSH_SCENARIO, tables, L.FLOAT, tol=1e-9)
+        assert not S._passes_per_site(family)
+        assert S._check_by_walk(family) is None and L.check_nonsignaling(family) is None
+        assert subset_reduction_check(family) is None
 
 
 def mean_marginals(family, sites):
@@ -553,10 +614,15 @@ class TestOneSummationPath:
         scenario = L.Scenario(*zip(*shape))
         numerators = L.random_scenario_family(scenario, seed, L.FLOAT).numerators
         n = scenario.n_parties
-        reached = []
-        for sites, sums in S._lattice_sums(numerators, n):
-            reached.append(sites)
-            direct = S._subset_sums(numerators, n, sites)
+        chain, reached = [numerators], []
+        for step in S._walk_steps(scenario):
+            # the walk's own loop: each step adds its slices of the sums at its depth
+            del chain[step.depth + 1:]
+            sums = functools.reduce(np.add, [chain[step.depth][i] for i in step.slices])
+            chain.append(sums)
+            reached.append(step.sites)
+            assert sums.transpose(step.order).shape[n - len(step.sites):] == step.cells
+            direct = S._subset_sums(numerators, n, step.sites)
             assert direct.shape == sums.shape and direct.tobytes() == sums.tobytes()
         assert sorted(reached) == sorted(scenario.site_subsets())
 
