@@ -159,11 +159,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# Most atoms `jordan_decompose` reads into its buffer at a time; at least
-# numpy's pairwise block of 128, so each leaf is summed as numpy sums it.
-_LEAF = 2**14
-
-
 def _part_sums(x: np.ndarray, buf: np.ndarray) -> tuple:
     """Sums of max(x, 0) and max(-x, 0) over the 1-D `x`, each leaf
     computed in `buf`. Longer runs are halved where numpy's pairwise sum
@@ -182,11 +177,11 @@ def _part_sums(x: np.ndarray, buf: np.ndarray) -> tuple:
 def jordan_decompose(measure: SignedMeasure) -> JordanPair:
     """Atomwise Jordan split; total variation is the combined mass.
 
-    The call holds the measure plus one leaf buffer of at most `_LEAF`
-    atoms, through which both parts are summed; the parts themselves are
-    built only when read from the pair."""
+    The call holds the measure plus one leaf buffer of at most
+    `numeric._BLOCK` atoms, through which both parts are summed; the parts
+    themselves are built only when read from the pair."""
     x = measure.numerators.reshape(-1)
-    positive, negative = _part_sums(x, np.empty(min(x.size, _LEAF), dtype=x.dtype))
+    positive, negative = _part_sums(x, np.empty(min(x.size, _BLOCK), dtype=x.dtype))
     total = numeric.ratio(positive + negative, measure.denominator, measure.mode)
     return JordanPair(measure.numerators, measure.denominator, total)
 

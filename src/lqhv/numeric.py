@@ -66,8 +66,10 @@ MODES = (RATIONAL, FLOAT)
 DEFAULT_TOL = 1e-9
 
 # Most entries one block of array work holds at a time: the output rows
-# a site map fills at once (`construct`) and the cells a simplex pivot
-# eliminates at once (`lp`).
+# a site map fills at once and the atoms `jordan_decompose` reads into its
+# buffer at once (`construct`), and the cells a simplex pivot eliminates at
+# once (`lp`). It is at least numpy's pairwise block of 128, so each
+# buffered leaf is summed as numpy sums it.
 _BLOCK = 2**14
 
 

@@ -10,9 +10,12 @@ the check judges each subset's outcome sums by max - min over the other
 sites' setting axes. Every family first takes the per-site ("drop one
 site") test: for each site n, the family summed over a_n must not depend
 on s_n. Every subset's sums follow from these by summing out further
-sites, so a rational family, compared exactly, passes the test exactly
-when every subset does, and a float family passes it only where a
-rounding bound proves that every spread the walk would compute is within
+sites, so one rule serves both modes: the table size times the sum of the
+per-site spreads must fit under half the tolerance less a rounding
+allowance, which the validated tables bound by their size, the site
+count and the tolerance alone. Rational mode has tolerance and allowance
+0, so a rational family passes exactly when every subset does; a float
+family passes only where every spread the walk would compute is within
 the tolerance. Any family that does not pass is walked over the subset
 lattice depth first, which decides it and names the witness: each
 subset's outcome-summed tensor is its parent's, which has one site more,
@@ -284,12 +287,11 @@ class DistributionFamily:
                tol: float | None) -> None:
         numerators, denominator = numeric.held_numerators(numerators, denominator, mode)
         tol = numeric.tolerance(mode, tol)
-        order = scenario.setting_tuples()
-        rows = numerators.reshape(len(order), -1)
+        rows = numerators.reshape(scenario.n_tuples, -1)
         low, sums = rows.min(axis=1), rows.sum(axis=1)
         bad = (low < -tol) | ~numeric.is_close(sums, denominator, tol)
         if bad.any():
-            i = int(np.argmax(bad))
+            i, order = int(np.argmax(bad)), scenario.setting_tuples()
             if low[i] < -tol:
                 raise InputError(f"negative probability in table {order[i]}: "
                                  f"min entry {numeric.ratio(low[i], denominator, mode)}")
@@ -355,14 +357,13 @@ def _drop_outcome(tensor: np.ndarray, n: int, pos: int) -> np.ndarray:
 class _Step(NamedTuple):
     """One subset of the walk. Its sums add the `slices` of the sums held
     at `depth` (the family at depth 0), and `order` puts the other sites'
-    setting axes ahead of the subset's `cells`: its settings, then its
+    setting axes ahead of the subset's cells: its settings, then its
     outcomes."""
 
     depth: int
     slices: tuple[tuple, ...]
     sites: tuple[int, ...]
     order: tuple[int, ...]
-    cells: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=64)
@@ -373,7 +374,7 @@ def _walk_steps(scenario: Scenario) -> tuple[_Step, ...]:
     increasing site order, so the steps run in lexicographic order of the
     dropped sites, and a step's parent is the latest step one site up.
     """
-    n, settings, outcomes = scenario.n_parties, scenario.settings_per_site, scenario.outcomes_per_site
+    n, outcomes = scenario.n_parties, scenario.outcomes_per_site
     steps = []
     for dropped in sorted(itertools.chain.from_iterable(
             itertools.combinations(scenario.sites, size) for size in range(1, n))):
@@ -382,8 +383,7 @@ def _walk_steps(scenario: Scenario) -> tuple[_Step, ...]:
         sites = tuple(m for m in scenario.sites if m not in dropped)
         steps.append(_Step(
             len(dropped) - 1, _slices(axis, outcomes[dropped[-1] - 1]), sites,
-            tuple(m - 1 for m in dropped + sites) + tuple(range(n, n + len(sites))),
-            tuple(settings[m - 1] for m in sites) + tuple(outcomes[m - 1] for m in sites)))
+            tuple(m - 1 for m in dropped + sites) + tuple(range(n, n + len(sites)))))
     return tuple(steps)
 
 
@@ -398,12 +398,14 @@ def _check_by_walk(family: DistributionFamily) -> Witness | None:
     """`check_nonsignaling` by the depth-first walk: one subset at a time."""
     # the sums along the current path, the family first; only that path is held
     chain, worst, best = [family.numerators], family.tol, None
-    for depth, slices, sites, order, cells in _walk_steps(family.scenario):
+    for depth, slices, sites, order in _walk_steps(family.scenario):
         del chain[depth + 1:]
         sums = functools.reduce(np.add, [chain[depth][i] for i in slices])
         chain.append(sums)
         # one row per other sites' settings, so each reduction takes whole rows
-        rows = sums.transpose(order).reshape(-1, math.prod(cells))
+        view = sums.transpose(order)
+        cells = view.shape[-2 * len(sites):]
+        rows = view.reshape(-1, math.prod(cells))
         spread = np.maximum.reduce(rows) - np.minimum.reduce(rows)
         top = np.maximum.reduce(spread)
         # a tie goes to the subset first in `site_subsets` order
@@ -417,20 +419,24 @@ def _check_by_walk(family: DistributionFamily) -> Witness | None:
 def _passes_per_site(family: DistributionFamily) -> bool:
     """Whether the per-site ("drop one site") test proves the family
     nonsignaling: for each site m, the family summed over a_m must not
-    depend on s_m.
+    depend on s_m. It passes only when
 
-    Every subset's sums come from these by summing out further sites, so
-    a rational family, compared exactly on its integer numerators, passes
-    exactly when it passes the walk. A float family passes only when
+        L sum_m e_m <= tol / 2 - 2 (L N + 1) g A',  A' = (1 + (2 L + 1) tol) / (1 - g),
 
-        2 (L sum_m e_m + 2 (L N + 1) g A) <= tol,
-
-    with L the table size, A the largest sum of |x| over one table,
-    u = 2^-53, g = 2 L u, and e_m site m's float spread (the largest
-    max - min over s_m of the float sums over a_m). This proves that every
-    spread the walk would compute is at most tol:
+    with L the table size, e_m site m's spread (the largest max - min over
+    s_m of the sums over a_m), u = 2^-53, and g = 2 L u in float mode, 0 in
+    rational mode. A rational family has tol = 0 and g = 0, so it passes
+    when every per-site spread of its integer numerators is exactly 0; every
+    subset's sums come from these by summing out further sites, so that is
+    exactly when it passes the walk. In float mode the bound proves that
+    every spread the walk would compute is at most tol:
+    - no table's sum of |x| exceeds A': validation held every entry at
+      -tol or above, so the sum of |x| is at most the exact table sum plus
+      2 L tol, and it held the table's float sum within tol of 1, where that
+      float sum is off the exact one by at most g times the sum of |x|
+      (next step), so (1 - g) sum |x| <= 1 + (2 L + 1) tol;
     - every walk sum adds entries of one table, each through at most L - 1
-      additions, so it is off its exact sum by at most g A (Higham,
+      additions, so it is off its exact sum by at most g A' (Higham,
       Accuracy and Stability of Numerical Algorithms, ch. 4; g bounds
       gamma_{L-1} for any L below 2^52), and the walk's rounded difference
       of two such sums is at most tol whenever the exact one is, since
@@ -441,25 +447,23 @@ def _passes_per_site(family: DistributionFamily) -> bool:
       subset sum, which adds at most L of site m's per-site sums, by at
       most L E_m;
     - the per-site sums are the walk's first sums, so E_m <= e_m (1 + 2u)
-      + 2 g A, and the factor 2 covers (1 + 2u) and the rounding of the
-      bound's own arithmetic, a relative error far below 1/2.
-    The float test stops at the first site where 2 L sum_m e_m already
-    exceeds tol, and only a family that gets through every site pays for A.
+      + 2 g A', and the factor 2 on tol covers (1 + 2u) and the rounding of
+      the bound's own arithmetic and of validation's, a relative error far
+      below 1/2.
+    The test stops at the first site where L times the spreads so far
+    exceeds the room the right-hand side leaves.
     """
-    numerators, scenario, tol = family.numerators, family.scenario, family.tol
-    n, size = scenario.n_parties, math.prod(scenario.table_shape)
-    if family.mode == numeric.RATIONAL:
-        sums = (np.moveaxis(_drop_outcome(numerators, n, site), site, 0) for site in range(n))
-        return not any((s[1:] != s[:1]).any() for s in sums)
-    spread = 0.0
+    numerators, n, tol, spread = family.numerators, family.scenario.n_parties, family.tol, 0
+    size = math.prod(family.scenario.table_shape)
+    gamma = 2 * size * 2.0**-53 * (family.mode == numeric.FLOAT)
+    room = tol / 2 - 2 * (size * n + 1) * gamma * (1 + (2 * size + 1) * tol) / (1 - gamma)
     for site in range(n):
         sums = _drop_outcome(numerators, n, site)
-        spread += (sums.max(axis=site) - sums.min(axis=site)).max()
-        if not 2 * size * spread <= tol:
+        # np.max: a one-site rational family reduces to a Python int
+        spread += np.max(sums.max(axis=site) - sums.min(axis=site))
+        if size * spread > room:
             return False
-    total = np.abs(numerators).reshape(scenario.n_tuples, -1).sum(axis=1).max()
-    gamma = 2 * size * 2.0**-53
-    return bool(2 * (size * spread + 2 * (size * n + 1) * gamma * total) <= tol)
+    return True
 
 
 def _witness(family: DistributionFamily, sites: tuple[int, ...], sums: np.ndarray,
@@ -492,8 +496,10 @@ def check_nonsignaling(family: DistributionFamily) -> Witness | None:
     each group of compatible tuples is judged by its entrywise max - min.
 
     A family that passes the per-site test (`_passes_per_site`: for each
-    site n, the family summed over a_n must not depend on s_n, exactly in
-    rational mode and under a proven rounding bound in float mode) passes.
+    site n, the family summed over a_n must not depend on s_n, by one rule
+    whose rounding allowance, read off the validated tables' size and
+    tolerance, is 0 in rational mode, where the comparison is exact)
+    passes.
     Any other family is walked depth first over the subset lattice, each
     subset's outcome sums from its parent with one site more, so only the
     chain to the current subset is held; the walk decides it and names the

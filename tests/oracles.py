@@ -254,26 +254,6 @@ def brute_stochastic_table(nu, conditionals, setting_tuple):
     return out
 
 
-def all_rational_tables(rng, scenario_shape):
-    """Random exact probability tables for every setting tuple.
-
-    scenario_shape is (settings_per_site, outcomes_per_site). Entries are
-    small random integers normalized per table; the result is generally
-    signaling, which is fine for the callers that only need valid tables.
-    """
-    settings, outcomes = scenario_shape
-    tables = {}
-    cells = list(np.ndindex(*outcomes))
-    for t in itertools.product(*(range(1, s + 1) for s in settings)):
-        raw = [rng.randrange(1, 9) for _ in cells]
-        total = sum(raw)
-        table = np.empty(tuple(outcomes), dtype=object)
-        for cell, w in zip(cells, raw):
-            table[cell] = Fraction(w, total)
-        tables[t] = table
-    return tables
-
-
 def brute_marginal_matrix(settings_per_site, outcomes_per_site):
     """0/1 constraint matrix of the LHV program, one joint point at a time.
 

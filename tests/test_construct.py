@@ -426,7 +426,7 @@ class TestJordan:
         mu = random_float_measure((size,))
         x = mu.numerators
         if leaf is not None:
-            monkeypatch.setattr(construct, "_LEAF", leaf)
+            monkeypatch.setattr(construct, "_BLOCK", leaf)
         total = L.jordan_decompose(mu).total_variation
         assert total == np.maximum(x, 0).sum() + np.maximum(-x, 0).sum()
 
