@@ -181,7 +181,10 @@ def jordan_decompose(measure: SignedMeasure) -> JordanPair:
     `numeric._BLOCK` atoms, through which both parts are summed; the parts
     themselves are built only when read from the pair."""
     x = measure.numerators.reshape(-1)
-    positive, negative = _part_sums(x, np.empty(min(x.size, _BLOCK), dtype=x.dtype))
+    # a leaf of numpy's pairwise block of 128 is summed as numpy sums it,
+    # and `_part_sums` only halves runs longer than that
+    leaf = min(x.size, max(_BLOCK, 128))
+    positive, negative = _part_sums(x, np.empty(leaf, dtype=x.dtype))
     total = numeric.ratio(positive + negative, measure.denominator, measure.mode)
     return JordanPair(measure.numerators, measure.denominator, total)
 

@@ -260,7 +260,9 @@ def _phase1_simplex(a01: np.ndarray, rhs: np.ndarray, scale: int, mode: str, tol
         else:
             # the leaving row's nonzero columns and the rhs column; elsewhere the
             # dense update t - c * 0.0 would leave t as it is (see the module docstring)
-            columns = np.append(tableau[leave, :-1].nonzero()[0], width - 1)
+            nonzero = tableau[leave] != 0
+            nonzero[-1] = True
+            columns = nonzero.nonzero()[0]
             pivot_row = tableau[leave, columns] / tableau[leave, e]
             tableau[leave, columns] = pivot_row
             # one 1-D index into the flat view takes numpy's fast path; indexing by

@@ -68,8 +68,9 @@ DEFAULT_TOL = 1e-9
 # Most entries one block of array work holds at a time: the output rows
 # a site map fills at once and the atoms `jordan_decompose` reads into its
 # buffer at once (`construct`), and the cells a simplex pivot eliminates at
-# once (`lp`). It is at least numpy's pairwise block of 128, so each
-# buffered leaf is summed as numpy sums it.
+# once (`lp`). `jordan_decompose` keeps its buffer at least numpy's
+# pairwise block of 128 whatever this is, so each leaf is summed as numpy
+# sums it.
 _BLOCK = 2**14
 
 
@@ -384,11 +385,10 @@ def format_entries(numerators: np.ndarray, denominator: int) -> list:
     """
     if numerators.dtype != object:
         return numerators.reshape(-1).tolist()
-    flat = numerators.reshape(-1)
-    common = np.gcd(flat, denominator)
     try:
-        return [f"{p}/{q}" if q != 1 else str(p)
-                for p, q in zip((flat // common).tolist(), (denominator // common).tolist())]
+        return [str(p // g) if (g := math.gcd(p, denominator)) == denominator
+                else f"{p // g}/{denominator // g}"
+                for p in numerators.reshape(-1).tolist()]
     except ValueError as exc:  # an int past the digit limit
         raise _too_long_to_write() from exc
 

@@ -420,7 +420,7 @@ class TestJordan:
         # the measure, about 3 MiB of Python ints, plus one leaf
         assert peak <= 1.1 * held
 
-    @pytest.mark.parametrize("leaf", [128, None], ids=["leaf128", "default"])
+    @pytest.mark.parametrize("leaf", [1, 8, 128, None], ids=["leaf1", "leaf8", "leaf128", "default"])
     @pytest.mark.parametrize("size", [1, 127, 128, 129, 2**14 + 1, 2**16 + 13, 1_000_003])
     def test_total_variation_has_the_bits_of_numpys_sum(self, size, leaf, monkeypatch):
         mu = random_float_measure((size,))

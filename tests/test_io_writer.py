@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -14,6 +15,10 @@ from hypothesis import strategies as st
 
 import lqhv as L
 from lqhv import io as lio
+from lqhv import numeric
+from lqhv.errors import AtomBudgetError
+
+DIGIT_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 SPECIAL_FLOATS = [-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
 
@@ -135,11 +140,36 @@ def float_line(size, rng):
     return line_measure(values, 1, L.FLOAT)
 
 
-def rational_line(size, rng):
-    # over 12, entries like 6/12 reduce to "1/2" and 24/12 to "2"
+def rational_line(size, rng, huge_at=None):
+    # over 12, entries like 6/12 reduce to "1/2" and 24/12 to "2"; `huge_at`
+    # puts a numerator past the digit limit there, its negative right after
     values = np.array([rng.randrange(-30, 31) for _ in range(size)], dtype=object)
+    if huge_at is not None:
+        values[huge_at], values[huge_at + 1] = 10**(DIGIT_LIMIT + 2), -(10**(DIGIT_LIMIT + 2))
     values[-1] = 12 - values[:-1].sum()
     return line_measure(values, 12, L.RATIONAL)
+
+
+def zero_run_line(chunk, rng):
+    """A float measure line of `chunk`-entry chunks that are mostly +0.0:
+    all-zero chunks, one whose only nonzero is its first entry and one
+    whose only nonzero is its last, -0.0 and 5e-324 inside a zero run, a
+    run across one chunk boundary and one across several, a mostly
+    nonzero chunk with a zero in it, and a short last chunk."""
+    def nonzero():
+        return rng.uniform(-1, 1) or 0.5
+
+    zero, full = [0.0] * chunk, [nonzero() for _ in range(chunk)]
+    first, last = list(zero), list(zero)
+    first[0], last[-1] = nonzero(), nonzero()
+    signed = list(zero)
+    signed[1], signed[-2] = -0.0, 5e-324
+    half = chunk // 2
+    across = [nonzero() for _ in range(half)] + [0.0] * chunk + [nonzero() for _ in range(chunk - half)]
+    holed = list(full)
+    holed[half] = 0.0
+    values = zero + first + last + signed + across + holed + full + zero * 3 + [0.0, -0.0, 0.0]
+    return line_measure(np.array(values), 1, L.FLOAT)
 
 
 class TestStreamedAtoms:
@@ -169,8 +199,61 @@ class TestStreamedAtoms:
             atoms[len(listed)]
 
 
+class TestChunkBounds:
+    """Scalar lists and measure atoms split across chunks of every size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
+                     st.lists(st.integers(), max_size=40),
+                     st.lists(st.text(), max_size=40)),
+           st.integers(1, 4))
+    def test_generated_lists(self, value, chunk):
+        with mock.patch.object(lio, "_CHUNK", chunk):
+            assert written({"x": value, "y": [value]}) == reference({"x": value, "y": [value]})
+
+    @pytest.mark.parametrize("make", [float_line, rational_line], ids=["float", "rational"])
+    def test_measure_documents_around_chunk_bounds(self, make):
+        chunk = lio._CHUNK
+        rng = random.Random(chunk)
+        for size in (chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1,
+                     5 * chunk + 7):
+            doc = lio.measure_to_json(make(size, rng))
+            assert written(doc) == reference({**doc, "atoms": list(doc["atoms"])})
+
+    @pytest.mark.parametrize("chunk", [2, 5, 8])
+    def test_zero_runs_in_a_float_measure(self, chunk):
+        measure = zero_run_line(chunk, random.Random(chunk))
+        doc = lio.measure_to_json(measure)
+        with mock.patch.object(lio, "_CHUNK", chunk):
+            listed = list(doc["atoms"])
+            assert listed == numeric.format_entries(measure.numerators, measure.denominator)
+            assert written(doc) == reference({**doc, "atoms": listed})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.0, -0.0, 5e-324, 0.1, -2.5, 1e16]), min_size=1,
+                    max_size=40),
+           st.integers(1, 4))
+    def test_generated_sparse_float_measures(self, values, chunk):
+        measure = line_measure(np.array(values), 1, L.FLOAT)
+        doc = lio.measure_to_json(measure)
+        with mock.patch.object(lio, "_CHUNK", chunk):
+            listed = list(doc["atoms"])
+            assert listed == numeric.format_entries(measure.numerators, measure.denominator)
+            assert written(doc) == reference({**doc, "atoms": listed})
+
+
 class TestFailedDump:
     """dump_json removes the file it opened when the write fails."""
+
+    def test_entry_past_the_digit_limit_mid_list_leaves_no_file(self, tmp_path):
+        # the entry is found in the third of four chunks, after two are written
+        chunk = lio._CHUNK
+        measure = rational_line(4 * chunk, random.Random(4), huge_at=2 * chunk + 5)
+        path = tmp_path / "measure.json"
+        path.write_text("an older file")
+        with pytest.raises(AtomBudgetError, match=f"more than {DIGIT_LIMIT} digits"):
+            lio.save_measure(measure, str(path))
+        assert not path.exists()
 
     def test_unserializable_value_leaves_no_file(self, tmp_path):
         path = tmp_path / "out.json"
