@@ -150,28 +150,6 @@ def rational_line(size, rng, huge_at=None):
     return line_measure(values, 12, L.RATIONAL)
 
 
-def zero_run_line(chunk, rng):
-    """A float measure line of `chunk`-entry chunks that are mostly +0.0:
-    all-zero chunks, one whose only nonzero is its first entry and one
-    whose only nonzero is its last, -0.0 and 5e-324 inside a zero run, a
-    run across one chunk boundary and one across several, a mostly
-    nonzero chunk with a zero in it, and a short last chunk."""
-    def nonzero():
-        return rng.uniform(-1, 1) or 0.5
-
-    zero, full = [0.0] * chunk, [nonzero() for _ in range(chunk)]
-    first, last = list(zero), list(zero)
-    first[0], last[-1] = nonzero(), nonzero()
-    signed = list(zero)
-    signed[1], signed[-2] = -0.0, 5e-324
-    half = chunk // 2
-    across = [nonzero() for _ in range(half)] + [0.0] * chunk + [nonzero() for _ in range(chunk - half)]
-    holed = list(full)
-    holed[half] = 0.0
-    values = zero + first + last + signed + across + holed + full + zero * 3 + [0.0, -0.0, 0.0]
-    return line_measure(np.array(values), 1, L.FLOAT)
-
-
 class TestStreamedAtoms:
     """A measure document's atoms are formatted as they are written."""
 
@@ -210,24 +188,6 @@ class TestChunkBounds:
     def test_generated_lists(self, value, chunk):
         with mock.patch.object(lio, "_CHUNK", chunk):
             assert written({"x": value, "y": [value]}) == reference({"x": value, "y": [value]})
-
-    @pytest.mark.parametrize("make", [float_line, rational_line], ids=["float", "rational"])
-    def test_measure_documents_around_chunk_bounds(self, make):
-        chunk = lio._CHUNK
-        rng = random.Random(chunk)
-        for size in (chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1,
-                     5 * chunk + 7):
-            doc = lio.measure_to_json(make(size, rng))
-            assert written(doc) == reference({**doc, "atoms": list(doc["atoms"])})
-
-    @pytest.mark.parametrize("chunk", [2, 5, 8])
-    def test_zero_runs_in_a_float_measure(self, chunk):
-        measure = zero_run_line(chunk, random.Random(chunk))
-        doc = lio.measure_to_json(measure)
-        with mock.patch.object(lio, "_CHUNK", chunk):
-            listed = list(doc["atoms"])
-            assert listed == numeric.format_entries(measure.numerators, measure.denominator)
-            assert written(doc) == reference({**doc, "atoms": listed})
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.0, -0.0, 5e-324, 0.1, -2.5, 1e16]), min_size=1,
