@@ -73,16 +73,14 @@ Every file and every `--json` report goes through one writer,
 `write_json`. Its output is byte for byte what
 `json.dump(data, fh, indent=2, sort_keys=True)` followed by a line break
 writes, for any JSON value of dicts with str keys, lists, tuples and
-scalars, where an `Entries` sequence stands for the list it holds. `json`
-lays out each document with one `json.dumps` call, in which every list
-of plain scalars (str, int, float, bool, None) with at least `_LONG`
-entries and every `Entries` stands as one marker string, a NUL and random
-hex fresh for each call; json lays out a shorter list itself, faster
-than a streamed one. The writer then writes the text up to each marker
-and streams that list in its place, two spaces deeper than the marker's
-line, through the C encoder in pieces of `_CHUNK` entries, so the text
-of a large list is never held whole and never formatted entry by entry
-in Python. No text the CLI writes holds a NUL, since no path can.
+scalars, where an `Entries` sequence stands for the list it holds. It
+walks the document once and writes as it goes, laying out each dict or
+list that holds a container as json's indent=2 layout does, with keys
+in json's own C encoding. The rest goes through json's C encoder:
+a dict of plain scalars (str, int, float, bool, None) whole, and every
+nonempty list of them and every `Entries` in pieces of `_CHUNK` entries,
+so the text of the whole document or of a large list is never held, and
+no list is formatted entry by entry in Python.
 
 A measure document's "atoms" is such an `Entries` sequence: a read-only
 view of the measure's numerators that formats its entries only when
@@ -360,9 +358,9 @@ _CHUNK = 4096
 
 @functools.cache
 def _list_encoder(indent: str):
-    """C-encoder of a scalar list whose items sit on lines at `indent`;
-    one is cached per nesting depth."""
-    return json.JSONEncoder(separators=("," + indent, ": ")).encode
+    """C-encoder of a scalar list or dict whose items sit on lines at
+    `indent`, keys sorted; one is cached per nesting depth."""
+    return json.JSONEncoder(separators=("," + indent, ": "), sort_keys=True).encode
 
 
 def _chunk_text(value, start: int, inner: str) -> str:
@@ -398,51 +396,43 @@ def _float_text(values: np.ndarray, encode, separator: str) -> str:
     return separator.join(texts)
 
 
-# Fewest entries of a scalar list that `write_json` streams: json's own
-# layout, one entry at a time in Python, is faster on a shorter one.
-_LONG = 12
-
-
-def _marked(value: Any, marker: str, lists: list, newline: str = "\n") -> Any:
-    """`value` with each scalar list of at least `_LONG` entries and each
-    `Entries` replaced by `marker`, in the order json lays them out; each
-    goes to `lists` with `newline`, the line break plus the indentation of
-    the marker's line. A shorter scalar list is left for json to lay out."""
-    if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("JSON object keys must be str")
-        return {key: _marked(value[key], marker, lists, newline + "  ") for key in sorted(value)}
+def _write(value: Any, fh, newline: str) -> None:
+    """Write `value` to `fh` as json's indent=2, sort_keys layout does,
+    `newline` the line break and indentation of the line it starts on.
+    A scalar list or `Entries` is streamed `_CHUNK` entries at a time, and
+    a dict of scalars is C-encoded whole; every other scalar and empty
+    container is `json.dumps` text."""
+    inner = newline + "  "
+    if isinstance(value, dict) and not all(isinstance(key, str) for key in value):
+        raise TypeError("JSON object keys must be str")
     # `type(...) is Entries`: isinstance on a Sequence subclass is far slower
-    if type(value) is Entries:
-        lists.append((value, newline))
-        return marker
-    if isinstance(value, (list, tuple)):
-        if set(map(type, value)) <= numeric.JSON_SCALARS:
-            if len(value) < _LONG:
-                return value
-            lists.append((value, newline))
-            return marker
-        return [_marked(item, marker, lists, newline + "  ") for item in value]
-    return value
+    if type(value) is Entries or (isinstance(value, (list, tuple))
+                                  and set(map(type, value)) <= numeric.JSON_SCALARS):
+        fh.writelines(_chunk_text(value, start, inner) for start in range(0, len(value), _CHUNK))
+        fh.write(newline + "]" if value else "[]")
+    elif not isinstance(value, (dict, list, tuple)) or not value:
+        fh.write(json.dumps(value))
+    elif isinstance(value, dict) and set(map(type, value.values())) <= numeric.JSON_SCALARS:
+        fh.write("{" + inner + _list_encoder(inner)(value)[1:-1] + newline + "}")
+    else:
+        if isinstance(value, dict):
+            items, lead, close = ((json.encoder.encode_basestring_ascii(key) + ": ", value[key])
+                                  for key in sorted(value)), "{", "}"
+        else:
+            items, lead, close = (("", item) for item in value), "[", "]"
+        for head, item in items:
+            fh.write(lead + inner + head)
+            _write(item, fh, inner)
+            lead = ","
+        fh.write(newline + close)
 
 
 def write_json(data: Any, fh) -> None:
     """Write `data` and a line break to the text stream `fh`, byte for byte
-    as `json.dump(data, fh, indent=2, sort_keys=True)` and "\\n" would:
-    json lays out the document with a marker in place of each scalar list,
-    and each list is streamed `_CHUNK` entries at a time where its marker
-    stands."""
-    marker, lists = "\0" + os.urandom(16).hex(), []
-    # `_marked` builds a fresh tree, which holds no cycle for json to look for
-    text = json.dumps(_marked(data, marker, lists), indent=2, sort_keys=True,
-                      check_circular=False)
-    *heads, tail = text.split(json.dumps(marker))
-    for head, (value, newline) in zip(heads, lists):
-        fh.write(head)
-        for start in range(0, len(value), _CHUNK):
-            fh.write(_chunk_text(value, start, newline + "  "))
-        fh.write(newline + "]")
-    fh.write(tail + "\n")
+    as `json.dump(data, fh, indent=2, sort_keys=True)` and "\\n" would,
+    in one pass over `data` (see `_write`)."""
+    _write(data, fh, "\n")
+    fh.write("\n")
 
 
 def dump_json(data: Any, path: str) -> None:

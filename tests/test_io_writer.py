@@ -43,7 +43,7 @@ UNIFORM_LISTS = st.one_of(
 )
 
 VALUES = st.recursive(
-    st.one_of(SCALARS, UNIFORM_LISTS),
+    st.one_of(SCALARS, UNIFORM_LISTS, st.lists(SCALARS)),
     lambda children: st.one_of(st.lists(children, max_size=6),
                                st.dictionaries(st.text(), children, max_size=6)),
     max_leaves=40,
@@ -69,9 +69,8 @@ class TestWriteJsonBytes:
     @settings(max_examples=100, deadline=None)
     @given(VALUES)
     def test_matches_json_dump_across_chunks(self, value):
-        # every nonempty scalar list streamed, and a 3-entry chunk makes
-        # most generated lists span several chunks
-        with mock.patch.object(lio, "_CHUNK", 3), mock.patch.object(lio, "_LONG", 1):
+        # a 3-entry chunk makes most generated lists span several chunks
+        with mock.patch.object(lio, "_CHUNK", 3):
             assert written(value) == reference(value)
 
     @pytest.mark.parametrize("value", [
@@ -109,19 +108,35 @@ class TestWriteJsonBytes:
             written({"a": object()})
 
 
+def traced_peak(value, path) -> int:
+    """The traced peak of `dump_json(value, path)`."""
+    tracemalloc.start()
+    try:
+        lio.dump_json(value, str(path))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_peak_memory_stays_below_the_text(tmp_path):
     rng = random.Random(1)
     value = {"atoms": [rng.random() for _ in range(2**20)]}
     path = tmp_path / "big.json"
-    tracemalloc.start()
-    try:
-        lio.dump_json(value, str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(value, path)
     size = path.stat().st_size
     assert size > 2**20 * 18
     assert peak < size / 10
+
+
+def test_peak_memory_of_many_short_tables_stays_below_the_text(tmp_path):
+    # 16,384 tables of 4 entries: no list is long, and the document is
+    # still never held whole as text
+    value = lio.family_to_json(L.uniform_family(L.Scenario((128, 128), (2, 2)), L.FLOAT))
+    path = tmp_path / "family.json"
+    peak = traced_peak(value, path)
+    size = path.stat().st_size
+    assert size > 2**20
+    assert peak < size / 4
 
 
 def line_measure(numerators, denominator, mode):
@@ -165,6 +180,10 @@ class TestStreamedAtoms:
         atoms = list(lio.measure_to_json(rational_line(2 * lio._CHUNK + 17,
                                                        random.Random(2)))["atoms"])
         assert any("/" in a for a in atoms) and any("/" not in a for a in atoms)
+
+    def test_empty_entries_are_an_empty_list(self):
+        value = {"atoms": lio.Entries(np.zeros(0), 1)}
+        assert written(value) == reference({"atoms": []})
 
     def test_length_indexing_and_slices(self):
         measure = rational_line(lio._CHUNK + 5, random.Random(3))
@@ -229,7 +248,7 @@ class TestFailedDump:
 
         with mock.patch.object(lio, "_list_encoder", interrupted):
             with pytest.raises(KeyboardInterrupt):
-                lio.dump_json({"atoms": [1.0, 2.0] * lio._LONG}, str(path))
+                lio.dump_json({"atoms": [1.0, 2.0]}, str(path))
         assert not path.exists()
 
 

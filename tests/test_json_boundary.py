@@ -1,8 +1,9 @@
 """One implementation per rule where JSON documents enter and leave.
 
-`json` lays out every written document and `write_json` streams each
-scalar list into it; `numeric._rational_pair` is the one reader of a
-rational value, and `coerce_scalar` in rational mode is its Fraction.
+`write_json` writes every document in json's own layout, in one pass
+that streams each scalar list; `numeric._rational_pair` is the one
+reader of a rational value, and `coerce_scalar` in rational mode is its
+Fraction.
 The second half covers the containers, weights, ragged data in both
 modes, quantum items of the wrong type and certificates that callers
 hand the library, and refusals that no other test reaches.
@@ -12,7 +13,6 @@ import io as stdio
 import json
 import re
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,16 +32,6 @@ def written(value) -> str:
 
 
 class TestWriterLayout:
-    def test_json_lays_out_each_document_once(self):
-        doc = io.measure_to_json(L.build_deterministic_measure(L.pr_box()).measure)
-        with mock.patch.object(io.json, "dumps", wraps=json.dumps) as dumps:
-            text = written(doc)
-        layouts = [call for call in dumps.call_args_list
-                   if call.kwargs.get("indent") == 2 and call.kwargs.get("sort_keys")]
-        assert len(layouts) == 1
-        assert text == json.dumps({**doc, "atoms": list(doc["atoms"])}, indent=2,
-                                  sort_keys=True) + "\n"
-
     @pytest.mark.parametrize("value", [
         {"a": "\x00" + "0" * 32, "b": [1, 2]},
         ["\x00", ["\x00x", 3], {"k": ["\x00"]}],
