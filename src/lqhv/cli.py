@@ -20,6 +20,7 @@ move to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -90,13 +91,9 @@ def _timed(report: dict, stage: str, call, *args, **kwargs):
 
 
 def _witness_json(witness: Witness) -> dict:
-    return {
-        "site_subset": list(witness.site_subset),
-        "common_settings": list(witness.common_settings),
-        "tuple_a": list(witness.tuple_a),
-        "tuple_b": list(witness.tuple_b),
-        "max_discrepancy": numeric.format_scalar(witness.max_discrepancy),
-    }
+    """The witness's fields as the report's keys; `write_json` lays tuples out as lists."""
+    return {**dataclasses.asdict(witness),
+            "max_discrepancy": numeric.format_scalar(witness.max_discrepancy)}
 
 
 def _emit(report: dict, lines: list[str], args) -> None:

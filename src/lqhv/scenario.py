@@ -396,7 +396,8 @@ def _subset_sums(numerators: np.ndarray, n: int, sites: tuple[int, ...]) -> np.n
 
 def _check_by_walk(family: DistributionFamily) -> Witness | None:
     """`check_nonsignaling` by the depth-first walk: one subset at a time."""
-    # the sums along the current path, the family first; only that path is held
+    # the sums along the current path, the family first; only that path is
+    # held, and of the worst subset a copy of its worst cell's group column
     chain, worst, best = [family.numerators], family.tol, None
     for depth, slices, sites, order in _walk_steps(family.scenario):
         del chain[depth + 1:]
@@ -411,8 +412,8 @@ def _check_by_walk(family: DistributionFamily) -> Witness | None:
         # a tie goes to the subset first in `site_subsets` order
         if top > worst or (best is not None and top == worst
                            and (len(sites), sites) < (len(best[0]), best[0])):
-            worst = top
-            best = sites, sums, np.unravel_index(int(np.argmax(spread)), cells)
+            worst, cell = top, int(np.argmax(spread))
+            best = sites, np.unravel_index(cell, cells), rows[:, cell].copy()
     return None if best is None else _witness(family, *best, worst)
 
 
@@ -466,14 +467,12 @@ def _passes_per_site(family: DistributionFamily) -> bool:
     return True
 
 
-def _witness(family: DistributionFamily, sites: tuple[int, ...], sums: np.ndarray,
-             peak: tuple, worst) -> Witness:
-    """The witness at cell `peak` (T's settings, then outcomes) of the
-    subset `sites`, whose outcome sums are `sums`: the group's argmax and
-    argmin tuples at that cell, in lexicographic order."""
+def _witness(family: DistributionFamily, sites: tuple[int, ...], peak: tuple,
+             column: np.ndarray, worst) -> Witness:
+    """The witness at cell `peak` (T's settings, then outcomes) of the subset
+    `sites`, where `column` holds the group's sums row-major over the other
+    sites' settings: its argmax and argmin tuples, in lexicographic order."""
     scenario = family.scenario
-    group = tuple(peak[sites.index(m)] if m in sites else slice(None) for m in scenario.sites)
-    column = sums[group + peak[len(sites):]].reshape(-1)
     others = [s for m, s in zip(scenario.sites, scenario.settings_per_site) if m not in sites]
 
     def member(g) -> SettingTuple:

@@ -23,7 +23,8 @@ integer numerators over one denominator. For the LHV
 linear program there is a loop-built marginal matrix, a dense
 `Fraction` phase-1 tableau that recomputes every reduced cost before each
 pivot, and the package's former float pivot loop with its per-candidate
-ratio test, which the float simplex must match bit for bit. `per_table_family` reads a family's tables one at a time into
+ratio test, which the float simplex must match bit for bit. `bareiss_rank`
+is the exact rank of an integer matrix for the theorem tests. `per_table_family` reads a family's tables one at a time into
 `Fraction` (or float) arrays, stacks them and splits them over their
 common denominator, as the package did before it read all entries in one
 pass; it shares only the per-entry rule `coerce_scalar` and the tuple
@@ -277,6 +278,36 @@ def brute_marginal_matrix(settings_per_site, outcomes_per_site):
                 cell = cell * outcomes_per_site[n] + point[offsets[n] + s - 1]
             matrix[ti * table_size + cell][col] = 1
     return matrix
+
+
+def bareiss_rank(matrix) -> int:
+    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Each step takes the first row whose leading column entry p is nonzero
+    as the pivot row and replaces every other remaining row r by
+    (p r - r_0 pivot) / d, with d the previous pivot (1 at first), then
+    drops the leading column. The division is exact, since every entry is
+    then a minor of the input. A step runs in int64 when 2 m^2 < 2^63, with
+    m the largest magnitude among its entries and d, so that nothing can
+    overflow; it runs on Python ints otherwise. A leading column of zeros is
+    dropped with no step, and a row that vanishes is dropped at once; the
+    pivot rows counted are the rank.
+    """
+    rest, rank, last = np.array(matrix, dtype=object), 0, 1
+    while rest.size:
+        leading = rest[:, 0] != 0
+        if not leading.any():
+            rest = rest[:, 1:]
+            continue
+        i = int(np.argmax(leading))
+        pivot, rest = rest[i], np.delete(rest, i, axis=0)
+        top = max(int(np.abs(pivot).max()), int(np.abs(rest).max(initial=0)), abs(last))
+        rest, pivot = (x.astype(np.int64 if 2 * top * top < 2**63 else object)
+                       for x in (rest, pivot))
+        rest = (pivot[0] * rest[:, 1:] - np.multiply.outer(rest[:, 0], pivot[1:])) // last
+        rest = rest[(rest != 0).any(axis=1)]
+        rank, last = rank + 1, int(pivot[0])
+    return rank
 
 
 def dense_bland_phase1(a_rows, b):

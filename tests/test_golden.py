@@ -1,10 +1,14 @@
-"""Output bytes of `lqhv build --json` and `lqhv lhv --json` on fixed-seed families.
+"""Output bytes of `lqhv build --json`, `lqhv lhv --json` and failing
+`lqhv check --json` on fixed-seed families.
 
-Each case writes a family file, builds and decides it through `cli.main`,
-and compares sha256 digests against ones recorded with the `Fraction`-array
-implementation: the family file, the measure file, the verdict file and
-both `--json` reports with their timings and input and output paths
-removed. A change that moves any output byte fails here.
+Each build case writes a family file, builds and decides it through
+`cli.main`, and compares sha256 digests against ones recorded with the
+`Fraction`-array implementation: the family file, the measure file, the
+verdict file and both `--json` reports with their timings and input and
+output paths removed. Each check case writes a signaling family and
+compares the digest of its check report, reduced the same way, which pins
+the witness the check names. A change that moves any output byte fails
+here.
 """
 
 import contextlib
@@ -14,6 +18,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lqhv as L
@@ -92,11 +97,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(argv) -> str:
-    """sha256 of a --json report without its timings, input and output paths."""
+def _run(argv, code: int = 0) -> str:
+    """sha256 of a --json report without its timings, input and output
+    paths, from a run that exits `code`."""
     out = text_io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(argv) == 0
+        assert main(argv) == code
     report = json.loads(out.getvalue())
     for key in ("timings", "input", "output"):
         report.pop(key, None)
@@ -116,3 +122,46 @@ def case_digests(name: str, workdir) -> tuple[str, ...]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_are_unchanged(name, tmp_path):
     assert case_digests(name, tmp_path) == GOLDEN[name]
+
+
+def _bent(family):
+    """`family` made to signal: half of its first table's largest entry
+    moves to the cell that differs only in site 1's outcome (the next one,
+    cyclically)."""
+    stacked = np.array(family.stacked)
+    first = stacked[(0,) * family.scenario.n_parties]
+    cell = np.unravel_index(int(np.argmax(first)), first.shape)
+    half = first[cell] / 2
+    first[cell] -= half
+    first[((cell[0] + 1) % first.shape[0],) + cell[1:]] += half
+    return L.DistributionFamily.from_stacked(family.scenario, stacked, family.mode)
+
+
+S232 = L.Scenario((2, 3, 2), (3, 2, 2))
+S2x5 = L.Scenario((2,) * 5, (2,) * 5)
+
+CHECK_CASES = {
+    "signaling-rational": lambda: L.signaling_example(),
+    "signaling-float": lambda: L.signaling_example(L.FLOAT),
+    "S232-3-rational": lambda: _bent(L.random_scenario_family(S232, 3)),
+    "S232-3-float": lambda: _bent(L.random_scenario_family(S232, 3, L.FLOAT)),
+    "S2x5-5-rational": lambda: _bent(L.random_scenario_family(S2x5, 5)),
+    "S2x5-5-float": lambda: _bent(L.random_scenario_family(S2x5, 5, L.FLOAT)),
+}
+
+# the failing check report
+CHECK_GOLDEN = {
+    "S232-3-float": "dc6e235d09970e7f737606feb8ebcecfecff2d87e2342698e35a32472f475e21",
+    "S232-3-rational": "f07ce2c570938f45a482f87fbaa2e94131b3ccb80cf256dc00476ae13d081ded",
+    "S2x5-5-float": "cc5887fdc227185654b6d40fd2d39afb5bcc5e0a672a40340a8b3837bc191b9a",
+    "S2x5-5-rational": "ed654e5454ab9b8a8750e42365a4b07f8cf85648fc1a915d3fa1c3e6af184edf",
+    "signaling-float": "09b55db69a25aa0918c9beb9c44fc46045aa6fa6f80eaa2719bdf4941c04b6c2",
+    "signaling-rational": "fd2fb403e7158d3a4307ed052b10b5a31dd927a4c76917b1e6a7eaa26b77798d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_CASES))
+def test_check_report_bytes_are_unchanged(name, tmp_path):
+    family = str(tmp_path / f"{name}.family.json")
+    io.save_family(CHECK_CASES[name](), family)
+    assert _run(["check", family, "--json"], 2) == CHECK_GOLDEN[name]
