@@ -67,19 +67,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _report(path: str) -> dict:
-    """The run report of a command on the input file `path`; `_read` adds
-    the digest of the bytes it parses."""
-    return {"input": path, "timings": {}}
-
-
-def _read(report: dict, load, **kwargs):
-    """`load` of the report's input file, which reads the file once; the
-    SHA-256 of the bytes it parsed becomes the report's digest."""
+def _read(path: str, load, **kwargs) -> tuple[dict, object]:
+    """The run report of a command on the input file `path`, and `load` of
+    that file, which reads it once; the report holds the SHA-256 of the
+    bytes `load` parsed."""
     digest = hashlib.sha256()
-    out = load(report["input"], digest=digest, **kwargs)
-    report["digest"] = digest.hexdigest()
-    return out
+    out = load(path, digest=digest, **kwargs)
+    return {"input": path, "timings": {}, "digest": digest.hexdigest()}, out
 
 
 def _timed(report: dict, stage: str, call, *args, **kwargs):
@@ -97,23 +91,25 @@ def _witness_json(witness: Witness) -> dict:
 
 
 def _emit(report: dict, lines: list[str], args) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         write_json(report, sys.stdout)
     else:
         for line in lines:
             print(line)
 
 
-def _family_for(args, report: dict):
-    family = _read(report, load_family, tol=args.tol)
+def _family_for(args) -> tuple[dict, object]:
+    """The run report and the family of a command on `args.family`, in
+    `args.mode` when the command has one and it is set."""
+    report, family = _read(args.family, load_family, tol=args.tol)
     if getattr(args, "mode", None) and args.mode != family.mode:
         family = convert_family(family, args.mode, tol=args.tol)
-    return family
+    return report, family
 
 
 def cmd_check(args) -> int:
-    report = _report(args.family)
-    witness = _timed(report, "check", check_nonsignaling, _family_for(args, report))
+    report, family = _family_for(args)
+    witness = _timed(report, "check", check_nonsignaling, family)
     passed = witness is None
     report["consistency"] = {"passed": passed, "witness": None if passed else _witness_json(witness)}
     if passed:
@@ -132,8 +128,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_build(args) -> int:
-    report = _report(args.family)
-    family = _family_for(args, report)
+    report, family = _family_for(args)
     marginals = _timed(report, "check", extract_marginal_family, family)
     report["consistency"] = {"passed": True, "witness": None}
 
@@ -166,8 +161,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_quantum(args) -> int:
-    report = _report(args.scenario)
-    family = _timed(report, "born", born_family, _read(report, load_quantum))
+    report, scenario = _read(args.scenario, load_quantum)
+    family = _timed(report, "born", born_family, scenario)
     save_family(family, args.out)
     report["output"] = args.out
     report["family"] = {"parties": family.scenario.n_parties, "tables": family.scenario.n_tuples}
@@ -180,8 +175,8 @@ def cmd_quantum(args) -> int:
 
 
 def cmd_lhv(args) -> int:
-    report = _report(args.family)
-    verdict = _timed(report, "lhv", lhv_feasible, _family_for(args, report), budget=args.budget)
+    report, family = _family_for(args)
+    verdict = _timed(report, "lhv", lhv_feasible, family, budget=args.budget)
     report["lhv"] = {"feasible": verdict.feasible, "residual": numeric.format_scalar(verdict.residual)}
     lines = [f"verdict: {'feasible' if verdict.feasible else 'infeasible'}"]
     if args.out:
@@ -195,8 +190,7 @@ def cmd_lhv(args) -> int:
 
 
 def cmd_expect(args) -> int:
-    report = _report(args.family)
-    family = _family_for(args, report)
+    report, family = _family_for(args)
     setting_tuple = parse_tuple_key(args.tuple)
     try:
         observables = json.loads(args.observables)

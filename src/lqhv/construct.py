@@ -221,11 +221,8 @@ def coefficient(scenario: Scenario, sites: Iterable[int]) -> int:
 
 def coefficient_table(scenario: Scenario) -> dict[tuple[int, ...], int]:
     """Coefficients for every site subset (the empty one included)."""
-    out: dict[tuple[int, ...], int] = {}
-    for size in range(scenario.n_parties + 1):
-        for subset in itertools.combinations(scenario.sites, size):
-            out[subset] = coefficient(scenario, subset)
-    return out
+    return {subset: coefficient(scenario, subset)
+            for subset in ((), *scenario.site_subsets(), scenario.sites)}
 
 
 def coefficient_identity_sum(settings_per_site: Sequence[int], kept_sites: Iterable[int]) -> int:
@@ -556,13 +553,18 @@ def _coerce_observables(observables: Sequence[Sequence], scenario: Scenario,
 
 def _product_sum(numerators: np.ndarray, axes: Iterable[int], phis: list[np.ndarray]):
     """sum of `numerators` times phi_n read off axis n of `axes`, the
-    products taken site by site."""
+    products taken site by site. A float sum that leaves the float range
+    raises InputError."""
     acc = numerators
-    for axis, phi in zip(axes, phis):
-        shape = [1] * numerators.ndim
-        shape[axis] = phi.shape[0]
-        acc = acc * phi.reshape(shape)
-    return acc.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis, phi in zip(axes, phis):
+            shape = [1] * numerators.ndim
+            shape[axis] = phi.shape[0]
+            acc = acc * phi.reshape(shape)
+        total = acc.sum()
+    if isinstance(total, float) and not math.isfinite(total):
+        raise InputError("the product expectation leaves the float range")
+    return total
 
 
 def product_expectation_family(family: DistributionFamily, setting_tuple: Iterable[int],

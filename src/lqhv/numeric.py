@@ -357,8 +357,9 @@ def held_numerators(numerators: np.ndarray, denominator: int, mode: str) -> tupl
     them, the inverse of `ratio_array`. The denominator is read by
     `read_int` and must be at least 1. Rational mode holds integers of any
     dtype as Python ints (an object array is taken over) and refuses other
-    dtypes with InputError. Float mode holds the correctly rounded quotients
-    over 1 (floats over 1 are taken over); past 2^53 it divides Python ints."""
+    dtypes with InputError. Float mode takes over a float array over 1 and
+    divides anything else entry by entry as Python numbers, so the quotients
+    of integers are correctly rounded."""
     denominator = read_int(denominator, "denominator")
     if denominator < 1:
         raise InputError(f"denominator must be positive, got {denominator}")
@@ -369,8 +370,6 @@ def held_numerators(numerators: np.ndarray, denominator: int, mode: str) -> tupl
         return (numerators if kind == "O" else numerators.astype(object)), denominator
     if kind == "f" and denominator == 1:
         return numerators.astype(float, copy=False), 1
-    if kind in "iu" and max(denominator, abs(numerators).max()) <= 2**53:
-        return numerators / denominator, 1  # exact operands, so one rounding
     quotients = [p / denominator for p in numerators.reshape(-1).tolist()]
     return np.array(quotients, dtype=float).reshape(numerators.shape), 1
 

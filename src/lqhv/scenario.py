@@ -376,8 +376,7 @@ def _walk_steps(scenario: Scenario) -> tuple[_Step, ...]:
     """
     n, outcomes = scenario.n_parties, scenario.outcomes_per_site
     steps = []
-    for dropped in sorted(itertools.chain.from_iterable(
-            itertools.combinations(scenario.sites, size) for size in range(1, n))):
+    for dropped in sorted(scenario.site_subsets()):
         # every site dropped before the last is smaller, so this is its outcome axis
         axis = n + dropped[-1] - len(dropped)
         sites = tuple(m for m in scenario.sites if m not in dropped)

@@ -324,6 +324,17 @@ class TestExpect:
     def test_bad_observables_exit_one(self, pr_file):
         assert main(["expect", pr_file, "--tuple", "1,1", "--observables", "[[1,"]) == 1
 
+    @pytest.mark.parametrize("extra", [["--json"], ["--compare-model"]])
+    @pytest.mark.parametrize("obs", ["[[1e308,1e308],[1e308,1e308]]",
+                                     "[[1e308,-1e308],[1e308,1e308]]"],
+                             ids=["overflow", "inf-minus-inf"])
+    def test_float_values_past_the_float_range_exit_one(self, obs, extra, tmp_path, capsys):
+        path = str(tmp_path / "prf.json")
+        io.save_family(L.pr_box(L.FLOAT), path)
+        assert main(["expect", path, "--tuple", "1,1", "--observables", obs, *extra]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "float range" in err
+
 
 class TestRandom:
     def test_seeded_family_is_reproducible(self, tmp_path):

@@ -605,6 +605,17 @@ class TestExpectations:
         with pytest.raises(InputError):
             L.product_expectation_family(pr, (1, 1), [[1, -1, 0], [1, -1]])
 
+    @pytest.mark.parametrize("obs", [[[1e308, 1e308], [1e308, 1e308]],
+                                     [[1e308, -1e308], [1e308, 1e308]]],
+                             ids=["overflow", "inf-minus-inf"])
+    def test_float_values_past_the_float_range_are_refused(self, obs):
+        pr = L.pr_box(L.FLOAT)
+        model = L.build_deterministic_measure(pr)
+        with pytest.raises(InputError, match="float range"):
+            L.product_expectation_family(pr, (1, 1), obs)
+        with pytest.raises(InputError, match="float range"):
+            L.product_expectation_model(model, (1, 1), obs)
+
 
 class TestTupleMarginalsAdjoint:
     """The adjoint prices y.A column by column: it is A^T y for the 0/1

@@ -1,5 +1,6 @@
-"""Output bytes of `lqhv build --json`, `lqhv lhv --json` and failing
-`lqhv check --json` on fixed-seed families.
+"""Output bytes of `lqhv build --json`, `lqhv lhv --json`, failing
+`lqhv check --json`, `lqhv quantum --json` and `lqhv expect --json` on
+fixed inputs.
 
 Each build case writes a family file, builds and decides it through
 `cli.main`, and compares sha256 digests against ones recorded with the
@@ -7,8 +8,9 @@ Each build case writes a family file, builds and decides it through
 verdict file and both `--json` reports with their timings and input and
 output paths removed. Each check case writes a signaling family and
 compares the digest of its check report, reduced the same way, which pins
-the witness the check names. A change that moves any output byte fails
-here.
+the witness the check names. The quantum case reads the CHSH-optimal
+singlet and the expect cases a seeded CHSH family, and each compares its
+report the same way. A change that moves any output byte fails here.
 """
 
 import contextlib
@@ -165,3 +167,31 @@ def test_check_report_bytes_are_unchanged(name, tmp_path):
     family = str(tmp_path / f"{name}.family.json")
     io.save_family(CHECK_CASES[name](), family)
     assert _run(["check", family, "--json"], 2) == CHECK_GOLDEN[name]
+
+
+# the quantum report on the CHSH-optimal singlet
+QUANTUM_GOLDEN = "e3e31489c3ea1268d80b8e74d233115ce43d90ed0badbafab5146bbbe087b18a"
+
+
+def test_quantum_report_bytes_are_unchanged(tmp_path):
+    scenario = str(tmp_path / "q.json")
+    io.save_quantum(L.chsh_optimal_scenario(), scenario)
+    assert _run(["quantum", scenario, "--json", "-o", str(tmp_path / "f.json")]) == QUANTUM_GOLDEN
+
+
+# the expect report at tuple (1, 2) with [[1, -1], [1, -1]], by mode and
+# whether it compares the constructed measure's value
+EXPECT_GOLDEN = {
+    ("rational", False): "76aaec361e9d746782f16d7d3dfe3c12d57e51dd201938f4fccba86558574f07",
+    ("rational", True): "13d9f54007fbabba1c389f5143a738b8027ae8f44b0f69cf14dab6731354596d",
+    ("float", False): "f8ad22ec6b6b5ec84db34a3bc36ac8d333780b1dea0e86a353f46cca1ca6a1e4",
+    ("float", True): "7e1dbab71ab0530fb5a160199fea4a21079648e09bc7a7aec04f99ae96fc2970",
+}
+
+
+@pytest.mark.parametrize("mode,compare", sorted(EXPECT_GOLDEN))
+def test_expect_report_bytes_are_unchanged(mode, compare, tmp_path):
+    family = str(tmp_path / "f.json")
+    io.save_family(L.random_nonsignaling_family(7, mode=mode), family)
+    argv = ["expect", family, "--tuple", "1,2", "--observables", "[[1,-1],[1,-1]]", "--json"]
+    assert _run(argv + ["--compare-model"] * compare) == EXPECT_GOLDEN[mode, compare]
